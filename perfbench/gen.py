@@ -16,23 +16,30 @@ import numpy as np
 
 from oracles import closure_from_edges, reduction
 
+# Every certify poset and every families window has at most EXACT_N
+# elements.  The program's comparison kernel (poset._bool_matmul)
+# multiplies uint8 matrices, so a pair with 256 elements strictly between
+# its ends wraps to 0; with at most 257 elements no pair has more than 255
+# between them, and closures and covers are exact.  Larger posets show the
+# known defect, which ``known_defects`` in run.py reproduces on every run,
+# outside the workloads.  (The claims below build their own windows; their
+# reports are checked like any other output.)
+EXACT_N = 257
+
 # Shapes and sizes of the `certify` round, in the order they run: the fixed
-# crown nine times (the median run is one figure), six 200-element posets
-# of each random shape (their mean is another), two 500-element ones of the
-# sparse shapes and one 800-element dim2.  Many posets per round keep the
+# crown twelve times (the median run is one figure), three 200-element
+# posets of each random shape (the mean of the shapes' median runs is
+# another), and one poset of each random shape at 256 elements.  Many posets per round keep the
 # figures from moving with the structures one seed happens to draw; the
-# short operations are spread through the round, so that they see more
-# than one stretch of the machine's load.  One 800-element poset of each
-# shape would make a round take about 30 s at the seed.
+# crowns are spread through the round, so that they see more than one
+# stretch of the machine's load.
 _SMALL = (("dim2", 200), ("layered", 200), ("deep", 200))
-_CROWN = (("crown", 258),)
-CERTIFY_ROUND = (
-    *_CROWN, *_SMALL, *_CROWN, *_SMALL, *_CROWN, ("layered", 500),
-    *_CROWN, *_SMALL, ("deep", 500),
-    *_CROWN, ("dim2", 800),
-    *_CROWN, *_SMALL, ("layered", 500),
-    *_CROWN, *_SMALL, *_CROWN, *_SMALL, ("deep", 500), *_CROWN,
+_LARGE = (("dim2", 256), ("layered", 256), ("deep", 256))
+_CROWN = ("crown", 256)
+CERTIFY_ROUND = tuple(
+    op for large in _LARGE for op in (_CROWN, _SMALL[0], _CROWN, _SMALL[1], _CROWN, _SMALL[2], _CROWN, large)
 )
+assert max(n for _, n in CERTIFY_ROUND) <= EXACT_N
 
 
 def _dim2(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -113,15 +120,16 @@ def certify_inputs(seed: int) -> list[dict]:
 
 # ------------------------------------------------------------------ families
 
-# One window per family, at the sizes (elements) P1 405, P2 338, P3 403,
-# P4 486 and P5 1323.  They are the same for every seed, so that window
-# timings and memory do not move with the seed; the queries below do.
+# One window per family, at the sizes (elements) P1 257, P2 234, P3 252,
+# P4 252 and P5 243: the largest of each family's shape within EXACT_N.
+# They are the same for every seed, so that window timings and memory do
+# not move with the seed; the queries below do.
 WINDOWS = (
-    ("P1", {"n": 200}),
-    ("P2", {"z": 6, "n": 12}),
-    ("P3", {"x": 30, "y": 12}),
-    ("P4", {"x": 8, "y": 5, "z": 8}),
-    ("P5", {"n": [0, 2], "c": 20}),
+    ("P1", {"n": 126}),
+    ("P2", {"z": 6, "n": 8}),
+    ("P3", {"x": 20, "y": 11}),
+    ("P4", {"x": 5, "y": 5, "z": 6}),
+    ("P5", {"n": [0, 2], "c": 8}),
 )
 
 
@@ -196,7 +204,7 @@ def query_batches(seed: int) -> list[list]:
 # ------------------------------------------------------------------- battery
 
 SWEEP_SEEDS = 8  # sweep runs with --seed (seed % SWEEP_SEEDS); see digests.json
-OT_TERMS = 2000
+OT_TERMS = 200
 
 
 def _term(rng: random.Random, depth: int):

@@ -6,7 +6,9 @@ client, and writes one JSON object to stdout: the time ``fishbone`` finished
 importing, each operation's start, duration and output, the speed probes
 taken between operations, the peak RSS, and (when the input asks for
 tracing) the spans.  ``python3 perfbench/worker.py setup``
-only imports the package and prints that time.
+only imports the package and prints that time; ``python3
+perfbench/worker.py defects`` gives the outputs of the known-defect check
+(see run.py).
 
 Operation outputs are converted to plain index lists after each operation's
 clock stops, so conversion is not timed.  The benchmark's parent process
@@ -32,6 +34,7 @@ import numpy as np  # noqa: E402
 from fishbone import acceptance, cli, families, ordertype, verify  # noqa: E402
 from fishbone.partition import check_spine, find_spine, width_and_dilworth  # noqa: E402
 from fishbone.poset import FinitePoset, loads_poset  # noqa: E402
+from probe import speed_probe  # noqa: E402
 
 
 class Tracer:
@@ -87,19 +90,6 @@ def _table(P, names: list) -> np.ndarray:
     for i, x in enumerate(names):
         m[i, [pos[y] for y in P.up_set(x)]] = True
     return m
-
-
-def speed_probe() -> float:
-    """Seconds taken by a fixed pure-Python loop: the machine's speed now.
-
-    Other tenants of a shared machine slow it down by up to half for
-    seconds at a time; the benchmark divides timings by this probe's
-    readings around them (see run.py)."""
-    t = time.perf_counter()
-    s = 0
-    for k in range(20000):
-        s += k * k
-    return time.perf_counter() - t
 
 
 PROBE_EVERY_S = 0.1
@@ -312,11 +302,32 @@ def battery_ops(tr: Tracer, inp: dict):
 WORKLOADS = {"certify": certify_ops, "families": families_ops, "battery": battery_ops}
 
 
+def known_defect_outputs(inp: dict) -> dict:
+    """The outputs that the known-defect check in run.py compares with its
+    oracles: the closure of a poset given as JSON text, and a window's
+    table with its emitted covers.  Not timed."""
+    declared = inp["declared"]
+    P = loads_poset(inp["text"])
+    fam, spec = inp["window"]
+    W = families.window(fam, families.WindowSpec.make(**spec))
+    names = list(W.elements)
+    pos = {x: i for i, x in enumerate(names)}
+    return {
+        "closure": _bits(_table(P, declared)),
+        "names": names,
+        "table": _bits(_table(W, names)),
+        "covers": [[pos[a], pos[b]] for a, b in W.to_json_dict()["le"]],
+    }
+
+
 def main() -> int:
     if sys.argv[1:] == ["setup"]:
         print(json.dumps({"imported_at": IMPORTED_AT}))
         return 0
     inp = json.load(sys.stdin)
+    if sys.argv[1:] == ["defects"]:
+        json.dump(known_defect_outputs(inp), sys.stdout)
+        return 0
     tr = Tracer(bool(inp["trace"]))
     record: list = []
     probes: list = []
