@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import inf
 
@@ -69,13 +69,10 @@ def criterion_1(seed: int = 0) -> VerificationReport:
 
 
 def _comparability_masks(P: FinitePoset) -> list[int]:
-    n = len(P)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and (P._leq[i, j] or P._leq[j, i]):
-                masks[i] |= 1 << j
-    return masks
+    return [
+        sum(1 << j for j, c in enumerate(row) if c and j != i)
+        for i, row in enumerate(P.comparability_matrix.tolist())
+    ]
 
 
 def _min_cover_size(n: int, good: list[int]) -> int:
@@ -633,6 +630,5 @@ def run_acceptance(seed: int = 0, budget_seconds: float | None = None) -> list[V
         kwargs = {"seed": seed} if "seed" in func.__code__.co_varnames else {}
         started = time.perf_counter()
         rep = func(**kwargs)
-        object.__setattr__(rep, "elapsed", time.perf_counter() - started)
-        reports.append(rep)
+        reports.append(replace(rep, elapsed=time.perf_counter() - started))
     return reports

@@ -30,6 +30,7 @@ Windows name their elements by compact strings ("bot", "(0,1)",
 
 from __future__ import annotations
 
+import inspect
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -385,20 +386,22 @@ def window_payloads(family: str, spec: WindowSpec) -> list:
     raise ValueError(f"unknown family {family!r}")
 
 
-def window(family: str, spec: WindowSpec) -> FinitePoset:
-    """The induced finite poset on the window, with string element names.
+def relation_poset(family: str, payloads: list) -> FinitePoset:
+    """The finite poset the family's order induces on ``payloads``, in their
+    order, with string element names.
 
     Construction always runs the partial-order axiom checks, which guards
     every comparison routine against a misread generator.
     """
-    payloads = window_payloads(family, spec)
-    n = len(payloads)
     le = _LE[family]
-    m = np.zeros((n, n), dtype=bool)
-    for i, p in enumerate(payloads):
-        for j, q in enumerate(payloads):
-            m[i, j] = le(p, q)
-    return FinitePoset([element_id(family, p) for p in payloads], m, validate=True)
+    m = np.array([[le(p, q) for q in payloads] for p in payloads], dtype=bool)
+    n = len(payloads)
+    return FinitePoset([element_id(family, p) for p in payloads], m.reshape(n, n), validate=True)
+
+
+def window(family: str, spec: WindowSpec) -> FinitePoset:
+    """The induced finite poset on the window, with string element names."""
+    return relation_poset(family, window_payloads(family, spec))
 
 
 # -------------------------------------------------------------- named sets
@@ -649,13 +652,7 @@ def _claim_p3_row_bound(y: int, B: int) -> VerificationReport:
     exactly min(y+1, B+1)."""
     from .partition import width_and_dilworth
 
-    payloads = [(x, y) for x in range(B + 1)]
-    n = len(payloads)
-    m = np.zeros((n, n), dtype=bool)
-    for i, p in enumerate(payloads):
-        for j, q in enumerate(payloads):
-            m[i, j] = _le_p3(p, q)
-    P = FinitePoset([element_id("P3", p) for p in payloads], m, validate=True)
+    P = window("P3", WindowSpec.make(x=B, y=(y, y)))
     w, _, antichain = width_and_dilworth(P)
     expected = min(y + 1, B + 1)
     ok = w == expected
@@ -755,6 +752,7 @@ def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:
     missing = [k for k in required if k not in params]
     if missing:
         raise ValueError(f"claim {family}.{claim} needs parameters {missing}")
-    kwargs = {k: int(params[k]) for k in required}
-    extra = {k: int(v) for k, v in params.items() if k not in required}
-    return func(**kwargs, **extra)
+    unknown = [k for k in params if k not in inspect.signature(func).parameters]
+    if unknown:
+        raise ValueError(f"claim {family}.{claim} takes no parameters {unknown}")
+    return func(**{k: int(v) for k, v in params.items()})

@@ -16,7 +16,8 @@ antichain transversal through a list of chains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,15 +86,14 @@ def loads_certificate(text: str) -> SpineCertificate:
 
 def _topo_order(P: FinitePoset) -> list[int]:
     """Indices sorted compatibly with the order (down-set size, then declared)."""
-    down = P._leq.sum(axis=0)
+    down = P.leq_matrix.sum(axis=0)
     return sorted(range(len(P)), key=lambda i: (int(down[i]), i))
 
 
 def _up_lengths(P: FinitePoset) -> np.ndarray:
     """For each element, the length of the longest chain ending at it."""
-    n = len(P)
-    strict = P._leq & ~np.eye(n, dtype=bool)
-    up = np.zeros(n, dtype=np.int64)
+    strict = P.strict_matrix
+    up = np.zeros(len(P), dtype=np.int64)
     for i in _topo_order(P):
         below = np.flatnonzero(strict[:, i])
         up[i] = 1 + (up[below].max() if below.size else 0)
@@ -111,7 +111,7 @@ def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
         return 0, []
     up = _up_lengths(P)
     h = int(up.max())
-    strict = P._leq & ~np.eye(n, dtype=bool)
+    strict = P.strict_matrix
     # down[i]: longest chain starting at i (so up[i] + down[i] - 1 <= h,
     # with equality exactly when i lies on some maximum chain).
     down = np.zeros(n, dtype=np.int64)
@@ -157,27 +157,34 @@ def _max_matching(P: FinitePoset) -> dict[int, int]:
     """Maximum matching of the bipartite graph x_L -- y_R for x < y.
 
     Standard augmenting-path search, scanning vertices in declared order so
-    the matching (and everything derived from it) is deterministic.
+    the matching (and everything derived from it) is deterministic.  The
+    depth-first search keeps its own stack, so long augmenting paths do not
+    meet the interpreter's recursion limit.
     """
-    n = len(P)
-    strict = P._leq & ~np.eye(n, dtype=bool)
+    strict = P.strict_matrix
     match_r: dict[int, int] = {}  # right vertex -> left vertex
     match_l: dict[int, int] = {}
 
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for v in np.flatnonzero(strict[u, :]):
-            v = int(v)
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_r or try_augment(match_r[v], seen):
-                match_r[v] = u
-                match_l[u] = v
-                return True
-        return False
+    def frame(u: int) -> list:
+        # [left vertex, its untried right neighbours, the right vertex tried]
+        return [u, iter(np.flatnonzero(strict[u, :]).tolist()), None]
 
-    for u in range(n):
-        try_augment(u, set())
+    for root in range(len(P)):
+        seen: set[int] = set()
+        stack = [frame(root)]  # the current alternating path
+        while stack:
+            top = stack[-1]
+            v = top[2] = next((v for v in top[1] if v not in seen), None)
+            if v is None:
+                stack.pop()
+            elif v in match_r:
+                seen.add(v)
+                stack.append(frame(match_r[v]))
+            else:
+                for u, _, w in reversed(stack):
+                    match_r[w] = u
+                    match_l[u] = w
+                break
     return match_l
 
 
@@ -211,7 +218,7 @@ def width_and_dilworth(P: FinitePoset) -> tuple[int, list[list], list]:
     # Maximum antichain via the standard vertex-cover complement: run an
     # alternating search from the unmatched left vertices; an element is in
     # the antichain when its left copy is reached and its right copy is not.
-    strict = P._leq & ~np.eye(n, dtype=bool)
+    strict = P.strict_matrix
     seen_l: set[int] = set()
     seen_r: set[int] = set()
     stack = [u for u in range(n) if u not in match_l]
@@ -317,11 +324,7 @@ def is_strongly_maximal(P: FinitePoset, chain: Iterable) -> bool:
 
 
 def _first_incomparable(P: FinitePoset, members: Sequence) -> tuple:
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if not P.comparable(members[a], members[b]):
-                return members[a], members[b]
-    raise AssertionError("chain had no incomparable pair")
+    return next((x, y) for x, y in combinations(members, 2) if not P.comparable(x, y))
 
 
 def smc_gap_witness(P: FinitePoset, chain: Iterable) -> tuple[list, list] | None:
@@ -334,9 +337,8 @@ def smc_gap_witness(P: FinitePoset, chain: Iterable) -> tuple[list, list] | None
     with i <= j in lexicographic order over the sorted chain.
     """
     members = P.chain_sorted(set(chain))
-    n = len(P)
-    strict = P._leq & ~np.eye(n, dtype=bool)
-    outside = [i for i in range(n) if P.elements[i] not in set(members)]
+    strict = P.strict_matrix
+    outside = [i for i in range(len(P)) if P.elements[i] not in set(members)]
     for i in range(len(members) + 1):
         for j in range(i, len(members) + 1):
             region = []
@@ -358,6 +360,16 @@ def smc_gap_witness(P: FinitePoset, chain: Iterable) -> tuple[list, list] | None
 # ------------------------------------------------------------------ thickness
 
 
+def _thick_partners(P: FinitePoset, members: Sequence, y) -> list:
+    """The x in ``members`` incomparable to y such that every member
+    comparable to y is also comparable to x."""
+    idx = [P.index(x) for x in members]
+    comp = P.comparability_matrix
+    with_y = comp[idx, P.index(y)]
+    covers_y = (comp[np.ix_(idx, idx)] | ~with_y[:, None]).all(axis=0)
+    return [members[k] for k in np.flatnonzero(covers_y & ~with_y)]
+
+
 def thick_degree(P: FinitePoset, F: Iterable, y) -> int:
     """Number of x in F incomparable to y whose F-comparabilities cover y's.
 
@@ -365,14 +377,7 @@ def thick_degree(P: FinitePoset, F: Iterable, y) -> int:
     to y is also comparable to x.  Such x can absorb y into any antichain
     built inside F without new comparabilities appearing.
     """
-    members = [x for x in F]
-    count = 0
-    for x in members:
-        if P.comparable(x, y):
-            continue
-        if all(not P.comparable(z, y) or P.comparable(z, x) for z in members):
-            count += 1
-    return count
+    return len(_thick_partners(P, list(F), y))
 
 
 def strong_thick_check(P: FinitePoset, F: Iterable, tau: int) -> VerificationReport:
@@ -426,13 +431,9 @@ def extend_spine_partition(
     new_parts = [list(part) for part in cert.antichains]
     used: set[int] = set()
     outsiders = [y for y in P.elements if y not in members]
+    member_list = list(members)
     for y in outsiders:
-        candidates = set()
-        for x in members:
-            if P.comparable(x, y):
-                continue
-            if all(not P.comparable(z, y) or P.comparable(z, x) for z in members):
-                candidates.add(part_of[x])
+        candidates = {part_of[x] for x in _thick_partners(P, member_list, y)}
         placed = False
         for k in sorted(candidates):
             if k in used:

@@ -1,9 +1,14 @@
 """Finite partial orders backed by a dense boolean comparison table.
 
 A :class:`FinitePoset` stores its elements in a fixed declared order and a
-reflexive ``leq`` matrix, so comparison queries are O(1) and the partial-order
-axioms can be checked with a few boolean matrix operations.  Intended scale is
-up to a few thousand elements; storage is quadratic.
+reflexive ``leq`` matrix, next to the strict and comparability matrices derived
+from it once, so comparison queries are O(1) and the partial-order axioms can
+be checked with a few boolean matrix operations.  Every module answers its
+finite comparison questions through these three matrices.
+
+The one product kernel (closure, the transitivity check and covers) is exact
+at every size: it never counts paths in a type that can wrap.  Intended scale
+is up to a few thousand elements; storage is quadratic.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ class NotAChain(PosetError):
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    """Boolean matrix product.  The float32 product of 0/1 matrices sums
+    nonnegative terms, which never round to 0, so ``> 0`` is exact."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def _shortest_cycle(nodes: Sequence[int], edges: dict[int, list[int]]) -> list[int]:
@@ -80,7 +87,7 @@ def _shortest_cycle(nodes: Sequence[int], edges: dict[int, list[int]]) -> list[i
 class FinitePoset:
     """An immutable finite poset with a declared element order."""
 
-    __slots__ = ("elements", "_index", "_leq")
+    __slots__ = ("elements", "_index", "_leq", "_strict", "_comparable")
 
     def __init__(self, elements: Iterable[ElementId], leq: np.ndarray, *, validate: bool = True):
         self.elements: tuple = tuple(elements)
@@ -91,21 +98,23 @@ class FinitePoset:
         n = len(self.elements)
         if table.shape != (n, n):
             raise ValueError(f"leq table must be {n}x{n}")
+        strict = table & ~np.eye(n, dtype=bool)
         if validate:
-            self._check_axioms(table)
-        table.setflags(write=False)
-        self._leq = table
+            self._check_axioms(table, strict)
+        comparable = table | table.T
+        for m in (table, strict, comparable):
+            m.setflags(write=False)
+        self._leq, self._strict, self._comparable = table, strict, comparable
 
-    def _check_axioms(self, m: np.ndarray) -> None:
-        n = m.shape[0]
-        if n == 0:
+    def _check_axioms(self, m: np.ndarray, strict: np.ndarray) -> None:
+        if m.shape[0] == 0:
             return
         if not m.diagonal().all():
             i = int(np.argmin(m.diagonal()))
             raise ValueError(f"not reflexive at {self.elements[i]!r}")
-        both = m & m.T
-        if (both != np.eye(n, dtype=bool)).any():
-            i, j = map(int, np.argwhere(both & ~np.eye(n, dtype=bool))[0])
+        both = strict & strict.T
+        if both.any():
+            i, j = map(int, np.argwhere(both)[0])
             raise ValueError(
                 f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
             )
@@ -164,10 +173,6 @@ class FinitePoset:
             m = bigger
         return cls(elems, m, validate=False)
 
-    @classmethod
-    def from_leq(cls, elements: Iterable[ElementId], leq: np.ndarray, *, validate: bool = True) -> "FinitePoset":
-        return cls(elements, leq, validate=validate)
-
     def induced(self, members: Iterable[ElementId]) -> "FinitePoset":
         """Subposet on ``members``, keeping the declared element order."""
         keep = sorted({self.index(x) for x in members})
@@ -175,6 +180,21 @@ class FinitePoset:
         return FinitePoset([self.elements[i] for i in keep], sub, validate=False)
 
     # ----------------------------------------------------------------- access
+
+    @property
+    def leq_matrix(self) -> np.ndarray:
+        """Read-only: ``[i, j]`` is elements[i] <= elements[j]."""
+        return self._leq
+
+    @property
+    def strict_matrix(self) -> np.ndarray:
+        """Read-only: ``[i, j]`` is elements[i] < elements[j]."""
+        return self._strict
+
+    @property
+    def comparability_matrix(self) -> np.ndarray:
+        """Read-only and reflexive: ``[i, j]`` is elements[i] <= or >= elements[j]."""
+        return self._comparable
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -203,32 +223,23 @@ class FinitePoset:
         return x != y and self.leq(x, y)
 
     def comparable(self, x, y) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
+        return bool(self._comparable[self.index(x), self.index(y)])
 
     def incomparable(self, x, y) -> bool:
         return not self.comparable(x, y)
 
+    def _members(self, mask: np.ndarray) -> frozenset:
+        return frozenset(self.elements[j] for j in np.flatnonzero(mask))
+
     def up_set(self, x) -> frozenset:
-        i = self.index(x)
-        col = self._leq[i, :] & ~self._leq[:, i]
-        return frozenset(self.elements[j] for j in np.flatnonzero(col))
+        return self._members(self._strict[self.index(x), :])
 
     def down_set(self, x) -> frozenset:
-        i = self.index(x)
-        row = self._leq[:, i] & ~self._leq[i, :]
-        return frozenset(self.elements[j] for j in np.flatnonzero(row))
+        return self._members(self._strict[:, self.index(x)])
 
     def comparability(self, x) -> tuple[frozenset, frozenset, frozenset]:
         """Partition of the other elements into (above x, below x, incomparable)."""
-        i = self.index(x)
-        up = self._leq[i, :] & ~self._leq[:, i]
-        down = self._leq[:, i] & ~self._leq[i, :]
-        inc = ~(self._leq[i, :] | self._leq[:, i])
-        return (
-            frozenset(self.elements[j] for j in np.flatnonzero(up)),
-            frozenset(self.elements[j] for j in np.flatnonzero(down)),
-            frozenset(self.elements[j] for j in np.flatnonzero(inc)),
-        )
+        return self.up_set(x), self.down_set(x), self._members(~self._comparable[self.index(x), :])
 
     def sorted_members(self, members: Iterable[ElementId]) -> list:
         """Members listed in the declared element order."""
@@ -252,32 +263,23 @@ class FinitePoset:
         This is the transitive reduction of the strict order, listed by the
         declared order of v then u.
         """
-        strict = self._leq & ~np.eye(len(self), dtype=bool)
-        between = _bool_matmul(strict, strict)
-        cov = strict & ~between
+        cov = self._strict & ~_bool_matmul(self._strict, self._strict)
         pairs = [(int(u), int(v)) for u, v in np.argwhere(cov)]
         pairs.sort(key=lambda p: (p[1], p[0]))
         return [(self.elements[v], self.elements[u]) for u, v in pairs]
 
     def open_interval(self, x, y) -> frozenset:
         i, j = self.index(x), self.index(y)
-        sel = self._leq[i, :] & self._leq[:, j]
-        sel[i] = sel[j] = False
-        return frozenset(self.elements[k] for k in np.flatnonzero(sel))
+        return self._members(self._strict[i, :] & self._strict[:, j])
 
     def closed_interval(self, x, y) -> frozenset:
         i, j = self.index(x), self.index(y)
-        sel = self._leq[i, :] & self._leq[:, j]
-        return frozenset(self.elements[k] for k in np.flatnonzero(sel))
+        return self._members(self._leq[i, :] & self._leq[:, j])
 
     def convex_hull(self, members: Iterable[ElementId]) -> frozenset:
         """Elements lying between two members: {x : exists y, z in X, y <= x <= z}."""
         idx = [self.index(m) for m in members]
-        if not idx:
-            return frozenset()
-        above_some = self._leq[idx, :].any(axis=0)
-        below_some = self._leq[:, idx].any(axis=1)
-        return frozenset(self.elements[k] for k in np.flatnonzero(above_some & below_some))
+        return self._members(self._leq[idx, :].any(axis=0) & self._leq[:, idx].any(axis=1))
 
     def wide_interval(self, members: Iterable[ElementId]) -> frozenset:
         """Elements constrained from outside exactly as the set X is.
@@ -287,26 +289,19 @@ class FinitePoset:
         whole poset is returned.
         """
         idx = [self.index(m) for m in members]
-        n = len(self)
         if not idx:
             return frozenset(self.elements)
-        strict = self._leq & ~np.eye(n, dtype=bool)
-        above_all = strict[idx, :].all(axis=0)  # w with w > every member
-        below_all = strict[:, idx].all(axis=1)
-        ok_up = (strict | ~above_all[None, :]).all(axis=1)  # z rows: above_all[w] -> z < w
-        ok_down = (strict.T | ~below_all[None, :]).all(axis=1)
-        return frozenset(self.elements[k] for k in np.flatnonzero(ok_up & ok_down))
+        return self._wide(self._strict[idx, :].all(axis=0), self._strict[:, idx].all(axis=1))
 
     def wide_interval_pair(self, x, y) -> frozenset:
         """Pair form: {z : (w > y -> w > z) and (w < x -> w < z) for all w}."""
-        i, j = self.index(x), self.index(y)
-        n = len(self)
-        strict = self._leq & ~np.eye(n, dtype=bool)
-        above = strict[j, :]
-        below = strict[:, i]
-        ok_up = (strict | ~above[None, :]).all(axis=1)
-        ok_down = (strict.T | ~below[None, :]).all(axis=1)
-        return frozenset(self.elements[k] for k in np.flatnonzero(ok_up & ok_down))
+        return self._wide(self._strict[self.index(y), :], self._strict[:, self.index(x)])
+
+    def _wide(self, above: np.ndarray, below: np.ndarray) -> frozenset:
+        """{z : every w in ``above`` is > z and every w in ``below`` is < z}."""
+        ok_up = (self._strict | ~above[None, :]).all(axis=1)
+        ok_down = (self._strict.T | ~below[None, :]).all(axis=1)
+        return self._members(ok_up & ok_down)
 
     def interval(self, kind: str, *args) -> frozenset:
         if kind == "open":
@@ -323,23 +318,18 @@ class FinitePoset:
 
     # ------------------------------------------------------------- predicates
 
-    def is_chain(self, members: Iterable[ElementId]) -> bool:
+    def _comparable_block(self, members: Iterable[ElementId]) -> np.ndarray:
         idx = [self.index(m) for m in members]
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                if not (self._leq[i, j] or self._leq[j, i]):
-                    return False
-        return True
+        return self._comparable[np.ix_(idx, idx)]
+
+    def is_chain(self, members: Iterable[ElementId]) -> bool:
+        return bool(self._comparable_block(members).all())
 
     def is_antichain(self, members: Iterable[ElementId]) -> bool:
-        idx = [self.index(m) for m in members]
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                if self._leq[i, j] or self._leq[j, i]:
-                    return False
-        return True
+        """Pairwise incomparable; a member listed twice is comparable to itself."""
+        block = self._comparable_block(members)
+        np.fill_diagonal(block, False)
+        return not block.any()
 
     def is_contiguous_chain(self, chain: Iterable[ElementId]) -> bool:
         """True when no outside element fits strictly inside the chain.
@@ -347,16 +337,11 @@ class FinitePoset:
         An outside x "fits" when y < x < z for some chain members y, z and
         chain + {x} is still a chain.
         """
-        members = set(chain)
-        ordered = self.chain_sorted(members)
-        for x in self.elements:
-            if x in members:
-                continue
-            if not all(self.comparable(x, c) for c in ordered):
-                continue
-            if any(self.lt(y, x) for y in ordered) and any(self.lt(x, z) for z in ordered):
-                return False
-        return True
+        idx = [self.index(c) for c in self.chain_sorted(set(chain))]
+        fits = self._comparable[:, idx].all(axis=1)
+        fits &= self._strict[idx, :].any(axis=0) & self._strict[:, idx].any(axis=1)
+        fits[idx] = False
+        return not fits.any()
 
     # ------------------------------------------------------------------- JSON
 
@@ -371,14 +356,27 @@ class FinitePoset:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+def _is_element_id(x) -> bool:
+    return isinstance(x, (str, int)) and not isinstance(x, bool)
+
+
 def poset_from_json_dict(data: dict) -> FinitePoset:
+    """Poset from ``{"elements": [...], "le": [[x, y], ...]}``.
+
+    Elements are unique strings or integers; each ``le`` entry is a 2-list
+    of elements meaning x <= y.  Anything else raises ValueError.
+    """
     if not isinstance(data, dict) or "elements" not in data or "le" not in data:
         raise ValueError("poset JSON needs 'elements' and 'le' keys")
-    pairs = [tuple(p) for p in data["le"]]
-    for p in pairs:
-        if len(p) != 2:
+    elements, le = data["elements"], data["le"]
+    if not isinstance(elements, list) or not all(_is_element_id(e) for e in elements):
+        raise ValueError("poset JSON 'elements' must be a list of strings or integers")
+    if not isinstance(le, list):
+        raise ValueError("poset JSON 'le' must be a list of [lower, upper] pairs")
+    for p in le:
+        if not (isinstance(p, list) and len(p) == 2 and all(_is_element_id(x) for x in p)):
             raise ValueError(f"bad le pair {p!r}")
-    return FinitePoset.from_generators(data["elements"], pairs)
+    return FinitePoset.from_generators(elements, [tuple(p) for p in le])
 
 
 def load_poset(path: str) -> FinitePoset:

@@ -73,6 +73,24 @@ def test_poset_malformed_file(capsys, tmp_path):
     assert run(capsys, "poset", "spine", str(path))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"elements": [[1]], "le": []}',
+        '{"elements": ["a", "b"], "le": 5}',
+        '{"elements": "ab", "le": []}',
+        '{"elements": [true], "le": []}',
+        '{"elements": ["a", "a"], "le": []}',
+        '{"elements": ["a", "b"], "le": [[["a"], "b"]]}',
+    ],
+)
+def test_poset_malformed_members(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "poset", "spine", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_poset_cyclic_file(capsys, tmp_path):
     path = tmp_path / "cyc.json"
     path.write_text('{"elements": ["a","b"], "le": [["a","b"],["b","a"]]}')
@@ -135,6 +153,15 @@ def test_family_check_pass_fail_usage(capsys):
     assert run(capsys, "family", "check", "P1", "--claim", "pigeonhole",
                "--params", "m=1:2")[0] == 2
     assert run(capsys, "family", "check", "P9", "--claim", "x")[0] == 2
+
+
+def test_family_check_rejects_unknown_parameters(capsys):
+    code, out, err = run(capsys, "family", "check", "P3", "--claim", "row_bound",
+                         "--params", "y=1,B=3,zz=2")
+    assert code == 2 and out == "" and "zz" in err
+    code, out, _ = run(capsys, "family", "check", "P4", "--claim", "no_domination",
+                       "--params", "n=1,m=2,B=2,slack=1")
+    assert code == 0 and json.loads(out)["params"]["slack"] == 1
 
 
 def test_family_window_bad_spec(capsys):

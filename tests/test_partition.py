@@ -108,6 +108,21 @@ def test_grid_width():
     assert sorted(x for c in chains for x in c) == sorted(P.elements)
 
 
+def test_width_survives_a_long_augmenting_path():
+    # a_i < b_i, b_{i+1} with the b's declared in descending order: the
+    # greedy scan matches a_i to b_{i+1}, so z's augmenting path runs
+    # through every a_i down to b_0, far deeper than the recursion limit.
+    k = 1200
+    a = [f"a{i}" for i in range(k - 1)]
+    b = [f"b{i}" for i in range(k)]
+    pairs = [(a[i], b[i]) for i in range(k - 1)] + [(a[i], b[i + 1]) for i in range(k - 1)]
+    P = FinitePoset.from_generators(a + b[::-1] + ["z"], pairs + [("z", b[k - 1])])
+    w, chains, anti = width_and_dilworth(P)
+    assert w == k and len(chains) == k and len(anti) == k
+    assert sorted(x for c in chains for x in c) == sorted(P.elements)
+    assert all(P.is_chain(c) for c in chains) and P.is_antichain(anti)
+
+
 def test_chain_poset_width_one():
     C = FinitePoset.from_generators("abc", [("a", "b"), ("b", "c")])
     w, chains, anti = width_and_dilworth(C)
@@ -223,6 +238,19 @@ def test_thick_degree_on_diamond():
     assert rep.ok and rep.detail["min_degree"] == 1
     rep = strong_thick_check(P, {"a", "b", "d"}, 2)
     assert not rep.ok and rep.witness == "c" and rep.detail["degree"] == 1
+
+
+@given(posets(), st.data())
+def test_thick_degree_matches_its_definition(P, data):
+    F = data.draw(st.lists(st.sampled_from(P.elements), unique=True))
+    for y in P.elements:
+        want = sum(
+            1
+            for x in F
+            if not P.comparable(x, y)
+            and all(not P.comparable(z, y) or P.comparable(z, x) for z in F)
+        )
+        assert thick_degree(P, F, y) == want
 
 
 def test_extend_spine_partition_absorbs_outsider():

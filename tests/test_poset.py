@@ -125,6 +125,17 @@ def test_chain_and_antichain_predicates():
     assert P.is_antichain(["b", "c"])
     assert not P.is_antichain(["a", "d"])
     assert P.is_chain([]) and P.is_antichain([])
+    assert not P.is_antichain(["b", "c", "b"])  # a repeat is comparable to itself
+
+
+def test_shared_matrices_are_read_only_and_consistent():
+    P = diamond()
+    n = len(P)
+    assert (P.strict_matrix == P.leq_matrix & ~np.eye(n, dtype=bool)).all()
+    assert (P.comparability_matrix == P.leq_matrix | P.leq_matrix.T).all()
+    for m in (P.leq_matrix, P.strict_matrix, P.comparability_matrix):
+        with pytest.raises(ValueError):
+            m[0, 1] = not m[0, 1]
 
 
 def test_chain_sorted_orders_by_the_poset():
@@ -277,3 +288,68 @@ def test_wide_interval_contains_its_defining_pair(P):
         wide = P.wide_interval_pair(x, y)
         assert x in wide and y in wide
         assert P.closed_interval(x, y) <= wide
+
+
+# ------------------------------------------------------ exactness at scale
+
+
+def _wide_diamond(middles: int) -> tuple[list, np.ndarray]:
+    """A bottom b, ``middles`` pairwise incomparable middles and a top t,
+    as elements and their correct table: b reaches t along ``middles``
+    distinct paths of length two."""
+    elements = ["b", *(f"m{k}" for k in range(middles)), "t"]
+    table = np.eye(len(elements), dtype=bool)
+    table[0, :] = table[:, -1] = True
+    return elements, table
+
+
+def test_closure_counts_no_paths_modulo_256():
+    elements, table = _wide_diamond(256)
+    mids = elements[1:-1]
+    P = FinitePoset.from_generators(elements, [("b", m) for m in mids] + [(m, "t") for m in mids])
+    assert P.leq("b", "t")
+    assert P == FinitePoset(elements, table)
+
+
+def test_axiom_check_sees_transitivity_past_256_paths():
+    elements, table = _wide_diamond(256)
+    table[0, -1] = False
+    with pytest.raises(ValueError, match="not transitive"):
+        FinitePoset(elements, table, validate=True)
+
+
+def test_covers_omit_pairs_with_256_elements_between():
+    covers = FinitePoset(*_wide_diamond(256)).covers()
+    assert ("t", "b") not in covers and len(covers) == 512
+
+
+def test_large_window_covers_match_transitive_reduction():
+    nx = pytest.importorskip("networkx")
+    from fishbone.families import WindowSpec, window
+
+    P = window("P1", WindowSpec.make(n=200))
+    assert len(P) == 405
+    g = nx.DiGraph()
+    g.add_nodes_from(P.elements)
+    g.add_edges_from((x, y) for x in P.elements for y in P.up_set(x))
+    want = {(v, u) for u, v in nx.transitive_reduction(g).edges}
+    got = P.covers()
+    assert len(got) == len(want) and set(got) == want
+
+
+@given(posets(), st.data())
+def test_matrix_predicates_match_pairwise_loops(P, data):
+    members = data.draw(st.lists(st.sampled_from(P.elements), max_size=len(P) + 1))
+    pairs = [(x, y) for a, x in enumerate(members) for y in members[a + 1:]]
+    assert P.is_chain(members) == all(P.leq(x, y) or P.leq(y, x) for x, y in pairs)
+    assert P.is_antichain(members) == (not any(P.leq(x, y) or P.leq(y, x) for x, y in pairs))
+    if P.is_chain(members):
+        chain = set(members)
+        fits = any(
+            x not in chain
+            and all(P.leq(x, c) or P.leq(c, x) for c in chain)
+            and any(P.lt(c, x) for c in chain)
+            and any(P.lt(x, c) for c in chain)
+            for x in P.elements
+        )
+        assert P.is_contiguous_chain(members) == (not fits)
