@@ -20,9 +20,9 @@ Each family is a poset on a countable ground set of coordinate tuples:
   x+y <= 2(u+v).
 
 P1 and P5 use the closed-form clauses above directly.  P2, P3 and P4 are
-given by generators only, so comparison is memoized reachability over the
-generator moves; each search is bounded by a monotone ranking (documented at
-the search), which also makes the answers independent of any window.
+given by generators only; each is compared by an O(1) closed form for
+reachability over its generator moves, whose docstring argues why the moves
+reach exactly those points.  No comparison depends on a window.
 
 Windows name their elements by compact strings ("bot", "(0,1)",
 "(-1,0,2)", ...) so window posets serialize cleanly.
@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import inspect
 import re
-from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from itertools import product
 
 import numpy as np
 
@@ -203,117 +202,60 @@ def _le_p5(p, q) -> bool:
     return False
 
 
-@cache
-def _reach_p2(p, z_cap: int, n_cap: int) -> frozenset:
-    """States reachable upward from p in P2 with z <= z_cap and n <= n_cap.
-
-    Sound bounds: z never decreases under any generator, so states past the
-    target column are dead ends; n resets to 0 on column moves and is
-    preserved by the i-switches, so a value above max(n_p, n_q) can never
-    be needed to reach q.
-    """
-    seen = {p}
-    queue = deque([p])
-    while queue:
-        z, i, n = queue.popleft()
-        nxt = []
-        if n + 1 <= n_cap:
-            nxt.append((z, i, n + 1))
-        if z + 1 <= z_cap:
-            nxt.append((z + 1, i, 0))
-        if i == 0:
-            nxt.append((z, 1, n))
-        elif z + 1 <= z_cap:
-            nxt.append((z + 1, 0, n))
-        for s in nxt:
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return frozenset(seen)
-
-
 def _le_p2(p, q) -> bool:
-    if p == q:
-        return True
-    if p[0] > q[0]:
-        return False
-    return q in _reach_p2(p, q[0], max(p[2], q[2]))
+    """Closed form of reachability under the P2 generators.
 
-
-@cache
-def _reach_p3(p, x_cap: int, y_cap: int) -> frozenset:
-    """States reachable upward from p in P3 with x <= x_cap, y <= y_cap.
-
-    Both generators are monotone in both coordinates, so exceeding either
-    target coordinate is a dead end.
+    z never decreases, and within a column the only moves are n+1 and the
+    switch i: 0 -> 1, so (z,i,n) reaches (z,j,m) exactly when i <= j and
+    n <= m.  One column up, the column move (z,i,n) <= (z+1,i,0) and
+    climbing in n reach (z+1,i,m) for every m, and the switch adds
+    (z+1,1,m) when i = 0.  From row 1 the only way into row 0 of the next
+    column is (z,1,k) <= (z+1,0,k) with k >= n, after which row 0 only
+    climbs in n, so (z,1,n) reaches (z+1,0,m) iff m >= n.  Two columns up
+    everything is reached: (z,i,n) <= (z+1,i,0) <= (z+1,1,0) <= (z+2,0,0),
+    the bottom of column z+2.
     """
-    seen = {p}
-    queue = deque([p])
-    while queue:
-        x, y = queue.popleft()
-        nxt = []
-        if y + 1 <= y_cap:
-            nxt.append((x, y + 1))
-        if x + y + 1 <= x_cap:
-            nxt.append((x + y + 1, y))
-        for s in nxt:
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return frozenset(seen)
+    (z, i, n), (w, j, m) = p, q
+    if w >= z + 2:
+        return True
+    if w == z + 1:
+        return (i, j) != (1, 0) or m >= n
+    return w == z and i <= j and n <= m
 
 
 def _le_p3(p, q) -> bool:
-    if p == q:
-        return True
-    if p[0] > q[0] or p[1] > q[1]:
-        return False
-    return q in _reach_p3(p, q[0], q[1])
+    """Closed form of reachability under the P3 generators.
 
-
-@cache
-def _reach_p4(p, x_floor: int, y_cap: int, z_cap: int) -> frozenset:
-    """States reachable upward from p in P4 within x >= x_floor, y <= y_cap,
-    z <= z_cap, using only the small moves and the big drop.
-
-    The two-level jump is handled before this search (see :func:`_le_p4`),
-    so here y only steps up to y_cap <= y+1.  x never increases under the
-    remaining moves, so x < x_floor is a dead end; z climbs one at a time
-    or is chosen freely by the big drop, so values above max(z_p, z_q)
-    are never needed.
+    Both moves keep y non-decreasing and never lower x, and a step right
+    taken at row y' adds exactly y'+1 to x.  So (x,y) reaches (u,v) iff
+    y <= v and d = u - x >= 0 is a sum of some number k of step sizes from
+    {y+1, ..., v+1}: any such multiset is walkable by taking each step
+    while passing its row.  Sums of k terms from that range fill exactly
+    [k(y+1), k(v+1)] (raise one term by 1 at a time), so the test is
+    whether some k has d/(v+1) <= k <= d/(y+1).
     """
-    seen = {p}
-    queue = deque([p])
-    while queue:
-        x, y, z = queue.popleft()
-        nxt = []
-        if z + 1 <= z_cap:
-            nxt.append((x, y, z + 1))
-        if y + 1 <= y_cap:
-            nxt.append((x, y + 1, z))
-        if x - 1 >= x_floor:
-            nxt.append((x - 1, y, z))
-        if x - (y + 1) >= x_floor:
-            nxt.extend((x - (y + 1), y, c) for c in range(z_cap + 1))
-        for s in nxt:
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return frozenset(seen)
+    (x, y), (u, v) = p, q
+    d = u - x
+    return y <= v and d >= 0 and -(-d // (v + 1)) <= d // (y + 1)
 
 
 def _le_p4(p, q) -> bool:
-    if p == q:
-        return True
+    """Closed form of reachability under the P4 generators.
+
+    y never decreases, and only the two-level jump raises x or lifts y by
+    two.  If v >= y+2, jump to (u, y+2, w) and climb y to v.
+    Otherwise the jump is never used, so x never increases and y never
+    decreases: u <= x and y <= v are needed.  Then, if w >= z, step x down
+    to u, z up to w and y up to v.  If w < z, z must fall, and only the
+    big drop (x'+y'+1, y', .) <= (x', y', .) at a row y' >= y lowers it,
+    which needs x - u >= y'+1 >= y+1; conversely with x - u >= y+1 one
+    drop at row y lands on (x-y-1, y, w), from where x steps down to u
+    and y climbs to v.
+    """
     (x, y, z), (u, v, w) = p, q
     if v >= y + 2:
-        # Jump two levels up to any (x', y+2, z'), then climb y; both sound
-        # and complete since no other generator raises y past y+1 without
-        # passing through a y+2 jump.
         return True
-    if v < y or u > x:
-        return False
-    return q in _reach_p4(p, u, v, max(z, w))
+    return y <= v and u <= x and (w >= z or x - u >= y + 1)
 
 
 _LE = {"P1": _le_p1, "P2": _le_p2, "P3": _le_p3, "P4": _le_p4, "P5": _le_p5}
@@ -341,48 +283,19 @@ def elem_comparable(family: str, p, q) -> bool:
 
 def window_payloads(family: str, spec: WindowSpec) -> list:
     """All family elements inside the window, in a fixed enumeration order."""
+
+    def span(axis: str, natural: bool = True) -> range:
+        lo, hi = spec.bound(axis)
+        return range(max(lo, 0) if natural else lo, hi + 1)
+
     if family == "P1":
-        lo, hi = spec.bound("n")
-        out: list = ["bot"]
-        out += [(n, i) for n in range(max(lo, 0), hi + 1) for i in (0, 1)]
-        out += ["a", "top"]
-        return out
+        return ["bot", *product(span("n"), (0, 1)), "a", "top"]
     if family == "P2":
-        zlo, zhi = spec.bound("z")
-        nlo, nhi = spec.bound("n")
-        return [
-            (z, i, n)
-            for z in range(zlo, zhi + 1)
-            for i in (0, 1)
-            for n in range(max(nlo, 0), nhi + 1)
-        ]
-    if family == "P3":
-        xlo, xhi = spec.bound("x")
-        ylo, yhi = spec.bound("y")
-        return [
-            (x, y)
-            for x in range(max(xlo, 0), xhi + 1)
-            for y in range(max(ylo, 0), yhi + 1)
-        ]
-    if family == "P4":
-        xlo, xhi = spec.bound("x")
-        ylo, yhi = spec.bound("y")
-        zlo, zhi = spec.bound("z")
-        return [
-            (x, y, z)
-            for x in range(max(xlo, 0), xhi + 1)
-            for y in range(max(ylo, 0), yhi + 1)
-            for z in range(max(zlo, 0), zhi + 1)
-        ]
+        return list(product(span("z", natural=False), (0, 1), span("n")))
+    if family in ("P3", "P4"):
+        return list(product(*map(span, FAMILY_AXES[family])))
     if family == "P5":
-        nlo, nhi = spec.bound("n")
-        clo, chi = spec.bound("c")
-        return [
-            (x, y, n)
-            for n in range(max(nlo, 0), nhi + 1)
-            for x in range(max(clo, 0), chi + 1)
-            for y in range(max(clo, 0), chi + 1)
-        ]
+        return [(x, y, n) for n, x, y in product(span("n"), span("c"), span("c"))]
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -506,24 +419,16 @@ def check_bounded_bicomparable(
         "bound": bound.to_dict(),
         "slack": slack,
     }
-    up = check_bounded_cofinally_above(family, first, second, bound, slack)
-    if not up.ok:
-        return VerificationReport(
-            claim="bicomparable",
-            params=params,
-            status=FAIL,
-            witness=up.witness,
-            detail={"direction": f"{first} over {second}"},
-        )
-    down = check_bounded_cofinally_above(family, second, first, bound, slack)
-    if not down.ok:
-        return VerificationReport(
-            claim="bicomparable",
-            params=params,
-            status=FAIL,
-            witness=down.witness,
-            detail={"direction": f"{second} over {first}"},
-        )
+    for upper, lower in ((first, second), (second, first)):
+        rep = check_bounded_cofinally_above(family, upper, lower, bound, slack)
+        if not rep.ok:
+            return VerificationReport(
+                claim="bicomparable",
+                params=params,
+                status=FAIL,
+                witness=rep.witness,
+                detail={"direction": f"{upper} over {lower}"},
+            )
     return VerificationReport(claim="bicomparable", params=params, status=UP_TO_BOUND)
 
 
@@ -571,11 +476,7 @@ def _claim_p1_pigeonhole(m: int) -> VerificationReport:
     spec = WindowSpec.make(n=m)
     demanders = [(n, 1) for n in range(m + 1)]
     c1 = named_subset_payloads("P1", "C1", spec)
-    eligible: set = set()
-    for d in demanders:
-        for h in c1:
-            if not elem_comparable("P1", d, h):
-                eligible.add(h)
+    eligible = {h for d in demanders for h in c1 if not elem_comparable("P1", d, h)}
     reserved = (m, 0)
     hosts = sorted(eligible - {reserved})
     ok = len(hosts) < len(demanders)
@@ -678,13 +579,9 @@ def _claim_p3_atomic_antichain(n: int, m: int, B: int) -> VerificationReport:
             detail={"reason": "columns coincide"},
         )
     others = [(m, y2) for y2 in range(2 * B + 1)]
-    best = None
-    for y1 in range(B + 1):
-        p = (n, y1)
-        count = sum(1 for q in others if not elem_comparable("P3", p, q))
-        if best is None or count > best[1]:
-            best = (p, count)
-    ok = best is not None and best[1] >= B
+    counts = {(n, y1): sum(not elem_comparable("P3", (n, y1), q) for q in others) for y1 in range(B + 1)}
+    best = max(counts.items(), key=lambda item: item[1])
+    ok = best[1] >= B
     return VerificationReport(
         claim="P3.atomic_antichain",
         params={"n": n, "m": m, "B": B},
@@ -708,12 +605,7 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> Verificat
     wide = B + slack
     targets = [(m, v, w) for v in range(wide + 1) for w in range(wide + 1)]
     for c in candidates:
-        refuted = False
-        for t in targets:
-            if not elem_le("P4", t, c):
-                refuted = True
-                break
-        if not refuted:
+        if all(elem_le("P4", t, c) for t in targets):
             return VerificationReport(
                 claim="P4.no_domination",
                 params={"n": n, "m": m, "B": B, "slack": slack},
@@ -744,7 +636,8 @@ def claim_names(family: str) -> list[str]:
 
 
 def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:
-    """Run a registered finite check; see the per-claim functions."""
+    """Run a registered finite check; see the per-claim functions.  Every
+    claim parameter is a natural number."""
     key = (family, claim)
     if key not in _CLAIMS:
         raise UnknownClaim(family, claim)
@@ -755,4 +648,8 @@ def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:
     unknown = [k for k in params if k not in inspect.signature(func).parameters]
     if unknown:
         raise ValueError(f"claim {family}.{claim} takes no parameters {unknown}")
-    return func(**{k: int(v) for k, v in params.items()})
+    values = {k: int(v) for k, v in params.items()}
+    negative = [k for k, v in values.items() if v < 0]
+    if negative:
+        raise ValueError(f"claim {family}.{claim} parameters {negative} must be natural numbers")
+    return func(**values)

@@ -12,6 +12,7 @@ Concrete syntax::
     part := NAT | "w" | "w*" | "w" "[" term "]" | "w*" "[" term "]" | "(" term ")"
 
 so ``"w*+w"`` is ζ and ``"w[w*]"`` is the ω-indexed sum of copies of ω*.
+Brackets of either kind nest at most :data:`MAX_NESTING` deep.
 
 Terms are kept in a normal form (flattened sums, merged finite parts, no
 empty parts, repetitions of finite chains collapsed to ω/ω*), which makes
@@ -153,11 +154,20 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# Every recursion over a term (this parser, normalize, reverse, the
+# predicates, term_report, and the structural hash and equality of cached
+# terms) takes at most about seven frames per bracket, worst for sums inside
+# repetitions.  At this cap ``ot check`` still leaves about 290 of Python's
+# default 1000 frames to its caller.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -189,10 +199,7 @@ class _Parser:
         if tok is None:
             raise ParseError("expected a term", self.pos())
         if tok == "(":
-            self.take()
-            inner = self.term()
-            self.expect(")")
-            return inner
+            return self.bracketed(")")
         if tok.isdigit():
             self.take()
             return Fin(int(tok))
@@ -200,12 +207,21 @@ class _Parser:
             self.take()
             base = OMEGA if tok == "w" else OMEGA_STAR
             if self.peek() == "[":
-                self.take()
-                body = self.term()
-                self.expect("]")
+                body = self.bracketed("]")
                 return OmegaRep(body) if tok == "w" else OmegaStarRep(body)
             return base
         raise ParseError(f"unexpected token {tok!r}", self.pos())
+
+    def bracketed(self, close: str) -> OrderTerm:
+        """The term between the opening bracket at the cursor and ``close``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"brackets nested deeper than {MAX_NESTING}", self.pos())
+        self.take()
+        self.depth += 1
+        inner = self.term()
+        self.expect(close)
+        self.depth -= 1
+        return inner
 
 
 def parse_term(text: str) -> OrderTerm:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fishbone.cli import main
+from fishbone.ordertype import MAX_NESTING
 
 DIAMOND = '{"elements": ["a","b","c","d"], "le": [["a","b"],["a","c"],["b","d"],["c","d"]]}'
 
@@ -114,6 +115,29 @@ def test_ot_check_parse_error(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+# Sums around repetitions take the most stack per bracket in every later
+# recursion (normalize, predicates, reverse, term_report).
+def deepest(depth):
+    return "w+w*[" * depth + "w" + "]" * depth
+
+
+def test_ot_check_at_the_nesting_cap(capsys):
+    for _ in range(2):  # the second run also hashes and compares cached terms
+        code, out, _ = run(capsys, "ot", "check", deepest(MAX_NESTING))
+        assert code == 0
+    assert json.loads(out)["term"] == deepest(MAX_NESTING)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [deepest(MAX_NESTING + 1), "w[" * 3000 + "1" + "]" * 3000, "(" * 3000 + "w" + ")" * 3000],
+    ids=["one-over-cap", "w-3000", "paren-3000"],
+)
+def test_ot_check_too_deep_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "ot", "check", text)
+    assert code == 2 and out == "" and "nested deeper" in err
+
+
 # ------------------------------------------------------------------- family
 
 
@@ -162,6 +186,19 @@ def test_family_check_rejects_unknown_parameters(capsys):
     code, out, _ = run(capsys, "family", "check", "P4", "--claim", "no_domination",
                        "--params", "n=1,m=2,B=2,slack=1")
     assert code == 0 and json.loads(out)["params"]["slack"] == 1
+
+
+@pytest.mark.parametrize(
+    "family, claim, params",
+    [
+        ("P3", "atomic_antichain", "n=0,m=1,B=-1"),
+        ("P4", "no_domination", "n=1,m=2,B=-1"),
+        ("P4", "no_domination", "n=1,m=2,B=2,slack=-5"),
+    ],
+)
+def test_family_check_rejects_negative_parameters(capsys, family, claim, params):
+    code, out, err = run(capsys, "family", "check", family, "--claim", claim, "--params", params)
+    assert code == 2 and out == "" and "natural numbers" in err
 
 
 def test_family_window_bad_spec(capsys):

@@ -1,8 +1,8 @@
 """The five decidable infinite orders: comparisons, windows, named sets,
-bounded claims.  Closed-form oracles and naive searches cross-check the
-memoized reachability implementations."""
+bounded claims.  A plain search over the generator moves, and the closure of
+the generator edges inside a window, cross-check the closed-form comparisons
+of P2, P3 and P4."""
 
-import random
 from collections import deque
 
 import pytest
@@ -26,6 +26,70 @@ from fishbone.families import (
     window,
     window_payloads,
 )
+from fishbone.poset import FinitePoset
+
+# ------------------------------------------------------ generator-move oracle
+
+
+def generator_moves(family, s, free):
+    """Upward generator moves of P2, P3 or P4 from s, as written in the
+    family definitions; ``free`` is the range the free coordinates of
+    P4's jump and big drop run over.  Moves may leave the family (a
+    negative x in P4); callers keep only the ones inside their box."""
+    if family == "P2":
+        z, i, n = s
+        return [(z, i, n + 1), (z + 1, i, 0), (z, 1, n) if i == 0 else (z + 1, 0, n)]
+    if family == "P3":
+        x, y = s
+        return [(x, y + 1), (x + y + 1, y)]
+    x, y, z = s
+    return (
+        [(x, y, z + 1), (x, y + 1, z), (x - 1, y, z)]
+        + [(a, y + 2, c) for a in free for c in free]
+        + [(x - y - 1, y, c) for c in free]
+    )
+
+
+def search_reach(family, p, cap):
+    """Everything reachable from p by generator moves with every coordinate
+    in [0, cap] (z of P2 in [-cap, cap]): caps generous enough that the
+    search never relies on the pruning the closed forms argue for."""
+    lo = -cap if family == "P2" else 0
+    seen = {p}
+    queue = deque([p])
+    while queue:
+        for t in generator_moves(family, queue.popleft(), range(cap + 1)):
+            if t not in seen and all(lo <= c <= cap for c in t):
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
+def assert_matches_search(family, members, cap):
+    for p in members:
+        reach = search_reach(family, p, cap)
+        for q in members:
+            assert elem_le(family, p, q) == (q in reach), (p, q)
+
+
+@pytest.mark.parametrize(
+    "family, axes",
+    [("P2", {"z": (0, 3), "n": 3}), ("P3", {"x": 14, "y": 4}), ("P4", {"x": 5, "y": 4, "z": 3})],
+)
+def test_window_is_the_closure_of_generator_edges(family, axes):
+    spec = WindowSpec.make(**axes)
+    box = window_payloads(family, spec)
+    inside = set(box)
+    free = range(max(max(p) for p in box) + 1)
+    edges = [
+        (element_id(family, s), element_id(family, t))
+        for s in box
+        for t in generator_moves(family, s, free)
+        if t in inside
+    ]
+    closure = FinitePoset.from_generators([element_id(family, p) for p in box], edges)
+    assert window(family, spec) == closure
+
 
 # ------------------------------------------------------------ window specs
 
@@ -106,22 +170,17 @@ def test_p1_window_poset_has_global_bounds():
 # ------------------------------------------------------------ P2 relations
 
 
-def p2_closed_form(p, q) -> bool:
-    (z, i, n), (zz, j, nn) = p, q
-    if i == j:
-        return z < zz or (z == zz and n <= nn)
-    if i == 0 and j == 1:
-        return zz > z or (zz == z and nn >= n)
-    return zz > z + 1 or (zz == z + 1 and nn >= n)
+def test_p2_against_search_exhaustively():
+    members = [(z, i, n) for z in range(-2, 3) for i in (0, 1) for n in range(4)]
+    assert_matches_search("P2", members, cap=5)
 
 
-def test_p2_matches_closed_form_exhaustively():
-    members = [
-        (z, i, n) for z in range(-2, 3) for i in (0, 1) for n in range(4)
-    ]
-    for p in members:
-        for q in members:
-            assert elem_le("P2", p, q) == p2_closed_form(p, q), (p, q)
+def test_p2_far_out():
+    big = 10**9
+    assert elem_le("P2", (big, 1, big), (big + 1, 0, big))
+    assert not elem_le("P2", (big, 1, big), (big + 1, 0, big - 1))
+    assert elem_le("P2", (-big, 1, big), (big, 0, 0))
+    assert not elem_le("P2", (big, 0, 0), (big - 1, 1, big))
 
 
 def test_p2_named_sets():
@@ -137,23 +196,6 @@ def test_p2_named_sets():
 # ------------------------------------------------------------ P3 relations
 
 
-def p3_naive_reach(p, q) -> bool:
-    if p == q:
-        return True
-    x_cap, y_cap = q[0] + 3, q[1] + 3  # generous caps, independent pruning
-    seen = {p}
-    queue = deque([p])
-    while queue:
-        x, y = queue.popleft()
-        for s in ((x, y + 1), (x + y + 1, y)):
-            if s == q:
-                return True
-            if s not in seen and s[0] <= x_cap and s[1] <= y_cap:
-                seen.add(s)
-                queue.append(s)
-    return False
-
-
 def test_p3_same_row_closed_form():
     for y in range(6):
         for x in range(15):
@@ -163,11 +205,18 @@ def test_p3_same_row_closed_form():
 
 
 def test_p3_against_naive_search():
-    rng = random.Random(3)
-    for _ in range(400):
-        p = (rng.randint(0, 10), rng.randint(0, 6))
-        q = (rng.randint(0, 10), rng.randint(0, 6))
-        assert elem_le("P3", p, q) == p3_naive_reach(p, q), (p, q)
+    members = [(x, y) for x in range(11) for y in range(7)]
+    assert_matches_search("P3", members, cap=14)
+
+
+def test_p3_far_out():
+    big = 10**9
+    assert elem_le("P3", (0, 1), (big, 1))
+    assert not elem_le("P3", (0, 1), (big + 1, 1))
+    assert elem_le("P3", (0, big), (big + 1, big))
+    assert not elem_le("P3", (0, big), (big, big))
+    assert elem_le("P3", (3, 2), (big, 4))
+    assert not elem_le("P3", (3, 5), (big, 4))
 
 
 def test_p3_origin_is_minimum_in_window():
@@ -178,23 +227,18 @@ def test_p3_origin_is_minimum_in_window():
 # ------------------------------------------------------------ P4 relations
 
 
-def p4_closed_form(p, q) -> bool:
-    (x, y, z), (u, v, w) = p, q
-    if p == q:
-        return True
-    if v >= y + 2:
-        return True
-    if v < y or u > x:
-        return False
-    return u <= x - (y + 1) or (u <= x and w >= z)
+def test_p4_against_search():
+    members = [(x, y, z) for x in range(5) for y in range(4) for z in range(4)]
+    assert_matches_search("P4", members, cap=6)
 
 
-def test_p4_matches_closed_form():
-    rng = random.Random(4)
-    for _ in range(800):
-        p = tuple(rng.randint(0, 8) for _ in range(3))
-        q = tuple(rng.randint(0, 8) for _ in range(3))
-        assert elem_le("P4", p, q) == p4_closed_form(p, q), (p, q)
+def test_p4_far_out():
+    big = 10**9
+    assert elem_le("P4", (big, 0, big), (0, 1, 0))
+    assert not elem_le("P4", (big, 5, big), (big - 5, 5, 0))
+    assert elem_le("P4", (big, 5, big), (big - 6, 5, 0))
+    assert elem_le("P4", (0, big, big), (big, big + 2, 0))
+    assert not elem_le("P4", (0, big, big), (1, big + 1, big))
 
 
 def test_p4_column_is_not_a_chain():

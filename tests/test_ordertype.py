@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fishbone.ordertype import (
+    MAX_NESTING,
     OMEGA,
     OMEGA_STAR,
     Fin,
@@ -149,6 +150,15 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError):
         parse_term("w^2")
     assert issubclass(ParseError, SyntaxError)
+
+
+def test_nesting_cap_position():
+    text = "w+(" * MAX_NESTING + "w[1]" + ")" * MAX_NESTING
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert exc.value.position == text.index("[")
+    flat = parse_term("+".join(["w"] * (MAX_NESTING + 1)))
+    assert parse_term("w+(" * MAX_NESTING + "w" + ")" * MAX_NESTING) == flat
 
 
 def test_reverse_frozen_examples():
