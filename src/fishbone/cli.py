@@ -200,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--a", type=int, required=True)
     q.set_defaults(func=_cmd_verify_counting)
     q = ps.add_parser("all", help="run the standard battery")
-    q.add_argument("--preset", choices=("desk",), default="desk")
     q.set_defaults(func=_cmd_verify_all)
 
     p = sub.add_parser("sweep", help="run the acceptance criteria")

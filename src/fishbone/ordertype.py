@@ -15,22 +15,22 @@ so ``"w*+w"`` is ζ and ``"w[w*]"`` is the ω-indexed sum of copies of ω*.
 Brackets of either kind nest at most :data:`MAX_NESTING` deep.
 
 Terms are kept in a normal form (flattened sums, merged finite parts, no
-empty parts, repetitions of finite chains collapsed to ω/ω*), which makes
-equality of terms meaningful enough for caching; full isomorphism testing is
-out of scope.
+empty parts, repetitions of finite chains collapsed to ω/ω*); full
+isomorphism testing is out of scope.
 
-Each decision procedure documents the recursion it implements and the
-reasoning behind the non-obvious cases.  Throughout, "an ω-chain" means a
-strictly increasing sequence indexed by ω, and "an ω*-chain" a strictly
-decreasing one; a suborder of type X means an order-embedding of X.
+All invariants come from one bottom-up pass over the term, linear in its
+size, whose rules each carry the reasoning behind them.  Throughout, "an
+ω-chain" means a strictly increasing sequence indexed by ω, and "an
+ω*-chain" a strictly decreasing one; a suborder of type X means an
+order-embedding of X.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from math import inf
+from typing import NamedTuple
 
 
 class ParseError(SyntaxError):
@@ -154,11 +154,11 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-# Every recursion over a term (this parser, normalize, reverse, the
-# predicates, term_report, and the structural hash and equality of cached
-# terms) takes at most about seven frames per bracket, worst for sums inside
-# repetitions.  At this cap ``ot check`` still leaves about 290 of Python's
-# default 1000 frames to its caller.
+# Every recursion over a term (this parser, normalize, reverse, render and
+# the invariants' fold) takes at most three frames per bracket.  At this cap
+# ``ot check`` of the worst shape, sums inside repetitions (``w+w*[...]``),
+# needs about 400 frames, which leaves about 600 of Python's default 1000 to
+# its caller.
 MAX_NESTING = 100
 
 
@@ -269,145 +269,275 @@ def reverse(t: OrderTerm) -> OrderTerm:
     raise TypeError(f"not an order term: {t!r}")
 
 
-# ----------------------------------------------------------------- predicates
+# ----------------------------------------------------------------- invariants
 #
-# All recursions below assume normalized input, so every Sum has >= 2 parts,
-# none of them empty or a Sum, and every repetition body is infinite.
+# Every invariant comes from one bottom-up fold, _facts, which computes a
+# node's record from its children's records only.  The fold assumes
+# normalized input, so every Sum has >= 2 parts, none of them empty or a Sum,
+# and every repetition body is infinite.
+
+Count = int | float  # float is only ever math.inf, meaning "countably many"
 
 
-@cache
-def is_wellfounded(t: OrderTerm) -> bool:
-    """No ω*-chain.
+class _Facts(NamedTuple):
+    wf: bool  # no ω*-chain
+    cowf: bool  # no ω-chain
+    wp1: bool  # embeds ω+1
+    zeta: bool  # embeds ζ = ω*+ω
+    owv: bool  # embeds ω+ω*
+    has_max: bool
+    has_min: bool
+    plus: Count  # classes of ω-chains under mutual cofinality
+    minus: Count  # classes of ω*-chains under mutual coinitiality
+    profile: tuple  # the alternation profile (A, At, Ab, Abt), see below
+    rank: int  # Hausdorff rank
+    dec: bool  # an ω-indexed sum of infinite co-wellfounded blocks
+    codec: bool  # dec of the reverse order
 
-    A sum is wellfounded iff all parts are (an ω*-chain has an infinite tail
-    inside the least part it meets, because it meets finitely many parts or,
-    for repetitions, cannot descend through infinitely many ω-indexed
-    blocks).  An ω*-indexed repetition always contains an ω*-chain: one
-    point from each block, going down the blocks.
-    """
-    if isinstance(t, (Fin, Omega)):
-        return True
+
+# ------------------------------------------------------- alternation number
+#
+# An alternation witness is a pair of chains inside one contiguous interval:
+# an ω*-chain with an ω-chain entirely above it — equivalently the interval
+# contains a ζ suborder.  The alternation number is the largest n for which
+# n pairwise disjoint intervals each contain a witness.
+#
+# Computed via a profile (A, At, Ab, Abt) per term, where None means
+# "impossible" and math.inf absorbs:
+#   A   = max stacked witnesses inside t;
+#   At  = max witnesses with additionally a spare ω*-chain above all of them
+#         (an opening half for a witness closed further right);
+#   Ab  = max witnesses with a spare ω-chain below all of them (a closing
+#         half for a witness opened further left);
+#   Abt = both spares at once.
+# The spares must clear the counted witnesses because a straddling witness's
+# interval spans everything between its two chains.
+#
+# Leaves:  Fin (0,-,-,-);  ω (0,-,0,-);  ω* (0,0,-,-).
+#
+# Sum: left-to-right scan with states closed / open (open = an ω*-chain is
+# pending above everything counted so far).  Opening in a part uses its At;
+# closing uses its Ab (+1 for the completed straddling witness) or Abt to
+# close and reopen; a pending opener may also be abandoned.  For Ab/Abt of a
+# sum the scan starts in a third state (the spare ω-chain is not placed
+# yet), where parts may only be skipped or used to place it.
+#
+# Repetitions are argued at their rule in _facts.
+
+
+def _padd(a, b):
+    if a is None or b is None:
+        return None
+    return a + b
+
+
+def _pmax(*vals):
+    best = None
+    for v in vals:
+        if v is not None and (best is None or v > best):
+            best = v
+    return best
+
+
+def _sum_scan(profiles, *, start_closed: bool) -> tuple:
+    closed = 0 if start_closed else None
+    open_ = None
+    unplaced = None if start_closed else 0
+    for a, at, ab, abt in profiles:
+        ncl = _pmax(
+            _padd(closed, a),               # count p's witnesses, stay closed
+            _padd(open_, _padd(ab, 1)),     # close the pending witness in p
+            _padd(open_, a),                # abandon the pending opener
+            _padd(unplaced, ab),            # place the spare ω-chain in p
+        )
+        nop = _pmax(
+            _padd(closed, at),              # open a new pending witness in p
+            open_,                          # skip p, keep the pending opener
+            _padd(open_, _padd(abt, 1)),    # close in p and reopen above
+            _padd(open_, at),               # abandon, then reopen in p
+            _padd(unplaced, abt),           # place the spare and open above
+        )
+        closed, open_ = ncl, nop
+    if start_closed:
+        return _pmax(closed, open_), open_
+    return closed, open_
+
+
+def _precedes(xs: list, ys: list) -> bool:
+    """Some i < j has ``xs[i]`` and ``ys[j]``."""
+    return True in xs and any(ys[xs.index(True) + 1:])
+
+
+# Leaves.  No leaf embeds ω+1, ζ or ω+ω*, and none is an ω-sum of infinite
+# co-wellfounded blocks: a finite order or ω has no valid block at all, and
+# ω* has a maximum while any such sum has none.
+_EMPTY = _Facts(
+    wf=True, cowf=True, wp1=False, zeta=False, owv=False, has_max=False,
+    has_min=False, plus=0, minus=0, profile=(0, None, None, None), rank=0,
+    dec=False, codec=False,
+)
+_CHAIN = _EMPTY._replace(has_max=True, has_min=True)
+_OMEGA = _EMPTY._replace(
+    cowf=False, has_min=True, plus=1, profile=(0, None, 0, None), rank=1
+)
+_OMEGA_STAR = _EMPTY._replace(
+    wf=False, has_max=True, minus=1, profile=(0, 0, None, None), rank=1
+)
+
+
+def _facts(t: OrderTerm) -> _Facts:
+    if isinstance(t, Fin):
+        return _CHAIN if t.k else _EMPTY
+    if isinstance(t, Omega):
+        return _OMEGA
     if isinstance(t, OmegaStar):
-        return False
+        return _OMEGA_STAR
     if isinstance(t, Sum):
-        return all(is_wellfounded(p) for p in t.parts)
-    if isinstance(t, OmegaRep):
-        return is_wellfounded(t.body)
-    if isinstance(t, OmegaStarRep):
-        return False
+        fs = [_facts(p) for p in t.parts]
+        desc = [not f.wf for f in fs]  # the part holds an ω*-chain
+        asc = [not f.cowf for f in fs]  # the part holds an ω-chain
+        profiles = [f.profile for f in fs]
+        return _Facts(
+            # An ω*-chain has an infinite tail inside the least part it
+            # meets, since it meets finitely many parts; mirror for ω-chains.
+            wf=not any(desc),
+            cowf=not any(asc),
+            # Inside one part, or a non-final part holds an ω-chain and any
+            # element of any later part tops it.
+            wp1=any(f.wp1 for f in fs) or any(asc[:-1]),
+            # Inside one part, or the ω*-chain tails off in an earlier part
+            # with the ω-chain tailing off in a strictly later part.  The two
+            # tails cannot share a part unless that part itself contains ζ:
+            # a part may contain both chains with the ω-chain *below* the
+            # ω*-chain, which is not ζ.
+            zeta=any(f.zeta for f in fs) or _precedes(desc, asc),
+            # Inside one part, or an ω-chain tailing in an earlier part with
+            # an ω*-chain tailing in a later part.
+            owv=any(f.owv for f in fs) or _precedes(asc, desc),
+            has_max=fs[-1].has_max,
+            has_min=fs[0].has_min,
+            # A chain has an infinite tail in exactly one part, and
+            # equivalence is decided by the tails, so classes add up.
+            plus=sum(f.plus for f in fs),
+            minus=sum(f.minus for f in fs),
+            profile=(
+                *_sum_scan(profiles, start_closed=True),
+                *_sum_scan(profiles, start_closed=False),
+            ),
+            rank=max(f.rank for f in fs),
+            # The final part absorbs all but finitely many blocks, so every
+            # earlier part must decompose into finitely many co-wellfounded
+            # intervals — i.e. be co-wellfounded — and the final part must
+            # itself decompose (a straddling first block merges with a
+            # co-wellfounded prefix, since a finite union of consecutive
+            # co-wellfounded intervals is co-wellfounded).  The reverse of a
+            # normalized sum is the sum of the reversed parts in reverse
+            # order, and reversing swaps wf and cowf.
+            dec=not any(asc[:-1]) and fs[-1].dec,
+            codec=not any(desc[1:]) and fs[0].codec,
+        )
+    if isinstance(t, (OmegaRep, OmegaStarRep)):
+        b = _facts(t.body)
+        up = isinstance(t, OmegaRep)
+        # A chain running against the blocks' order (an ω*-chain through
+        # ω-indexed blocks, an ω-chain through ω*-indexed ones) meets finitely
+        # many blocks, so it has a tail inside one block; one point per block
+        # gives a chain running along the blocks' order.
+        no_back = b.wf if up else b.cowf
+        no_fwd = b.cowf if up else b.wf
+        if no_back:
+            # No chain against the blocks at all: the profile of a big ω
+            # (big ω* for the ω*-indexed case).
+            profile = _OMEGA.profile if up else _OMEGA_STAR.profile
+        elif no_fwd:
+            # Every witness must close with a chain running along infinitely
+            # many blocks (no block has one), which makes its interval
+            # cofinal (coinitial): at most one witness, no spare on its far
+            # side, and any spare on its near side is itself cofinal.
+            profile = (1, 0, 0, None)
+        else:
+            # Consecutive block pairs supply infinitely many disjoint
+            # witnesses.
+            profile = (inf, inf, inf, inf)
+        return _Facts(
+            wf=up and b.wf,
+            cowf=not up and b.cowf,
+            # A bounded ω-chain meets finitely many blocks — ascending
+            # through infinitely many ω-indexed blocks is cofinal (nothing
+            # above), and ascending through ω*-indexed blocks visits finitely
+            # many blocks outright.  So an infinite piece of the chain sits
+            # inside one block: either that block contains ω+1 itself, or it
+            # contains an ω-chain topped by a point of a later block, and a
+            # later nonempty block always exists for the relevant block.
+            wp1=b.wp1 or not b.cowf,
+            # A chain against the blocks is stuck in one block; conversely
+            # such a chain inside block i is completed by a chain taking one
+            # point from each block beyond i (above i for ω-indexed blocks,
+            # below i for ω*-indexed ones).
+            zeta=not no_back,
+            # ω-indexed blocks: an ω*-chain is stuck inside a single block j,
+            # and only finitely many blocks sit below j, so the ω-chain below
+            # it also sits inside a single block i <= j.  If i < j this needs
+            # ¬cowf and ¬wf of the body; if i = j the body itself contains
+            # ω+ω*.  The ω*-indexed case mirrors (the ω-chain is stuck in one
+            # block, finitely many blocks above it).
+            owv=b.owv or not (b.wf or b.cowf),
+            # ω-indexed blocks always have a later nonempty block, and the
+            # least block is a full copy; mirror for ω*-indexed blocks.
+            has_max=not up and b.has_max,
+            has_min=up and b.has_min,
+            # Chains confined to one block give one copy of the body's
+            # classes per block (countably many overall, or none), and every
+            # chain meeting infinitely many blocks is cofinal (coinitial) in
+            # the whole order — those form one extra class.
+            plus=inf if b.plus else int(up),
+            minus=inf if b.minus else int(not up),
+            profile=profile,
+            # The body is infinite, so its rank is at least 1.
+            rank=b.rank + 1,
+            # ω-indexed: the blocks can be the copies themselves exactly when
+            # the body is co-wellfounded; conversely copy 0 is covered by
+            # finitely many blocks (any block touching copy 1 has all later
+            # blocks above copy 0), so it must be co-wellfounded.
+            # ω*-indexed: never — a first block would be a nonempty initial
+            # interval, which here contains whole copies arbitrarily far
+            # down, hence an ω-chain taking one point per copy upward.  The
+            # reverse of an ω*-indexed repetition is the ω-indexed repetition
+            # of the reversed body.
+            dec=up and b.cowf,
+            codec=not up and b.wf,
+        )
     raise TypeError(f"not an order term: {t!r}")
 
 
-@cache
+# ----------------------------------------------------------------- predicates
+
+
+def is_wellfounded(t: OrderTerm) -> bool:
+    """No ω*-chain."""
+    return _facts(t).wf
+
+
 def is_cowellfounded(t: OrderTerm) -> bool:
     """No ω-chain; the mirror image of :func:`is_wellfounded`."""
-    if isinstance(t, (Fin, OmegaStar)):
-        return True
-    if isinstance(t, Omega):
-        return False
-    if isinstance(t, Sum):
-        return all(is_cowellfounded(p) for p in t.parts)
-    if isinstance(t, OmegaStarRep):
-        return is_cowellfounded(t.body)
-    if isinstance(t, OmegaRep):
-        return False
-    raise TypeError(f"not an order term: {t!r}")
+    return _facts(t).cowf
 
 
-@cache
 def embeds_omega_plus_one(t: OrderTerm) -> bool:
-    """Contains an ω-chain together with an element above all of it.
-
-    Sum: either some part contains ω+1, or a non-final part contains an
-    ω-chain (¬cowf) and any element of any later part tops it.
-
-    Repetitions (both kinds): a bounded ω-chain meets finitely many blocks —
-    ascending through infinitely many ω-indexed blocks is cofinal (nothing
-    above), and ascending through ω*-indexed blocks visits finitely many
-    blocks outright.  So an infinite piece of the chain sits inside one
-    block: either that block contains ω+1 itself, or it contains an ω-chain
-    (¬cowf) topped by a point of a later block, and a later nonempty block
-    always exists for the relevant block.
-    """
-    if isinstance(t, (Fin, Omega, OmegaStar)):
-        return False
-    if isinstance(t, Sum):
-        if any(embeds_omega_plus_one(p) for p in t.parts):
-            return True
-        return any(not is_cowellfounded(p) for p in t.parts[:-1])
-    if isinstance(t, (OmegaRep, OmegaStarRep)):
-        return embeds_omega_plus_one(t.body) or not is_cowellfounded(t.body)
-    raise TypeError(f"not an order term: {t!r}")
+    """Contains an ω-chain together with an element above all of it."""
+    return _facts(t).wp1
 
 
-@cache
 def embeds_zeta(t: OrderTerm) -> bool:
     """Contains a suborder of type ζ = ω* + ω (an unbounded-below ω*-chain
-    with an unbounded-above ω-chain entirely above it).
-
-    Sum: inside one part, or the ω*-chain tails off in an earlier part
-    (¬wf) with the ω-chain tailing off in a strictly later part (¬cowf).
-    The two tails cannot share a part unless that part itself contains ζ:
-    a part may contain both chains with the ω-chain *below* the ω*-chain,
-    which is not ζ.
-
-    ω-indexed repetition: an ω*-chain forces ¬wf of the body (it cannot
-    descend through the ω-indexed blocks); conversely an ω*-chain inside
-    block i is topped by an ω-chain taking one point from each later block.
-    So the answer is exactly ¬wf(body).  ω*-indexed repetition: mirror,
-    ¬cowf(body).
-    """
-    if isinstance(t, (Fin, Omega, OmegaStar)):
-        return False
-    if isinstance(t, Sum):
-        if any(embeds_zeta(p) for p in t.parts):
-            return True
-        seen_descending = False
-        for p in t.parts:
-            if seen_descending and not is_cowellfounded(p):
-                return True
-            if not is_wellfounded(p):
-                seen_descending = True
-        return False
-    if isinstance(t, OmegaRep):
-        return not is_wellfounded(t.body)
-    if isinstance(t, OmegaStarRep):
-        return not is_cowellfounded(t.body)
-    raise TypeError(f"not an order term: {t!r}")
+    with an unbounded-above ω-chain entirely above it)."""
+    return _facts(t).zeta
 
 
-@cache
 def embeds_omega_plus_omegastar(t: OrderTerm) -> bool:
     """Contains a suborder of type ω + ω* (an ω-chain with an ω*-chain
-    entirely above it).
-
-    Sum: inside one part, or ω-chain tailing in an earlier part (¬cowf)
-    with ω*-chain tailing in a later part (¬wf).
-
-    Repetitions: within ω-indexed blocks an ω*-chain is stuck inside a
-    single block j, and only finitely many blocks sit below j, so the
-    ω-chain below it also sits inside a single block i ≤ j.  If i < j this
-    needs ¬cowf and ¬wf of the body; if i = j the body itself contains
-    ω+ω*.  The ω*-indexed case mirrors (the ω-chain is stuck in one block,
-    finitely many blocks above it).
-    """
-    if isinstance(t, (Fin, Omega, OmegaStar)):
-        return False
-    if isinstance(t, Sum):
-        if any(embeds_omega_plus_omegastar(p) for p in t.parts):
-            return True
-        seen_ascending = False
-        for p in t.parts:
-            if seen_ascending and not is_wellfounded(p):
-                return True
-            if not is_cowellfounded(p):
-                seen_ascending = True
-        return False
-    if isinstance(t, (OmegaRep, OmegaStarRep)):
-        if embeds_omega_plus_omegastar(t.body):
-            return True
-        return not is_wellfounded(t.body) and not is_cowellfounded(t.body)
-    raise TypeError(f"not an order term: {t!r}")
+    entirely above it)."""
+    return _facts(t).owv
 
 
 @dataclass(frozen=True)
@@ -447,284 +577,54 @@ class TermPredicates:
         }
 
 
+def _predicates(f: _Facts) -> TermPredicates:
+    return TermPredicates(f.wf, f.cowf, f.wp1, f.zeta, f.owv)
+
+
 def predicates(t: OrderTerm) -> TermPredicates:
-    return TermPredicates(
-        wellfounded=is_wellfounded(t),
-        cowellfounded=is_cowellfounded(t),
-        embeds_omega_plus_one=embeds_omega_plus_one(t),
-        embeds_zeta=embeds_zeta(t),
-        embeds_omega_plus_omegastar=embeds_omega_plus_omegastar(t),
-    )
+    return _predicates(_facts(t))
 
 
 # ----------------------------------------------------------- limit structure
 
-Count = int | float  # float is only ever math.inf, meaning "countably many"
 
-
-@cache
 def has_maximum(t: OrderTerm) -> bool:
-    if isinstance(t, Fin):
-        return t.k >= 1
-    if isinstance(t, Omega):
-        return False
-    if isinstance(t, OmegaStar):
-        return True
-    if isinstance(t, Sum):
-        return has_maximum(t.parts[-1])
-    if isinstance(t, OmegaRep):
-        return False  # there is always a later nonempty block
-    if isinstance(t, OmegaStarRep):
-        return has_maximum(t.body)  # the top block is a full copy
-    raise TypeError(f"not an order term: {t!r}")
+    return _facts(t).has_max
 
 
-@cache
 def has_minimum(t: OrderTerm) -> bool:
-    if isinstance(t, Fin):
-        return t.k >= 1
-    if isinstance(t, OmegaStar):
-        return False
-    if isinstance(t, Omega):
-        return True
-    if isinstance(t, Sum):
-        return has_minimum(t.parts[0])
-    if isinstance(t, OmegaStarRep):
-        return False
-    if isinstance(t, OmegaRep):
-        return has_minimum(t.body)
-    raise TypeError(f"not an order term: {t!r}")
-
-
-def _saturating_sum(values) -> Count:
-    total: Count = 0
-    for v in values:
-        total += v
-        if total == inf:
-            return inf
-    return total
-
-
-@cache
-def _plus_classes(t: OrderTerm) -> Count:
-    """Number of equivalence classes of ω-chains, two chains equivalent when
-    mutually cofinal.
-
-    Sum: an ω-chain has an infinite tail in exactly one part (finitely many
-    parts), and equivalence is decided by the tails, so classes add up.
-
-    ω-indexed repetition: chains confined to one block give one copy of the
-    body's classes per block (countably many overall, or none), and every
-    chain meeting infinitely many blocks is cofinal in the whole order —
-    those form one extra class.  ω*-indexed repetition: confined chains
-    only (no ascending through the blocks), no extra class.
-    """
-    if isinstance(t, (Fin, OmegaStar)):
-        return 0
-    if isinstance(t, Omega):
-        return 1
-    if isinstance(t, Sum):
-        return _saturating_sum(_plus_classes(p) for p in t.parts)
-    if isinstance(t, OmegaRep):
-        return inf if _plus_classes(t.body) > 0 else 1
-    if isinstance(t, OmegaStarRep):
-        return inf if _plus_classes(t.body) > 0 else 0
-    raise TypeError(f"not an order term: {t!r}")
-
-
-@cache
-def _minus_classes(t: OrderTerm) -> Count:
-    """Classes of ω*-chains under mutual coinitiality; mirror of plus."""
-    if isinstance(t, (Fin, Omega)):
-        return 0
-    if isinstance(t, OmegaStar):
-        return 1
-    if isinstance(t, Sum):
-        return _saturating_sum(_minus_classes(p) for p in t.parts)
-    if isinstance(t, OmegaStarRep):
-        return inf if _minus_classes(t.body) > 0 else 1
-    if isinstance(t, OmegaRep):
-        return inf if _minus_classes(t.body) > 0 else 0
-    raise TypeError(f"not an order term: {t!r}")
+    return _facts(t).has_min
 
 
 def limit_point_counts(t: OrderTerm) -> tuple[Count, Count]:
     """(increasing classes, decreasing classes); ``math.inf`` = countably many."""
-    return _plus_classes(t), _minus_classes(t)
-
-
-# ------------------------------------------------------- alternation number
-#
-# An alternation witness is a pair of chains inside one contiguous interval:
-# an ω*-chain with an ω-chain entirely above it — equivalently the interval
-# contains a ζ suborder.  The alternation number is the largest n for which
-# n pairwise disjoint intervals each contain a witness.
-#
-# Computed via a profile (A, At, Ab, Abt) per term, where None means
-# "impossible" and math.inf absorbs:
-#   A   = max stacked witnesses inside t;
-#   At  = max witnesses with additionally a spare ω*-chain above all of them
-#         (an opening half for a witness closed further right);
-#   Ab  = max witnesses with a spare ω-chain below all of them (a closing
-#         half for a witness opened further left);
-#   Abt = both spares at once.
-# The spares must clear the counted witnesses because a straddling witness's
-# interval spans everything between its two chains.
-#
-# Leaves:  Fin (0,-,-,-);  ω (0,-,0,-);  ω* (0,0,-,-).
-#
-# Repetitions: with a wellfounded body there is no ω*-chain at all, so the
-# profile is that of a big ω.  With ¬wf but cowf body (ω-indexed case),
-# every witness must close with an ω-chain running up through infinitely
-# many blocks (no block has one), which makes its interval cofinal: at most
-# one witness, no ω* above it, and any spare ω below is itself cofinal, so
-# (1,0,0,-).  The ω*-indexed case mirrors this.  With ¬wf and ¬cowf body,
-# consecutive block pairs supply infinitely many disjoint witnesses: all ∞.
-#
-# Sum: left-to-right scan with states closed / open (open = an ω*-chain is
-# pending above everything counted so far).  Opening in a part uses its At;
-# closing uses its Ab (+1 for the completed straddling witness) or Abt to
-# close and reopen; a pending opener may also be abandoned.  For Ab/Abt of a
-# sum the scan starts in a third state (the spare ω-chain is not placed
-# yet), where parts may only be skipped or used to place it.
-
-
-def _padd(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
-
-
-def _pmax(*vals):
-    best = None
-    for v in vals:
-        if v is not None and (best is None or v > best):
-            best = v
-    return best
-
-
-@cache
-def _profile(t: OrderTerm) -> tuple:
-    if isinstance(t, Fin):
-        return (0, None, None, None)
-    if isinstance(t, Omega):
-        return (0, None, 0, None)
-    if isinstance(t, OmegaStar):
-        return (0, 0, None, None)
-    if isinstance(t, OmegaRep):
-        if is_wellfounded(t.body):
-            return (0, None, 0, None)
-        if is_cowellfounded(t.body):
-            return (1, 0, 0, None)
-        return (inf, inf, inf, inf)
-    if isinstance(t, OmegaStarRep):
-        if is_cowellfounded(t.body):
-            return (0, 0, None, None)
-        if is_wellfounded(t.body):
-            return (1, 0, 0, None)
-        return (inf, inf, inf, inf)
-    if isinstance(t, Sum):
-        a, at = _sum_scan(t.parts, start_closed=True)
-        ab, abt = _sum_scan(t.parts, start_closed=False)
-        return (a, at, ab, abt)
-    raise TypeError(f"not an order term: {t!r}")
-
-
-def _sum_scan(parts, *, start_closed: bool) -> tuple:
-    closed = 0 if start_closed else None
-    open_ = None
-    unplaced = None if start_closed else 0
-    for p in parts:
-        a, at, ab, abt = _profile(p)
-        ncl = _pmax(
-            _padd(closed, a),               # count p's witnesses, stay closed
-            _padd(open_, _padd(ab, 1)),     # close the pending witness in p
-            _padd(open_, a),                # abandon the pending opener
-            _padd(unplaced, ab),            # place the spare ω-chain in p
-        )
-        nop = _pmax(
-            _padd(closed, at),              # open a new pending witness in p
-            open_,                          # skip p, keep the pending opener
-            _padd(open_, _padd(abt, 1)),    # close in p and reopen above
-            _padd(open_, at),               # abandon, then reopen in p
-            _padd(unplaced, abt),           # place the spare and open above
-        )
-        closed, open_ = ncl, nop
-    if start_closed:
-        return _pmax(closed, open_), open_
-    return closed, open_
+    f = _facts(t)
+    return f.plus, f.minus
 
 
 def alternation_number(t: OrderTerm) -> Count:
     """Max number of disjoint intervals each containing an ω*-chain with an
     ω-chain above it; ``math.inf`` when no finite bound exists."""
-    value = _profile(t)[0]
-    assert value is not None
-    return value
+    return _facts(t).profile[0]
 
 
 # -------------------------------------------------------------------- ranks
 
 
-@cache
 def hausdorff_rank(t: OrderTerm) -> int:
     """0 for finite chains, 1 for ω/ω*, max over sum parts, and +1 for each
     repetition of an infinite body."""
-    if isinstance(t, Fin):
-        return 0
-    if isinstance(t, (Omega, OmegaStar)):
-        return 1
-    if isinstance(t, Sum):
-        return max(hausdorff_rank(p) for p in t.parts)
-    if isinstance(t, (OmegaRep, OmegaStarRep)):
-        return 1 if is_finite(t.body) else hausdorff_rank(t.body) + 1
-    raise TypeError(f"not an order term: {t!r}")
+    return _facts(t).rank
 
 
 # -------------------------------------------------------------- vacillation
 
 
-@cache
-def _omega_decomposable(t: OrderTerm) -> bool:
-    """Can t be written as an ω-indexed sum of blocks, each infinite and
-    containing no ω-chain?
-
-    Leaves: never (a finite order or ω has no valid block at all; ω* has a
-    maximum while any such sum has none).
-
-    Sum: the final part absorbs all but finitely many blocks, so every
-    earlier part must decompose into finitely many co-wellfounded intervals
-    — i.e. be co-wellfounded — and the final part must itself decompose
-    (a straddling first block merges with a co-wellfounded prefix, since a
-    finite union of consecutive co-wellfounded intervals is
-    co-wellfounded).
-
-    ω-indexed repetition: the blocks can be the copies themselves exactly
-    when the body is co-wellfounded; conversely copy 0 is covered by
-    finitely many blocks (any block touching copy 1 has all later blocks
-    above copy 0), so it must be co-wellfounded.
-
-    ω*-indexed repetition: never — a first block would be a nonempty
-    initial interval, which here contains whole copies arbitrarily far
-    down, hence an ω-chain taking one point per copy upward.
-    """
-    if isinstance(t, (Fin, Omega, OmegaStar)):
-        return False
-    if isinstance(t, Sum):
-        return all(is_cowellfounded(p) for p in t.parts[:-1]) and _omega_decomposable(
-            t.parts[-1]
-        )
-    if isinstance(t, OmegaRep):
-        return is_cowellfounded(t.body)
-    if isinstance(t, OmegaStarRep):
-        return False
-    raise TypeError(f"not an order term: {t!r}")
-
-
 def is_vacillating_chain(t: OrderTerm) -> bool:
     """True when neither t nor its reverse is an ω-indexed sum of infinite
     co-wellfounded blocks."""
-    return not (_omega_decomposable(t) or _omega_decomposable(reverse(t)))
+    f = _facts(t)
+    return not (f.dec or f.codec)
 
 
 # ------------------------------------------------------------------ reports
@@ -732,16 +632,15 @@ def is_vacillating_chain(t: OrderTerm) -> bool:
 
 def term_report(t: OrderTerm) -> dict:
     """The JSON-ready summary used by the command-line ``ot check``."""
-    plus, minus = limit_point_counts(t)
-    alt = alternation_number(t)
+    f = _facts(t)
     return {
         "term": render(t),
-        "predicates": predicates(t).to_dict(),
-        "alt": "inf" if alt == inf else int(alt),
-        "rank": hausdorff_rank(t),
+        "predicates": _predicates(f).to_dict(),
+        "alt": "inf" if f.profile[0] == inf else int(f.profile[0]),
+        "rank": f.rank,
         "limits": {
-            "plus": "w" if plus == inf else int(plus),
-            "minus": "w" if minus == inf else int(minus),
+            "plus": "w" if f.plus == inf else int(f.plus),
+            "minus": "w" if f.minus == inf else int(f.minus),
         },
-        "vacillating": is_vacillating_chain(t),
+        "vacillating": not (f.dec or f.codec),
     }

@@ -90,34 +90,31 @@ def _topo_order(P: FinitePoset) -> list[int]:
     return sorted(range(len(P)), key=lambda i: (int(down[i]), i))
 
 
+def _longest_chains(rel: np.ndarray, order: Iterable[int]) -> np.ndarray:
+    """For each element i, the size of the longest chain ending at i, where
+    ``rel[j, i]`` means j comes before i and ``order`` lists every element
+    after all the elements that come before it."""
+    out = np.zeros(len(rel), dtype=np.int64)
+    for i in order:
+        before = np.flatnonzero(rel[:, i])
+        out[i] = 1 + (out[before].max() if before.size else 0)
+    return out
+
+
 def _up_lengths(P: FinitePoset) -> np.ndarray:
     """For each element, the length of the longest chain ending at it."""
-    strict = P.strict_matrix
-    up = np.zeros(len(P), dtype=np.int64)
-    for i in _topo_order(P):
-        below = np.flatnonzero(strict[:, i])
-        up[i] = 1 + (up[below].max() if below.size else 0)
-    return up
+    return _longest_chains(P.strict_matrix, _topo_order(P))
 
 
-def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
-    """Height (longest chain size) and the first maximum chain.
-
-    Among all maximum chains, returns the one whose successive elements have
-    least declared index, chosen greedily from the bottom.
-    """
+def _max_chain(P: FinitePoset, up: np.ndarray) -> tuple[int, list]:
     n = len(P)
     if n == 0:
         return 0, []
-    up = _up_lengths(P)
     h = int(up.max())
     strict = P.strict_matrix
     # down[i]: longest chain starting at i (so up[i] + down[i] - 1 <= h,
     # with equality exactly when i lies on some maximum chain).
-    down = np.zeros(n, dtype=np.int64)
-    for i in reversed(_topo_order(P)):
-        above = np.flatnonzero(strict[i, :])
-        down[i] = 1 + (down[above].max() if above.size else 0)
+    down = _longest_chains(strict.T, reversed(_topo_order(P)))
     chain: list[int] = []
     cur = -1
     for level in range(1, h + 1):
@@ -132,6 +129,23 @@ def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
     return h, [P.elements[i] for i in chain]
 
 
+def _level_parts(P: FinitePoset, up: np.ndarray) -> list[list]:
+    h = int(up.max()) if len(P) else 0
+    parts: list[list] = [[] for _ in range(h)]
+    for i, e in enumerate(P.elements):
+        parts[int(up[i]) - 1].append(e)
+    return parts
+
+
+def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
+    """Height (longest chain size) and the first maximum chain.
+
+    Among all maximum chains, returns the one whose successive elements have
+    least declared index, chosen greedily from the bottom.
+    """
+    return _max_chain(P, _up_lengths(P))
+
+
 def height(P: FinitePoset) -> int:
     return height_and_max_chain(P)[0]
 
@@ -142,12 +156,7 @@ def mirsky_partition(P: FinitePoset) -> list[list]:
     Part k (0-based) holds the elements whose longest chain from below has
     size k+1; there are exactly height(P) parts and each is an antichain.
     """
-    up = _up_lengths(P)
-    h = int(up.max()) if len(P) else 0
-    parts: list[list] = [[] for _ in range(h)]
-    for i, e in enumerate(P.elements):
-        parts[int(up[i]) - 1].append(e)
-    return parts
+    return _level_parts(P, _up_lengths(P))
 
 
 # ---------------------------------------------------------------------- width
@@ -252,8 +261,9 @@ def find_spine(P: FinitePoset) -> SpineCertificate:
     Each level is an antichain (two comparable elements have different
     levels) and any maximum chain passes through every level exactly once.
     """
-    h, chain = height_and_max_chain(P)
-    parts = mirsky_partition(P)
+    up = _up_lengths(P)
+    h, chain = _max_chain(P, up)
+    parts = _level_parts(P, up)
     assert len(parts) == h
     return SpineCertificate(chain=tuple(chain), antichains=tuple(tuple(p) for p in parts))
 

@@ -19,16 +19,13 @@ class VerificationReport:
     ``status`` is ``"pass"`` for claims that are complete finite facts,
     ``"verified-up-to-bound"`` for finite samplings of infinite claims, and
     ``"fail"`` otherwise.  A failing report always carries a ``witness``
-    describing the offending data.  ``elapsed`` (seconds) is informational
-    and is excluded from serialized output so that output bytes depend only
-    on the inputs.
+    describing the offending data.
     """
 
     claim: str
     params: dict[str, Any]
     status: str
     witness: Any = None
-    elapsed: float = 0.0
     detail: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):

@@ -122,7 +122,7 @@ def deepest(depth):
 
 
 def test_ot_check_at_the_nesting_cap(capsys):
-    for _ in range(2):  # the second run also hashes and compares cached terms
+    for _ in range(2):  # a repeat report must fit as well as the first
         code, out, _ = run(capsys, "ot", "check", deepest(MAX_NESTING))
         assert code == 0
     assert json.loads(out)["term"] == deepest(MAX_NESTING)

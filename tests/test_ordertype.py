@@ -1,5 +1,9 @@
 """Scattered order-type terms: parsing, normal forms, and the invariants."""
 
+import hashlib
+import json
+import random
+import sys
 from math import inf
 
 import pytest
@@ -255,3 +259,71 @@ def test_predicate_implications(t):
         assert not cowf
     if alternation_number(t) == 0:
         assert not embeds_zeta(t)
+
+
+# ----------------------------------------------------------------- golden
+
+
+def _grow(ts):
+    """``ts`` with every ω- and ω*-repetition and every binary sum added."""
+    out = set(ts)
+    for t in ts:
+        out.add(normalize(OmegaRep(t)))
+        out.add(normalize(OmegaStarRep(t)))
+        out.update(normalize(Sum((t, u))) for u in ts)
+    return out
+
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice((Fin(rng.randint(0, 3)), OMEGA, OMEGA_STAR))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Sum(tuple(_random_term(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    body = _random_term(rng, depth - 1)
+    return OmegaRep(body) if kind == 1 else OmegaStarRep(body)
+
+
+def golden_corpus():
+    """The 260 canonical terms two rounds of :func:`_grow` make from
+    {1, ω, ω*}, then 1000 seeded random terms of depth at most 5."""
+    exhaustive = _grow(_grow({Fin(1), OMEGA, OMEGA_STAR}))
+    rng = random.Random(20241125)
+    return sorted(exhaustive, key=render) + [
+        normalize(_random_term(rng, 5)) for _ in range(1000)
+    ]
+
+
+# SHA-256 over one JSON line per corpus term: its term_report together with
+# has_maximum and has_minimum.  Update it only for an intended change of the
+# invariants.
+GOLDEN_SHA256 = "1b2a4bdce72b7955beca7d73b9df3c417be0316dd5d5d89809d384a3e7652bf6"
+
+
+def test_invariants_on_the_golden_corpus():
+    corpus = golden_corpus()
+    assert len(set(corpus[:260])) == 260
+    digest = hashlib.sha256()
+    for t in corpus:
+        line = {"report": term_report(t), "max": has_maximum(t), "min": has_minimum(t)}
+        digest.update((json.dumps(line, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_repeat_report_at_the_nesting_cap_fits_in_500_frames():
+    text = "w+w*[" * MAX_NESTING + "w" + "]" * MAX_NESTING
+    term_report(parse_term(text))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 500)
+    try:
+        report = term_report(parse_term(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report["term"] == text
