@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import acceptance, families, ordertype, verify
 from .partition import check_spine, find_spine, load_certificate
@@ -140,7 +141,10 @@ def _cmd_sweep(args) -> tuple[int, object, str]:
 # -------------------------------------------------------------------- parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="fishbone",
         description="Spine partitions of finite posets, scattered order-type "

@@ -24,6 +24,10 @@ given by generators only; each is compared by an O(1) closed form for
 reachability over its generator moves, whose docstring argues why the moves
 reach exactly those points.  No comparison depends on a window.
 
+A window's comparison matrix evaluates the same closed form once, broadcast
+over integer coordinate columns (int64 while exact, Python ints past that);
+``elem_le`` decides one pair at a time and stays the independent oracle.
+
 Windows name their elements by compact strings ("bot", "(0,1)",
 "(-1,0,2)", ...) so window posets serialize cleanly.
 """
@@ -123,7 +127,7 @@ class WindowSpec:
 def element_id(family: str, payload) -> str:
     if family == "P1" and isinstance(payload, str):
         return payload
-    return "(" + ",".join(str(c) for c in payload) + ")"
+    return "(" + ",".join(map(str, payload)) + ")"
 
 
 _TUPLE_ID = re.compile(r"\((-?\d+)(?:,(-?\d+))*\)")
@@ -191,6 +195,14 @@ def _le_p1(p, q) -> bool:
     return False
 
 
+def _le_p1_cols(p, q):
+    """:func:`_le_p1` on coordinate columns (kind, n, i); see ``_P1_KIND``."""
+    (s, n, i), (t, m, j) = p, q
+    same = (s == t) & (n == m) & (i == j)
+    pairs = (s == 1) & (t == 1) & (((i == j) & (n <= m)) | ((i == 1) & (j == 0) & (n < m)))
+    return same | (s == 0) | (t == 3) | ((s == 1) & (t == 2) & (i == 1)) | pairs
+
+
 def _le_p5(p, q) -> bool:
     (x, y, n), (u, v, m) = p, q
     if n >= m + 2:
@@ -200,6 +212,13 @@ def _le_p5(p, q) -> bool:
     if n == m + 1:
         return min(x, y) + 1 <= min(u, v) or x + y <= 2 * (u + v)
     return False
+
+
+def _le_p5_cols(p, q):
+    """:func:`_le_p5` on coordinate columns."""
+    (x, y, n), (u, v, m) = p, q
+    near = (np.minimum(x, y) + 1 <= np.minimum(u, v)) | (x + y <= 2 * (u + v))
+    return (n >= m + 2) | ((n == m) & (x <= u) & (y <= v)) | ((n == m + 1) & near)
 
 
 def _le_p2(p, q) -> bool:
@@ -223,6 +242,13 @@ def _le_p2(p, q) -> bool:
     return w == z and i <= j and n <= m
 
 
+def _le_p2_cols(p, q):
+    """:func:`_le_p2` on coordinate columns."""
+    (z, i, n), (w, j, m) = p, q
+    next_column = (w == z + 1) & ((i != 1) | (j != 0) | (m >= n))
+    return (w >= z + 2) | next_column | ((w == z) & (i <= j) & (n <= m))
+
+
 def _le_p3(p, q) -> bool:
     """Closed form of reachability under the P3 generators.
 
@@ -237,6 +263,13 @@ def _le_p3(p, q) -> bool:
     (x, y), (u, v) = p, q
     d = u - x
     return y <= v and d >= 0 and -(-d // (v + 1)) <= d // (y + 1)
+
+
+def _le_p3_cols(p, q):
+    """:func:`_le_p3` on coordinate columns."""
+    (x, y), (u, v) = p, q
+    d = u - x
+    return (y <= v) & (d >= 0) & (-(-d // (v + 1)) <= d // (y + 1))
 
 
 def _le_p4(p, q) -> bool:
@@ -258,7 +291,14 @@ def _le_p4(p, q) -> bool:
     return y <= v and u <= x and (w >= z or x - u >= y + 1)
 
 
+def _le_p4_cols(p, q):
+    """:func:`_le_p4` on coordinate columns."""
+    (x, y, z), (u, v, w) = p, q
+    return (v >= y + 2) | ((y <= v) & (u <= x) & ((w >= z) | (x - u >= y + 1)))
+
+
 _LE = {"P1": _le_p1, "P2": _le_p2, "P3": _le_p3, "P4": _le_p4, "P5": _le_p5}
+_LE_COLS = {"P1": _le_p1_cols, "P2": _le_p2_cols, "P3": _le_p3_cols, "P4": _le_p4_cols, "P5": _le_p5_cols}
 
 
 def elem_le(family: str, p, q) -> bool:
@@ -299,17 +339,36 @@ def window_payloads(family: str, spec: WindowSpec) -> list:
     raise ValueError(f"unknown family {family!r}")
 
 
+# A P1 element's coordinates are (kind, n, i): bot, a and top are kinds 0, 2
+# and 3 with n = i = 0, and every pair (n, i) is kind 1.
+_P1_KIND = {"bot": 0, "a": 2, "top": 3}
+
+# No intermediate of a broadcast form exceeds four times the largest
+# |coordinate| plus two (P5's 2*(u+v) is the largest), so with every
+# coordinate below 2**60 in size int64 is exact.  Past that the same
+# expression runs on Python ints in object columns.
+_INT64_EXACT = 2**60
+
+
+def _coords(family: str, p) -> tuple:
+    if family == "P1":
+        return (1, *p) if isinstance(p, tuple) else (_P1_KIND[p], 0, 0)
+    return p
+
+
 def relation_poset(family: str, payloads: list) -> FinitePoset:
     """The finite poset the family's order induces on ``payloads``, in their
     order, with string element names.
 
-    Construction always runs the partial-order axiom checks, which guards
-    every comparison routine against a misread generator.
+    The matrix comes from the family's broadcast form, one column per
+    coordinate.  Construction always runs the partial-order axiom checks,
+    which guards every comparison routine against a misread generator.
     """
-    le = _LE[family]
-    m = np.array([[le(p, q) for q in payloads] for p in payloads], dtype=bool)
-    n = len(payloads)
-    return FinitePoset([element_id(family, p) for p in payloads], m.reshape(n, n), validate=True)
+    rows = [_coords(family, p) for p in payloads]
+    exact = all(-_INT64_EXACT < c < _INT64_EXACT for row in rows for c in row)
+    cols = np.array(rows, dtype=np.int64 if exact else object).T
+    m = _LE_COLS[family](cols[:, :, None], cols[:, None, :]) if rows else np.zeros((0, 0), bool)
+    return FinitePoset([element_id(family, p) for p in payloads], m, validate=True)
 
 
 def window(family: str, spec: WindowSpec) -> FinitePoset:

@@ -252,8 +252,15 @@ def render(t: OrderTerm) -> str:
 
 
 def reverse(t: OrderTerm) -> OrderTerm:
-    """The reverse order: (A+B)* = B*+A*, and an ω-indexed repetition
-    reverses to an ω*-indexed repetition of the reversed body."""
+    """The reverse order, normalized: (A+B)* = B*+A*, and an ω-indexed
+    repetition reverses to an ω*-indexed repetition of the reversed body."""
+    return _reverse_normal(normalize(t))
+
+
+def _reverse_normal(t: OrderTerm) -> OrderTerm:
+    # Reversal keeps every normal-form condition (sums flat with no empty or
+    # adjacent finite parts, infinite repetition bodies), so the reverse of a
+    # normal form is built structurally, in time linear in its size.
     if isinstance(t, Fin):
         return t
     if isinstance(t, Omega):
@@ -261,12 +268,10 @@ def reverse(t: OrderTerm) -> OrderTerm:
     if isinstance(t, OmegaStar):
         return OMEGA
     if isinstance(t, Sum):
-        return normalize(Sum(tuple(reverse(p) for p in reversed(t.parts))))
+        return Sum(tuple(_reverse_normal(p) for p in reversed(t.parts)))
     if isinstance(t, OmegaRep):
-        return normalize(OmegaStarRep(reverse(t.body)))
-    if isinstance(t, OmegaStarRep):
-        return normalize(OmegaRep(reverse(t.body)))
-    raise TypeError(f"not an order term: {t!r}")
+        return OmegaStarRep(_reverse_normal(t.body))
+    return OmegaRep(_reverse_normal(t.body))
 
 
 # ----------------------------------------------------------------- invariants

@@ -5,6 +5,10 @@ and prints a single summary line; the assertion enforces the stated scale
 and tolerance of the criterion.
 """
 
+import itertools
+
+import pytest
+
 from fishbone import acceptance
 
 
@@ -71,6 +75,18 @@ def test_criterion_11_greedy_drivers():
     rep = acceptance.criterion_11(seed=0)
     _check(rep, ladders=6)
     assert rep.detail["extensions"] == 50
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_ladder_transversals_match_the_product_filter(k):
+    P, chains = acceptance._ladder(k)
+    full = [
+        sel
+        for sel in itertools.product(*chains)
+        if len(set(sel)) == k and P.is_antichain(sel)
+    ]
+    assert acceptance._transversal_antichains(P, chains) == full
+    assert len(full) == [6, 21, 56, 126, 252][k - 1]
 
 
 def test_criterion_12_axiom_fuzzing_all_families():

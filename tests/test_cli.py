@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fishbone import acceptance, cli
 from fishbone.cli import main
 from fishbone.ordertype import MAX_NESTING
 
@@ -264,3 +265,39 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+
+def _masked(out):
+    """Stdout with the wall-clock ``elapsed`` of sweep criteria 1 and 5 nulled."""
+    data = json.loads(out) if out else None
+    for rep in data if isinstance(data, list) else []:
+        if rep["claim"] in ("acceptance-1", "acceptance-5"):
+            rep["detail"]["elapsed"] = None
+    return out and json.dumps(data, indent=2) + "\n"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    argvs = [
+        ["ot", "check", "w[w*]+1"],
+        ["verify", "all"],
+        ["--seed", "3", "sweep", "--budget-seconds", "0"],
+        ["poset"],
+        ["sweep"],
+    ]
+    seeds = []
+    real = acceptance.run_acceptance
+
+    def spy(seed, budget_seconds):
+        seeds.append(seed)
+        return real(seed=seed, budget_seconds=budget_seconds)
+
+    monkeypatch.setattr(acceptance, "run_acceptance", spy)
+    cli._build_parser()
+    shared = [run(capsys, *argv)[:2] for argv in argvs]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(capsys, *argv)[:2] for argv in argvs]
+    assert [(code, _masked(out)) for code, out in shared] == [(code, _masked(out)) for code, out in fresh]
+    assert [code for code, _ in shared] == [0, 0, 0, 2, 0]
+    assert len(json.loads(shared[4][1])) == 12
+    assert seeds == [3, 0, 3, 0]

@@ -1,12 +1,15 @@
 """The five decidable infinite orders: comparisons, windows, named sets,
 bounded claims.  A plain search over the generator moves, and the closure of
 the generator edges inside a window, cross-check the closed-form comparisons
-of P2, P3 and P4."""
+of P2, P3 and P4; the per-pair ``elem_le`` checks every window matrix."""
 
+import json
 from collections import deque
 
+import numpy as np
 import pytest
 
+from fishbone.cli import main
 from fishbone.families import (
     FAMILIES,
     FamilyMismatch,
@@ -22,6 +25,7 @@ from fishbone.families import (
     element_id,
     named_subset,
     parse_element,
+    relation_poset,
     verify_claim,
     window,
     window_payloads,
@@ -89,6 +93,96 @@ def test_window_is_the_closure_of_generator_edges(family, axes):
     ]
     closure = FinitePoset.from_generators([element_id(family, p) for p in box], edges)
     assert window(family, spec) == closure
+
+
+# ------------------------------------------------- window builder oracle
+
+
+def oracle_matrix(family, payloads):
+    return np.array([[elem_le(family, p, q) for q in payloads] for p in payloads], dtype=bool)
+
+
+def oracle_covers(family, payloads):
+    """(lower, upper) name pairs of the transitive reduction of the
+    per-pair ``elem_le`` matrix."""
+    m = oracle_matrix(family, payloads)
+    n = len(payloads)
+    lt = [[m[i, j] and i != j for j in range(n)] for i in range(n)]
+    return {
+        (element_id(family, payloads[i]), element_id(family, payloads[j]))
+        for i in range(n)
+        for j in range(n)
+        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
+    }
+
+
+BIG = 2**62
+HUGE = 10**20
+
+# Near the int64 limit and far past it, on the axes the broadcast forms add,
+# subtract, double or divide: P3 x (and y), P4 x/z (and y), P5 c (and n).
+# 2**60 - 5 .. 2**60 - 1 is the largest range computed in int64.
+FAR_WINDOWS = [
+    ("P1", {"n": (BIG - 3, BIG + 1)}),
+    ("P2", {"z": (-BIG - 1, -BIG + 1), "n": (BIG - 1, BIG)}),
+    ("P3", {"x": (BIG - 6, BIG), "y": (0, 3)}),
+    ("P3", {"x": (HUGE, HUGE + 6), "y": (0, 3)}),
+    ("P3", {"x": (0, 6), "y": (HUGE, HUGE + 2)}),
+    ("P4", {"x": (BIG - 3, BIG), "y": (0, 3), "z": (BIG - 2, BIG)}),
+    ("P4", {"x": (HUGE, HUGE + 3), "y": (HUGE, HUGE + 3), "z": (HUGE, HUGE + 2)}),
+    ("P5", {"n": (0, 2), "c": (2**60 - 5, 2**60 - 1)}),
+    ("P5", {"n": (0, 2), "c": (BIG - 4, BIG - 1)}),
+    ("P5", {"n": (0, 2), "c": (2**63 - 2, 2**63 + 1)}),
+    ("P5", {"n": (HUGE, HUGE + 2), "c": (HUGE, HUGE + 3)}),
+]
+
+
+# Every P1 window holds bot, a and top next to its pairs.
+@pytest.mark.parametrize(
+    "family, axes",
+    [
+        ("P1", {"n": 6}),
+        ("P1", {"n": (3, 5)}),
+        ("P2", {"z": 3, "n": 3}),
+        ("P2", {"z": (-5, -3), "n": 2}),
+        ("P3", {"x": 20, "y": 5}),
+        ("P4", {"x": 4, "y": 4, "z": 3}),
+        ("P5", {"n": (0, 3), "c": 4}),
+        ("P5", {"n": (2, 5), "c": (1, 3)}),
+        *FAR_WINDOWS,
+    ],
+)
+def test_window_matrix_matches_elem_le(family, axes):
+    payloads = window_payloads(family, WindowSpec.make(**axes))
+    P = window(family, WindowSpec.make(**axes))
+    assert P.elements == tuple(element_id(family, p) for p in payloads)
+    assert (P.leq_matrix == oracle_matrix(family, payloads)).all()
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 5])
+def test_final_counting_region_matches_elem_le(a):
+    T = [(u, v, 0) for u in range(2 * a) for v in range(2 * a) if u + v <= 2 * a - 1]
+    assert (relation_poset("P5", T).leq_matrix == oracle_matrix("P5", T)).all()
+
+
+def test_relation_poset_keeps_the_payload_order():
+    payloads = [(3, 0, 1), (0, 0, 0), (9, 9, 3), (1, 2, 1)]
+    P = relation_poset("P5", payloads)
+    assert P.elements == ("(3,0,1)", "(0,0,0)", "(9,9,3)", "(1,2,1)")
+    assert (P.leq_matrix == oracle_matrix("P5", payloads)).all()
+    assert len(relation_poset("P3", [])) == 0
+
+
+@pytest.mark.parametrize("family, axes", FAR_WINDOWS)
+def test_far_window_through_the_cli(capsys, family, axes):
+    spec = ",".join(f"{k}={lo}:{hi}" for k, (lo, hi) in axes.items())
+    code = main(["family", "window", family, "--spec", spec])
+    out = capsys.readouterr().out
+    assert code == 0
+    data = json.loads(out)
+    payloads = window_payloads(family, WindowSpec.make(**axes))
+    assert data["elements"] == [element_id(family, p) for p in payloads]
+    assert {tuple(pair) for pair in data["le"]} == oracle_covers(family, payloads)
 
 
 # ------------------------------------------------------------ window specs

@@ -327,3 +327,44 @@ def test_repeat_report_at_the_nesting_cap_fits_in_500_frames():
     finally:
         sys.setrecursionlimit(limit)
     assert report["term"] == text
+
+
+def reverse_reference(t):
+    """Reverse by normalizing the rebuilt term at every level."""
+    if isinstance(t, Fin):
+        return t
+    if t == OMEGA:
+        return OMEGA_STAR
+    if t == OMEGA_STAR:
+        return OMEGA
+    if isinstance(t, Sum):
+        return normalize(Sum(tuple(reverse_reference(p) for p in reversed(t.parts))))
+    rep = OmegaStarRep if isinstance(t, OmegaRep) else OmegaRep
+    return normalize(rep(reverse_reference(t.body)))
+
+
+def test_reverse_on_the_golden_corpus():
+    for t in golden_corpus():
+        r = reverse(t)
+        assert r == reverse_reference(t), render(t)
+        assert normalize(r) == r
+        assert reverse(r) == t
+    rng = random.Random(7)
+    for _ in range(300):
+        raw = _random_term(rng, 5)
+        assert reverse(raw) == reverse_reference(raw), raw
+
+
+def test_reverse_at_the_nesting_cap_fits_in_500_frames():
+    text = "w+w*[" * MAX_NESTING + "w" + "]" * MAX_NESTING
+    want = "w[" * MAX_NESTING + "w*" + "]+w*" * MAX_NESTING
+    t = parse_term(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 500)
+    try:
+        r = reverse(t)
+        back = reverse(r)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert render(r) == want
+    assert back == t
