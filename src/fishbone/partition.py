@@ -84,12 +84,6 @@ def loads_certificate(text: str) -> SpineCertificate:
 # --------------------------------------------------------------------- height
 
 
-def _topo_order(P: FinitePoset) -> list[int]:
-    """Indices sorted compatibly with the order (down-set size, then declared)."""
-    down = P.leq_matrix.sum(axis=0)
-    return sorted(range(len(P)), key=lambda i: (int(down[i]), i))
-
-
 def _longest_chains(rel: np.ndarray, order: Iterable[int]) -> np.ndarray:
     """For each element i, the size of the longest chain ending at i, where
     ``rel[j, i]`` means j comes before i and ``order`` lists every element
@@ -103,7 +97,7 @@ def _longest_chains(rel: np.ndarray, order: Iterable[int]) -> np.ndarray:
 
 def _up_lengths(P: FinitePoset) -> np.ndarray:
     """For each element, the length of the longest chain ending at it."""
-    return _longest_chains(P.strict_matrix, _topo_order(P))
+    return _longest_chains(P.strict_matrix, P.linear_extension.tolist())
 
 
 def _max_chain(P: FinitePoset, up: np.ndarray) -> tuple[int, list]:
@@ -114,7 +108,7 @@ def _max_chain(P: FinitePoset, up: np.ndarray) -> tuple[int, list]:
     strict = P.strict_matrix
     # down[i]: longest chain starting at i (so up[i] + down[i] - 1 <= h,
     # with equality exactly when i lies on some maximum chain).
-    down = _longest_chains(strict.T, reversed(_topo_order(P)))
+    down = _longest_chains(strict.T, P.linear_extension[::-1].tolist())
     chain: list[int] = []
     cur = -1
     for level in range(1, h + 1):
@@ -162,87 +156,156 @@ def mirsky_partition(P: FinitePoset) -> list[list]:
 # ---------------------------------------------------------------------- width
 
 
-def _max_matching(P: FinitePoset) -> dict[int, int]:
-    """Maximum matching of the bipartite graph x_L -- y_R for x < y.
+def _successor_lists(P: FinitePoset) -> list[list[int]]:
+    """For each element, the elements strictly above it, nearest first: in
+    the order of :attr:`FinitePoset.linear_extension` (down-set size, then
+    declared index).  One column permutation of the strict matrix gives
+    every list its order."""
+    order = P.linear_extension
+    ranked = P.strict_matrix[:, order]
+    rows, cols = np.nonzero(ranked)
+    flat = order[cols].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(P))).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
-    Standard augmenting-path search, scanning vertices in declared order so
-    the matching (and everything derived from it) is deterministic.  The
-    depth-first search keeps its own stack, so long augmenting paths do not
-    meet the interpreter's recursion limit.
+
+def _alternating_layers(succ, match_l, match_r) -> tuple[list[int], bytearray, int]:
+    """Breadth-first layers of the alternating paths from the unmatched left
+    vertices.
+
+    Returns each left vertex's layer (-1 when unreached), which right
+    vertices were reached, and the layer whose successors include a free
+    right vertex (-1 when none does).  The search stops after that layer;
+    when there is none, it finds everything reachable.
     """
-    strict = P.strict_matrix
-    match_r: dict[int, int] = {}  # right vertex -> left vertex
-    match_l: dict[int, int] = {}
+    n = len(succ)
+    dist = [-1] * n
+    seen_r = bytearray(n)
+    layer = [u for u in range(n) if match_l[u] < 0]
+    for u in layer:
+        dist[u] = 0
+    depth, last = 0, -1
+    while layer and last < 0:
+        nxt = []
+        for u in layer:
+            for v in succ[u]:
+                if seen_r[v]:
+                    continue
+                seen_r[v] = 1
+                w = match_r[v]
+                if w < 0:
+                    last = depth
+                else:
+                    dist[w] = depth + 1
+                    nxt.append(w)
+        layer = nxt
+        depth += 1
+    if last >= 0:  # no shortest augmenting path goes past layer `last`
+        for w in layer:
+            dist[w] = -1
+    return dist, seen_r, last
 
-    def frame(u: int) -> list:
-        # [left vertex, its untried right neighbours, the right vertex tried]
-        return [u, iter(np.flatnonzero(strict[u, :]).tolist()), None]
 
-    for root in range(len(P)):
-        seen: set[int] = set()
-        stack = [frame(root)]  # the current alternating path
+def _augment_shortest(succ, dist, last, match_l, match_r) -> None:
+    """One Hopcroft–Karp phase: augment along vertex-disjoint shortest
+    augmenting paths until none is left in the layering ``dist``.
+
+    ``targets[d]`` holds the right vertices a left vertex of layer d - 1 may
+    step to: those matched into layer d, or the free ones when d is past
+    ``last``.  A right vertex leaves its set once a search through it fails
+    or a path uses it, so every list is scanned at most once per phase.
+    """
+    targets: list[set[int]] = [set() for _ in range(last + 2)]
+    for v, w in enumerate(match_r):
+        if w < 0:
+            targets[last + 1].add(v)
+        elif dist[w] > 0:
+            targets[dist[w]].add(v)
+    untried = [iter(nbrs) for nbrs in succ]
+    for root in range(len(succ)):
+        if dist[root] != 0:
+            continue
+        stack, via = [root], []  # the path: left vertices, right vertices
         while stack:
-            top = stack[-1]
-            v = top[2] = next((v for v in top[1] if v not in seen), None)
-            if v is None:
+            u = stack[-1]
+            v = next(filter(targets[dist[u] + 1].__contains__, untried[u]), None)
+            if v is None:  # dead end: nothing may step back into u
                 stack.pop()
-            elif v in match_r:
-                seen.add(v)
-                stack.append(frame(match_r[v]))
-            else:
-                for u, _, w in reversed(stack):
-                    match_r[w] = u
-                    match_l[u] = w
+                if via:
+                    targets[dist[u]].discard(via.pop())
+                continue
+            via.append(v)
+            if match_r[v] < 0:
+                for d, (x, y) in enumerate(zip(stack, via), 1):
+                    match_l[x], match_r[y] = y, x
+                    targets[d].discard(y)
                 break
-    return match_l
+            stack.append(match_r[v])
+
+
+def _max_matching(P: FinitePoset) -> tuple[list[int], list[int]]:
+    """Maximum matching of the bipartite graph x_L -- y_R for x < y, and a
+    maximum antichain.
+
+    Hopcroft–Karp, O(E·sqrt(V)) for E comparable pairs and V elements, over
+    the successor lists of :func:`_successor_lists`.  A greedy pass first
+    matches each element, bottom up, to its nearest free successor, which
+    already builds a chain cover along the order.  Each phase then layers
+    the alternating paths breadth first and augments along vertex-disjoint
+    shortest paths found by a layered depth-first search.  Both searches
+    keep their own queues and stacks, so long paths never meet the
+    interpreter's recursion limit.  The result is deterministic; which
+    maximum matching it is is not part of the contract.
+
+    Returns ``match_l`` (each left vertex's partner, -1 when unmatched) and,
+    from the final layering that finds no augmenting path, the König
+    antichain: the elements whose left copy is reachable from an unmatched
+    left vertex and whose right copy is not.
+    """
+    n = len(P)
+    succ = _successor_lists(P)
+    match_l = [-1] * n
+    match_r = [-1] * n
+    for u in P.linear_extension.tolist():
+        for v in succ[u]:
+            if match_r[v] < 0:
+                match_l[u], match_r[v] = v, u
+                break
+    while True:
+        dist, seen_r, last = _alternating_layers(succ, match_l, match_r)
+        if last < 0:
+            return match_l, [i for i in range(n) if dist[i] >= 0 and not seen_r[i]]
+        _augment_shortest(succ, dist, last, match_l, match_r)
 
 
 def width_and_dilworth(P: FinitePoset) -> tuple[int, list[list], list]:
     """Width, a minimum chain cover, and a maximum antichain.
 
-    The chain cover has exactly width(P) chains; the antichain meets every
-    chain of the cover once.  Both are produced from one bipartite matching,
-    so repeated calls agree.
+    Both come from one Hopcroft–Karp matching (:func:`_max_matching`): the
+    chain cover follows matched successors, and the antichain is König's
+    complement of a minimum vertex cover.  The antichain meets every chain
+    of the cover once, which proves both optimal (Dilworth).  Repeated calls
+    agree; which minimum cover and maximum antichain come out is not pinned.
     """
     n = len(P)
-    match_l = _max_matching(P)
-    match_r = {v: u for u, v in match_l.items()}
+    match_l, anti = _max_matching(P)
 
     # Chains: follow matched successors from every element that is not some
     # other element's matched upper neighbour.
     chains: list[list] = []
-    successors = set(match_l.values())
+    successors = set(match_l)
     for start in range(n):
         if start in successors:
             continue
         cur = start
         chain = [cur]
-        while cur in match_l:
+        while match_l[cur] >= 0:
             cur = match_l[cur]
             chain.append(cur)
         chains.append([P.elements[i] for i in chain])
     width = len(chains)
-    assert width == n - len(match_l)
-
-    # Maximum antichain via the standard vertex-cover complement: run an
-    # alternating search from the unmatched left vertices; an element is in
-    # the antichain when its left copy is reached and its right copy is not.
-    strict = P.strict_matrix
-    seen_l: set[int] = set()
-    seen_r: set[int] = set()
-    stack = [u for u in range(n) if u not in match_l]
-    seen_l.update(stack)
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(strict[u, :]):
-            v = int(v)
-            if v in seen_r:
-                continue
-            seen_r.add(v)
-            if v in match_r and match_r[v] not in seen_l:
-                seen_l.add(match_r[v])
-                stack.append(match_r[v])
-    antichain = [P.elements[i] for i in range(n) if i in seen_l and i not in seen_r]
+    assert width == match_l.count(-1)
+    antichain = [P.elements[i] for i in anti]
     assert len(antichain) == width
     assert P.is_antichain(antichain)
     return width, chains, antichain
@@ -347,19 +410,17 @@ def smc_gap_witness(P: FinitePoset, chain: Iterable) -> tuple[list, list] | None
     with i <= j in lexicographic order over the sorted chain.
     """
     members = P.chain_sorted(set(chain))
+    idx = [P.index(x) for x in members]
     strict = P.strict_matrix
-    outside = [i for i in range(len(P)) if P.elements[i] not in set(members)]
-    for i in range(len(members) + 1):
-        for j in range(i, len(members) + 1):
-            region = []
-            for k in outside:
-                if i > 0 and not strict[P.index(members[i - 1]), k]:
-                    continue
-                if j < len(members) and not strict[k, P.index(members[j])]:
-                    continue
-                region.append(P.elements[k])
-            if not region:
+    outside = np.ones(len(P), dtype=bool)
+    outside[idx] = False
+    for i in range(len(idx) + 1):
+        above = outside & strict[idx[i - 1], :] if i > 0 else outside
+        for j in range(i, len(idx) + 1):
+            between = above & strict[:, idx[j]] if j < len(idx) else above
+            if not between.any():
                 continue
+            region = [P.elements[k] for k in np.flatnonzero(between)]
             sub = P.induced(region)
             h, repl = height_and_max_chain(sub)
             if h > j - i:

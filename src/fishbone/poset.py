@@ -87,7 +87,7 @@ def _shortest_cycle(nodes: Sequence[int], edges: dict[int, list[int]]) -> list[i
 class FinitePoset:
     """An immutable finite poset with a declared element order."""
 
-    __slots__ = ("elements", "_index", "_leq", "_strict", "_comparable")
+    __slots__ = ("elements", "_index", "_leq", "_strict", "_comparable", "_order", "_position")
 
     def __init__(self, elements: Iterable[ElementId], leq: np.ndarray, *, validate: bool = True):
         self.elements: tuple = tuple(elements)
@@ -105,6 +105,7 @@ class FinitePoset:
         for m in (table, strict, comparable):
             m.setflags(write=False)
         self._leq, self._strict, self._comparable = table, strict, comparable
+        self._order = self._position = None
 
     def _check_axioms(self, m: np.ndarray, strict: np.ndarray) -> None:
         if m.shape[0] == 0:
@@ -196,6 +197,21 @@ class FinitePoset:
         """Read-only and reflexive: ``[i, j]`` is elements[i] <= or >= elements[j]."""
         return self._comparable
 
+    @property
+    def linear_extension(self) -> np.ndarray:
+        """Read-only: element indices sorted by down-set size, then declared
+        index, so every element comes after all the elements below it."""
+        return self._ranked()[0]
+
+    def _ranked(self) -> tuple[np.ndarray, list[int]]:
+        """The linear extension and each element's position in it, computed
+        once per poset."""
+        if self._order is None:
+            order = np.argsort(self._leq.sum(axis=0), kind="stable")
+            order.setflags(write=False)
+            self._order, self._position = order, np.argsort(order).tolist()
+        return self._order, self._position
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -247,9 +263,9 @@ class FinitePoset:
 
     def chain_sorted(self, chain: Iterable[ElementId]) -> list:
         """A chain's members in increasing order; raises NotAChain otherwise."""
-        members = self.sorted_members(chain)
-        down = self._leq.sum(axis=0)
-        members.sort(key=lambda x: (int(down[self.index(x)]), self.index(x)))
+        position = self._ranked()[1]
+        idx = sorted((self.index(x) for x in chain), key=position.__getitem__)
+        members = [self.elements[i] for i in idx]
         for a, b in zip(members, members[1:]):
             if not self.leq(a, b):
                 raise NotAChain(a, b)

@@ -39,9 +39,19 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     antichain; every fixed-row and fixed-column set inside L_n is a chain
     and a contiguous chain of the single-level window.
     """
-    params = {"n": n, "s": s, "B": B}
     if s > 2 * B:
         raise PreconditionViolated(f"diagonal s={s} exceeds window reach 2B={2 * B}")
+    return check_level_structure(n, s, B, level_window(n, B, levels=2), level_window(n, B))
+
+
+def check_level_structure(
+    n: int, s: int, B: int, two: FinitePoset, one: FinitePoset
+) -> VerificationReport:
+    """The checks of :func:`verify_level_structure` against windows built by
+    the caller: ``two`` is ``level_window(n, B, levels=2)`` and ``one`` is
+    ``level_window(n, B)``.  Lets a caller check many diagonals s of one
+    level on the same two windows."""
+    params = {"n": n, "s": s, "B": B}
 
     def fail(reason: str, witness) -> VerificationReport:
         return VerificationReport(
@@ -52,7 +62,6 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
             detail={"reason": reason},
         )
 
-    two = level_window(n, B, levels=2)
     spec2 = WindowSpec.make(n=(n, n + 1), c=B)
     level_n = named_subset("P5", f"L({n})", spec2)
     hull = two.convex_hull(level_n)
@@ -64,8 +73,6 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     if not two.is_antichain(diagonal):
         return fail("diagonal is not an antichain", diagonal)
 
-    one = level_window(n, B, levels=1)
-    spec1 = WindowSpec.make(n=(n, n), c=B)
     lines = 0
     for z0 in range(B + 1):
         row = [element_id("P5", (x, z0, n)) for x in range(B + 1)]

@@ -1,7 +1,9 @@
 """Spine certificates, the two min-max partitions, and the greedy drivers."""
 
+import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from fishbone.partition import (
     NoEligiblePoint,
     SpineCertificate,
     ThresholdTooSmall,
+    _successor_lists,
     check_spine,
     extend_spine_partition,
     find_spine,
@@ -110,8 +113,9 @@ def test_grid_width():
 
 def test_width_survives_a_long_augmenting_path():
     # a_i < b_i, b_{i+1} with the b's declared in descending order: the
-    # greedy scan matches a_i to b_{i+1}, so z's augmenting path runs
-    # through every a_i down to b_0, far deeper than the recursion limit.
+    # greedy seed matches a_0 to b_0 and every later a_i to b_{i+1}, so z's
+    # augmenting path runs through every a_i but a_0 down to b_1, far
+    # deeper than the recursion limit.
     k = 1200
     a = [f"a{i}" for i in range(k - 1)]
     b = [f"b{i}" for i in range(k)]
@@ -129,6 +133,167 @@ def test_chain_poset_width_one():
     assert w == 1
     assert chains == [["a", "b", "c"]]
     assert anti in (["a"], ["b"], ["c"])
+
+
+def _brute_min_chain_cover(P: FinitePoset) -> int:
+    """Fewest chains partitioning P, by trying every placement."""
+    comp = P.comparability_matrix.tolist()
+    n = len(P)
+    best = n
+    chains: list[list[int]] = []
+
+    def place(i: int) -> None:
+        nonlocal best
+        if len(chains) >= best:
+            return
+        if i == n:
+            best = len(chains)
+            return
+        for c in chains:
+            if all(comp[i][j] for j in c):
+                c.append(i)
+                place(i + 1)
+                c.pop()
+        chains.append([i])
+        place(i + 1)
+        chains.pop()
+
+    place(0)
+    return best
+
+
+@given(posets(max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_width_equals_brute_force_min_chain_cover(P):
+    assert width(P) == _brute_min_chain_cover(P)
+
+
+def test_linear_extension_and_successor_lists_follow_the_rank():
+    for seed in range(30):
+        P = random_poset(random.Random(seed), max_size=12)
+        down = P.leq_matrix.sum(axis=0)
+        rank = {i: (int(down[i]), i) for i in range(len(P))}
+        order = P.linear_extension.tolist()
+        assert order == sorted(range(len(P)), key=rank.get)
+        chain = height_and_max_chain(P)[1][::-1]
+        assert P.chain_sorted(chain) == sorted(chain, key=lambda x: rank[P.index(x)])
+        for u, nbrs in enumerate(_successor_lists(P)):
+            assert nbrs == sorted(np.flatnonzero(P.strict_matrix[u]).tolist(), key=rank.get)
+
+
+# Seeded posets at scale, each with a hidden order on 0..n-1 declared under a
+# random relabelling, so the declared order says nothing about the order.
+
+
+def _relabelled(n: int, pairs, rng: random.Random) -> FinitePoset:
+    label = rng.sample(range(n), n)
+    return FinitePoset.from_generators(range(n), [(label[a], label[b]) for a, b in pairs])
+
+
+def _dim2_poset(n: int, rng: random.Random) -> FinitePoset:
+    """The intersection of two random linear orders."""
+    x = np.array(rng.sample(range(n), n))
+    y = np.array(rng.sample(range(n), n))
+    return FinitePoset(range(n), (x[:, None] <= x) & (y[:, None] <= y))
+
+
+def _layered_poset(n: int, rng: random.Random) -> FinitePoset:
+    """Seven layers; each element points to up to three elements in each of
+    the next two layers."""
+    layer = sorted(rng.randrange(7) for _ in range(n))
+    members = [[i for i in range(n) if layer[i] == k] for k in range(9)]
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for up in (members[layer[i] + 1], members[layer[i] + 2])
+        for j in rng.sample(up, min(3, len(up)))
+    ]
+    return _relabelled(n, pairs, rng)
+
+
+def _deep_poset(n: int, rng: random.Random) -> FinitePoset:
+    """Five long chains through 0..n-1, tied by sparse short upward edges."""
+    owner = [rng.randrange(5) for _ in range(n)]
+    last: dict[int, int] = {}
+    pairs = []
+    for i in range(n):
+        if owner[i] in last:
+            pairs.append((last[owner[i]], i))
+        last[owner[i]] = i
+    for _ in range(n // 4):
+        a = rng.randrange(n - 1)
+        pairs.append((a, min(n - 1, a + rng.randint(1, 30))))
+    return _relabelled(n, pairs, rng)
+
+
+@functools.cache
+def _scale_poset(shape: str, n: int) -> FinitePoset:
+    build = {"dim2": _dim2_poset, "layered": _layered_poset, "deep": _deep_poset}[shape]
+    return build(n, random.Random(f"{shape}-{n}"))
+
+
+SCALE_CASES = [(shape, n) for n in (300, 1000) for shape in ("dim2", "layered", "deep")]
+
+
+@pytest.mark.parametrize("shape,n", SCALE_CASES)
+def test_width_at_scale_is_proved_by_an_equal_cover_and_antichain(shape, n):
+    P = _scale_poset(shape, n)
+    w, chains, anti = width_and_dilworth(P)
+    assert len(chains) == w and len(anti) == w
+    # The chains partition P, each listed in increasing order ...
+    assert sorted(P.index(x) for c in chains for x in c) == list(range(n))
+    for c in chains:
+        assert all(P.lt(a, b) for a, b in zip(c, c[1:]))
+    # ... and the antichain meets each of them, so both are optimal.
+    assert len(set(anti)) == w and P.is_antichain(anti)
+    assert width_and_dilworth(P) == (w, chains, anti)
+
+
+@pytest.mark.parametrize("shape,n", [c for c in SCALE_CASES if c != ("deep", 1000)])
+def test_width_at_scale_matches_scipy_matching(shape, n):
+    # deep-1000 is left out: scipy's matching takes minutes on it.
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    P = _scale_poset(shape, n)
+    match = csgraph.maximum_bipartite_matching(
+        sparse.csr_matrix(P.strict_matrix), perm_type="column"
+    )
+    assert width(P) == n - int((match >= 0).sum())
+
+
+def _gap_witness_by_loops(P: FinitePoset, chain):
+    """Reference for smc_gap_witness: every region scanned element by element."""
+    members = P.chain_sorted(set(chain))
+    strict = P.strict_matrix
+    outside = [k for k in range(len(P)) if P.elements[k] not in members]
+    for i in range(len(members) + 1):
+        for j in range(i, len(members) + 1):
+            region = [
+                P.elements[k]
+                for k in outside
+                if (i == 0 or strict[P.index(members[i - 1]), k])
+                and (j == len(members) or strict[k, P.index(members[j])])
+            ]
+            if region:
+                h, repl = height_and_max_chain(P.induced(region))
+                if h > j - i:
+                    return members[i:j], repl
+    return None
+
+
+def test_gap_witness_matches_the_loop_reference():
+    for seed in range(200):
+        rng = random.Random(seed)
+        P = random_poset(rng, max_size=14)
+        order = list(P.elements)
+        rng.shuffle(order)
+        chain: list = []
+        for x in order:
+            if all(P.comparable(x, y) for y in chain):
+                chain.append(x)
+            if rng.random() < 0.15:
+                break
+        assert smc_gap_witness(P, chain) == _gap_witness_by_loops(P, chain)
 
 
 # ------------------------------------------------------- spine certificates

@@ -6,6 +6,7 @@ from fishbone.families import elem_le
 from fishbone.verify import (
     PreconditionViolated,
     assignment_chain_bijections,
+    check_level_structure,
     desk_preset,
     interpolate_chain,
     level_window,
@@ -32,6 +33,15 @@ def test_level_structure_report():
 def test_level_structure_other_levels():
     for n in (1, 2):
         assert verify_level_structure(n, 3, 6).ok
+
+
+def test_level_structure_on_shared_windows_matches_fresh_builds():
+    B = 6
+    for n in (0, 1):
+        two, one = level_window(n, B, levels=2), level_window(n, B)
+        for s in range(2 * B + 1):
+            shared = check_level_structure(n, s, B, two, one)
+            assert shared.to_dict() == verify_level_structure(n, s, B).to_dict()
 
 
 def test_level_structure_precondition():
