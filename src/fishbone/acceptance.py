@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
+import numpy as np
+
 from . import families, ordertype, verify
 from .ordertype import OrderTerm, parse_term, reverse
 from .partition import (
@@ -149,17 +151,16 @@ def criterion_3(seed: int = 0) -> VerificationReport:
         w, z = u + rng.randint(0, 4), v + rng.randint(0, 4)
         chain = verify.interpolate_chain(n, (x, y), (u, v), (w, z))
         want = w + z + 1 - x - y
+        # Row 0 compares the lower end, the last column the upper end, and
+        # the first superdiagonal each step of the chain.
+        ends = [(x, y, n), *chain, (w, z, n)]
+        le = families.relation_block("P5", ends, ends)
         ok = (
             len(chain) == want
             and (u, v, n) in chain
-            and all(
-                families.elem_le("P5", a, b)
-                for a, b in zip(chain, chain[1:])
-            )
-            and all(
-                families.elem_le("P5", (x, y, n), c) and families.elem_le("P5", c, (w, z, n))
-                for c in chain
-            )
+            and le[0].all()
+            and le[:, -1].all()
+            and np.diagonal(le, 1).all()
         )
         if not ok:
             return _report(3, False, witness={"trial": trial, "triple": [[x, y], [u, v], [w, z]]})

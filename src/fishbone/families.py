@@ -24,9 +24,11 @@ given by generators only; each is compared by an O(1) closed form for
 reachability over its generator moves, whose docstring argues why the moves
 reach exactly those points.  No comparison depends on a window.
 
-A window's comparison matrix evaluates the same closed form once, broadcast
-over integer coordinate columns (int64 while exact, Python ints past that);
-``elem_le`` decides one pair at a time and stays the independent oracle.
+Every bulk comparison is a rectangular :func:`relation_block`: window
+matrices, the claims and cofinality checks here, and the P5 lemmas of
+``verify``.  It evaluates the same closed form once, broadcast over integer
+coordinate columns (int64 while exact, Python ints past that); ``elem_le``
+decides one pair at a time and stays the independent oracle.
 
 Windows name their elements by compact strings ("bot", "(0,1)",
 "(-1,0,2)", ...) so window posets serialize cleanly.
@@ -356,18 +358,38 @@ def _coords(family: str, p) -> tuple:
     return p
 
 
+def relation_block(family: str, rows: list, cols: list) -> np.ndarray:
+    """``bool[len(rows), len(cols)]`` whose entry (i, j) is rows[i] <= cols[j].
+
+    The family's broadcast form runs once over coordinate columns: int64
+    when every coordinate of both sides is small enough, Python ints
+    otherwise.  Payloads are not validated (they come from enumerations of
+    the family); passing the same list as ``rows`` and ``cols`` converts it
+    once.
+    """
+    if not rows or not cols:
+        return np.zeros((len(rows), len(cols)), dtype=bool)
+    points = rows if cols is rows else [*rows, *cols]
+    flat = [c for p in points for c in _coords(family, p)]
+    exact = -_INT64_EXACT < min(flat) and max(flat) < _INT64_EXACT
+    a = np.array(flat, dtype=np.int64 if exact else object).reshape(len(points), -1).T
+    return _LE_COLS[family](a[:, : len(rows), None], a[:, None, len(points) - len(cols) :])
+
+
+def _incomparable(family: str, rows: list, cols: list) -> np.ndarray:
+    """``bool[len(rows), len(cols)]``: rows[i] and cols[j] are incomparable."""
+    return ~(relation_block(family, rows, cols) | relation_block(family, cols, rows).T)
+
+
 def relation_poset(family: str, payloads: list) -> FinitePoset:
     """The finite poset the family's order induces on ``payloads``, in their
     order, with string element names.
 
-    The matrix comes from the family's broadcast form, one column per
-    coordinate.  Construction always runs the partial-order axiom checks,
-    which guards every comparison routine against a misread generator.
+    The matrix is the square :func:`relation_block`.  Construction always
+    runs the partial-order axiom checks, which guards every comparison
+    routine against a misread generator.
     """
-    rows = [_coords(family, p) for p in payloads]
-    exact = all(-_INT64_EXACT < c < _INT64_EXACT for row in rows for c in row)
-    cols = np.array(rows, dtype=np.int64 if exact else object).T
-    m = _LE_COLS[family](cols[:, :, None], cols[:, None, :]) if rows else np.zeros((0, 0), bool)
+    m = relation_block(family, payloads, payloads)
     return FinitePoset([element_id(family, p) for p in payloads], m, validate=True)
 
 
@@ -427,6 +449,14 @@ def named_subset(family: str, name: str, spec: WindowSpec) -> list[str]:
 _GLOBAL_MAX = {"P1": "top"}
 
 
+def _first_unreached(family: str, lower: list, upper: list):
+    """The first element of ``lower`` with no element of ``upper`` strictly
+    above it, or None."""
+    below = relation_block(family, lower, upper) & ~relation_block(family, upper, lower).T
+    reached = below.any(axis=1)
+    return None if reached.all() else lower[int(reached.argmin())]
+
+
 def check_bounded_cofinally_above(
     family: str, upper: str, lower: str, bound: WindowSpec, slack: int = 2
 ) -> VerificationReport:
@@ -444,26 +474,22 @@ def check_bounded_cofinally_above(
         "bound": bound.to_dict(),
         "slack": slack,
     }
-    lower_elems = named_subset_payloads(family, lower, bound)
+    lower_elems = [y for y in named_subset_payloads(family, lower, bound) if y != _GLOBAL_MAX.get(family)]
     upper_elems = named_subset_payloads(family, upper, bound.widened(slack))
-    checked = 0
-    for y in lower_elems:
-        if _GLOBAL_MAX.get(family) == y:
-            continue
-        checked += 1
-        if not any(elem_lt(family, y, x) for x in upper_elems):
-            return VerificationReport(
-                claim="cofinally-above",
-                params=params,
-                status=FAIL,
-                witness=element_id(family, y),
-                detail={"reason": "no element of the upper set lies strictly above"},
-            )
+    y = _first_unreached(family, lower_elems, upper_elems)
+    if y is not None:
+        return VerificationReport(
+            claim="cofinally-above",
+            params=params,
+            status=FAIL,
+            witness=element_id(family, y),
+            detail={"reason": "no element of the upper set lies strictly above"},
+        )
     return VerificationReport(
         claim="cofinally-above",
         params=params,
         status=UP_TO_BOUND,
-        detail={"lower_checked": checked, "upper_candidates": len(upper_elems)},
+        detail={"lower_checked": len(lower_elems), "upper_candidates": len(upper_elems)},
     )
 
 
@@ -535,7 +561,7 @@ def _claim_p1_pigeonhole(m: int) -> VerificationReport:
     spec = WindowSpec.make(n=m)
     demanders = [(n, 1) for n in range(m + 1)]
     c1 = named_subset_payloads("P1", "C1", spec)
-    eligible = {h for d in demanders for h in c1 if not elem_comparable("P1", d, h)}
+    eligible = {h for h, free in zip(c1, _incomparable("P1", demanders, c1).any(axis=0)) if free}
     reserved = (m, 0)
     hosts = sorted(eligible - {reserved})
     ok = len(hosts) < len(demanders)
@@ -586,24 +612,22 @@ def _claim_p2_shift_reduction(B: int) -> VerificationReport:
     (z-1, 0, n) in the window lies below some (z, 0, m) in the window."""
     spec = WindowSpec.make(z=B, n=B)
     zlo, zhi = spec.bound("z")
-    checked = 0
+    # One block pair per column: a single block over all columns would grow
+    # with the square of their number.
     for z in range(zlo + 1, zhi + 1):
-        targets = [(z, 0, m) for m in range(B + 1)]
-        for n in range(B + 1):
-            y = (z - 1, 0, n)
-            checked += 1
-            if not any(elem_lt("P2", y, x) for x in targets):
-                return VerificationReport(
-                    claim="P2.shift_reduction",
-                    params={"B": B},
-                    status=FAIL,
-                    witness=element_id("P2", y),
-                )
+        y = _first_unreached("P2", [(z - 1, 0, n) for n in range(B + 1)], [(z, 0, m) for m in range(B + 1)])
+        if y is not None:
+            return VerificationReport(
+                claim="P2.shift_reduction",
+                params={"B": B},
+                status=FAIL,
+                witness=element_id("P2", y),
+            )
     return VerificationReport(
         claim="P2.shift_reduction",
         params={"B": B},
         status=UP_TO_BOUND,
-        detail={"checked": checked},
+        detail={"checked": (zhi - zlo) * (B + 1)},
     )
 
 
@@ -637,9 +661,9 @@ def _claim_p3_atomic_antichain(n: int, m: int, B: int) -> VerificationReport:
             witness=element_id("P3", (n, 0)),
             detail={"reason": "columns coincide"},
         )
-    others = [(m, y2) for y2 in range(2 * B + 1)]
-    counts = {(n, y1): sum(not elem_comparable("P3", (n, y1), q) for q in others) for y1 in range(B + 1)}
-    best = max(counts.items(), key=lambda item: item[1])
+    column = [(n, y1) for y1 in range(B + 1)]
+    counts = _incomparable("P3", column, [(m, y2) for y2 in range(2 * B + 1)]).sum(axis=1)
+    best = column[int(counts.argmax())], int(counts.max())
     ok = best[1] >= B
     return VerificationReport(
         claim="P3.atomic_antichain",
@@ -663,14 +687,14 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> Verificat
     candidates = [(n, y, z) for y in range(B + 1) for z in range(B + 1)]
     wide = B + slack
     targets = [(m, v, w) for v in range(wide + 1) for w in range(wide + 1)]
-    for c in candidates:
-        if all(elem_le("P4", t, c) for t in targets):
-            return VerificationReport(
-                claim="P4.no_domination",
-                params={"n": n, "m": m, "B": B, "slack": slack},
-                status=FAIL,
-                witness=element_id("P4", c),
-            )
+    dominating = relation_block("P4", targets, candidates).all(axis=0)
+    if dominating.any():
+        return VerificationReport(
+            claim="P4.no_domination",
+            params={"n": n, "m": m, "B": B, "slack": slack},
+            status=FAIL,
+            witness=element_id("P4", candidates[int(dominating.argmax())]),
+        )
     return VerificationReport(
         claim="P4.no_domination",
         params={"n": n, "m": m, "B": B, "slack": slack},

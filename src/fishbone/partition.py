@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poset import FinitePoset, NotAChain, PosetError
+from .poset import FinitePoset, NotAChain, PosetError, _is_element_id
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -63,13 +63,24 @@ class SpineCertificate:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(_is_element_id(x) for x in value)
+
+
 def certificate_from_json_dict(data: dict) -> SpineCertificate:
+    """Certificate from ``{"chain": [...], "antichains": [[...], ...]}``.
+
+    ``chain`` is a list of element ids (strings or integers) and
+    ``antichains`` a list of such lists.  Anything else raises ValueError.
+    """
     if not isinstance(data, dict) or "chain" not in data or "antichains" not in data:
         raise ValueError("certificate JSON needs 'chain' and 'antichains' keys")
-    return SpineCertificate(
-        chain=tuple(data["chain"]),
-        antichains=tuple(tuple(a) for a in data["antichains"]),
-    )
+    chain, antichains = data["chain"], data["antichains"]
+    if not _is_id_list(chain):
+        raise ValueError("certificate JSON 'chain' must be a list of strings or integers")
+    if not (isinstance(antichains, list) and all(_is_id_list(a) for a in antichains)):
+        raise ValueError("certificate JSON 'antichains' must be a list of lists of strings or integers")
+    return SpineCertificate(chain=tuple(chain), antichains=tuple(tuple(a) for a in antichains))
 
 
 def load_certificate(path: str) -> SpineCertificate:

@@ -12,9 +12,9 @@ infinite statement; pass statuses mean the finite instances checked out.
 
 from __future__ import annotations
 
-from itertools import combinations
+import numpy as np
 
-from .families import WindowSpec, element_id, elem_le, named_subset, relation_poset, window
+from .families import WindowSpec, element_id, named_subset, relation_block, relation_poset, window
 from .poset import FinitePoset, PosetError
 from .report import FAIL, PASS, UP_TO_BOUND, VerificationReport
 
@@ -130,33 +130,32 @@ def verify_min_drop(u: int, v: int, B: int) -> VerificationReport:
     """Whenever (x,y) on the next level down lies below (u,v) despite
     x + y > 2(u + v), the drop min(x,y)+1 <= min(u,v) is forced.
 
-    Exhaustive over x, y <= B; reports how many (x,y) qualify.  With the
-    sum clause excluded by hypothesis, ``elem_le`` answers from ``_le_p5``'s
-    own min clause, so this re-reads the definition it tests: it is a
-    definitional sanity check, not an independent proof, and cannot fail
-    while ``_le_p5`` keeps that clause.
+    Exhaustive over x, y <= B, in one :func:`relation_block` against
+    (u, v, 0); reports how many (x,y) qualify.  With the sum clause
+    excluded by hypothesis, the block answers from P5's own min clause, so
+    this re-reads the definition it tests: it is a definitional sanity
+    check, not an independent proof, and cannot fail while the order keeps
+    that clause.
     """
+    if u < 0 or v < 0:
+        raise PreconditionViolated("need u, v >= 0")
     params = {"u": u, "v": v, "B": B}
-    qualifying = 0
-    for x in range(B + 1):
-        for y in range(B + 1):
-            if x + y <= 2 * (u + v):
-                continue
-            if not elem_le("P5", (x, y, 1), (u, v, 0)):
-                continue
-            qualifying += 1
-            if not (min(x, y) + 1 <= min(u, v)):
-                return VerificationReport(
-                    claim="P5.min_drop",
-                    params=params,
-                    status=FAIL,
-                    witness=element_id("P5", (x, y, 1)),
-                )
+    grid = [(x, y, 1) for x in range(B + 1) for y in range(B + 1)]
+    below = relation_block("P5", grid, [(u, v, 0)])[:, 0]
+    qualifying = [p for p, le in zip(grid, below) if le and p[0] + p[1] > 2 * (u + v)]
+    for x, y, n in qualifying:
+        if not (min(x, y) + 1 <= min(u, v)):
+            return VerificationReport(
+                claim="P5.min_drop",
+                params=params,
+                status=FAIL,
+                witness=element_id("P5", (x, y, n)),
+            )
     return VerificationReport(
         claim="P5.min_drop",
         params=params,
         status=UP_TO_BOUND,
-        detail={"qualifying": qualifying},
+        detail={"qualifying": len(qualifying)},
     )
 
 
@@ -277,29 +276,25 @@ def verify_final_counting(a: int) -> VerificationReport:
         raise PreconditionViolated("need a >= 1")
     params = {"a": a}
     F = [(a + t, a, 1) for t in range(2 * a + 1)]
-    for p, q in combinations(F, 2):
-        if not (elem_le("P5", p, q) or elem_le("P5", q, p)):
-            return VerificationReport(
-                claim="P5.final_counting",
-                params=params,
-                status=FAIL,
-                witness=[element_id("P5", p), element_id("P5", q)],
-                detail={"reason": "F is not a chain"},
-            )
     bound = 3 * a
-    for u in range(bound + 1):
-        for v in range(bound + 1):
-            if u + v < 2 * a:
-                continue
-            for p in F:
-                if not elem_le("P5", p, (u, v, 0)):
-                    return VerificationReport(
-                        claim="P5.final_counting",
-                        params=params,
-                        status=FAIL,
-                        witness=[element_id("P5", p), element_id("P5", (u, v, 0))],
-                        detail={"reason": "missing comparability above the cut"},
-                    )
+    cut = [(u, v, 0) for u in range(bound + 1) for v in range(bound + 1) if u + v >= 2 * a]
+    le = relation_block("P5", F, F)
+    # Pairs of F in combinations order, then pairs above the cut in
+    # cut-point-major order: the first is the witness.
+    failures = [(F[i], F[j], "F is not a chain") for i, j in np.argwhere(np.triu(~(le | le.T), 1))]
+    failures += [
+        (F[i], cut[j], "missing comparability above the cut")
+        for j, i in np.argwhere(~relation_block("P5", F, cut).T)
+    ]
+    if failures:
+        p, q, reason = failures[0]
+        return VerificationReport(
+            claim="P5.final_counting",
+            params=params,
+            status=FAIL,
+            witness=[element_id("P5", p), element_id("P5", q)],
+            detail={"reason": reason},
+        )
 
     from .partition import height
 

@@ -1,8 +1,13 @@
 """Command-line plumbing: exit codes, JSON-on-stdout discipline, round-trips."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fishbone import acceptance, cli
 from fishbone.cli import main
@@ -93,11 +98,83 @@ def test_poset_malformed_members(capsys, tmp_path, text):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+CHAIN2 = '{"elements": ["a", "b"], "le": [["a", "b"]]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"chain": [["a"]], "antichains": [["a"], ["b"]]}',
+        '{"chain": [], "antichains": null}',
+        '{"chain": "ab", "antichains": [["a"], ["b"]]}',
+        '{"chain": ["a", "b"], "antichains": "ab"}',
+        '{"chain": ["a", "b"], "antichains": [["a"], "b"]}',
+        '{"chain": ["a", true], "antichains": [["a"], ["b"]]}',
+        '{"chain": ["a", "b"], "antichains": [["a"], [["b"]]]}',
+    ],
+)
+def test_certificate_malformed_members(capsys, tmp_path, text):
+    poset = tmp_path / "chain2.json"
+    poset.write_text(CHAIN2, encoding="utf-8")
+    cert = tmp_path / "cert.json"
+    cert.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "poset", "check", str(poset), "--cert", str(cert))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_poset_cyclic_file(capsys, tmp_path):
     path = tmp_path / "cyc.json"
     path.write_text('{"elements": ["a","b"], "le": [["a","b"],["b","a"]]}')
     code, _, err = run(capsys, "poset", "spine", str(path))
     assert code == 2 and "error:" in err
+
+
+# Arbitrary JSON, biased towards the shapes the loaders accept: small ids,
+# the expected keys, lists of ids and lists of such lists.
+IDS = st.sampled_from(["a", "b", "c", 0, 1])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | IDS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["elements", "le", "chain", "antichains", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+ID_LISTS = st.lists(IDS, max_size=4)
+POSET_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {
+        "elements": JSON_VALUES | st.lists(IDS, unique=True, max_size=4),
+        "le": JSON_VALUES | st.lists(st.tuples(IDS, IDS).map(list), max_size=3),
+    }
+)
+CERT_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"chain": JSON_VALUES | ID_LISTS, "antichains": JSON_VALUES | st.lists(ID_LISTS | JSON_VALUES, max_size=4)}
+)
+
+
+def quiet_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(poset=POSET_DOCS, cert=CERT_DOCS)
+def test_poset_files_never_escape_the_exit_codes(poset, cert):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("poset", poset), ("diamond", json.loads(DIAMOND)), ("cert", cert)):
+            paths[name] = str(Path(tmp, name + ".json"))
+            Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+        # The valid diamond lets every example reach the certificate loader.
+        for argv in (["poset", "check", paths["poset"], "--cert", paths["cert"]],
+                     ["poset", "check", paths["diamond"], "--cert", paths["cert"]],
+                     ["poset", "spine", paths["poset"]],
+                     ["poset", "canon", paths["poset"]]):
+            code, out = quiet_main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                report = json.loads(out)
+                assert report["status"] == "fail" and report["witness"] is not None
 
 
 # ----------------------------------------------------------------------- ot
@@ -223,6 +300,12 @@ def test_verify_rows_and_levels(capsys):
     # Precondition violations are usage errors.
     assert run(capsys, "verify", "rows", "--ell", "0")[0] == 2
     assert run(capsys, "verify", "levels", "--n", "0", "--s", "99", "--bound", "6")[0] == 2
+
+
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (-1, 5)])
+def test_verify_mindrop_rejects_negative_corners(capsys, u, v):
+    code, out, err = run(capsys, "verify", "mindrop", "--u", str(u), "--v", str(v), "--bound", "3")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_verify_all_desk(capsys):

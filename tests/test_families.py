@@ -1,7 +1,8 @@
 """The five decidable infinite orders: comparisons, windows, named sets,
 bounded claims.  A plain search over the generator moves, and the closure of
 the generator edges inside a window, cross-check the closed-form comparisons
-of P2, P3 and P4; the per-pair ``elem_le`` checks every window matrix."""
+of P2, P3 and P4; the per-pair ``elem_le`` checks every window matrix and
+rectangular ``relation_block``."""
 
 import json
 from collections import deque
@@ -25,6 +26,7 @@ from fishbone.families import (
     element_id,
     named_subset,
     parse_element,
+    relation_block,
     relation_poset,
     verify_claim,
     window,
@@ -98,14 +100,14 @@ def test_window_is_the_closure_of_generator_edges(family, axes):
 # ------------------------------------------------- window builder oracle
 
 
-def oracle_matrix(family, payloads):
-    return np.array([[elem_le(family, p, q) for q in payloads] for p in payloads], dtype=bool)
+def oracle_matrix(family, rows, cols):
+    return np.array([[elem_le(family, p, q) for q in cols] for p in rows], dtype=bool)
 
 
 def oracle_covers(family, payloads):
     """(lower, upper) name pairs of the transitive reduction of the
     per-pair ``elem_le`` matrix."""
-    m = oracle_matrix(family, payloads)
+    m = oracle_matrix(family, payloads, payloads)
     n = len(payloads)
     lt = [[m[i, j] and i != j for j in range(n)] for i in range(n)]
     return {
@@ -156,21 +158,61 @@ def test_window_matrix_matches_elem_le(family, axes):
     payloads = window_payloads(family, WindowSpec.make(**axes))
     P = window(family, WindowSpec.make(**axes))
     assert P.elements == tuple(element_id(family, p) for p in payloads)
-    assert (P.leq_matrix == oracle_matrix(family, payloads)).all()
+    assert (P.leq_matrix == oracle_matrix(family, payloads, payloads)).all()
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 5])
 def test_final_counting_region_matches_elem_le(a):
     T = [(u, v, 0) for u in range(2 * a) for v in range(2 * a) if u + v <= 2 * a - 1]
-    assert (relation_poset("P5", T).leq_matrix == oracle_matrix("P5", T)).all()
+    assert (relation_poset("P5", T).leq_matrix == oracle_matrix("P5", T, T)).all()
 
 
 def test_relation_poset_keeps_the_payload_order():
     payloads = [(3, 0, 1), (0, 0, 0), (9, 9, 3), (1, 2, 1)]
     P = relation_poset("P5", payloads)
     assert P.elements == ("(3,0,1)", "(0,0,0)", "(9,9,3)", "(1,2,1)")
-    assert (P.leq_matrix == oracle_matrix("P5", payloads)).all()
+    assert (P.leq_matrix == oracle_matrix("P5", payloads, payloads)).all()
     assert len(relation_poset("P3", [])) == 0
+
+
+# Small windows next to points with coordinates at or past the int64 limit;
+# every P1 window holds bot, a and top.
+NEAR = {
+    "P1": {"n": 2},
+    "P2": {"z": 1, "n": 1},
+    "P3": {"x": 3, "y": 2},
+    "P4": {"x": 2, "y": 2, "z": 1},
+    "P5": {"n": (0, 1), "c": 2},
+}
+
+
+def far_payloads(family, big):
+    return {
+        "P1": ["bot", (big, 0), (big + 1, 1), "a", "top"],
+        "P2": [(big, 0, 0), (-big, 1, big), (big + 1, 1, 3)],
+        "P3": [(big, 0), (big, 3), (2, big), (big + 5, big)],
+        "P4": [(big, 0, big), (0, big, 0), (big, big + 2, 1)],
+        "P5": [(big, 0, 1), (0, big, 0), (big, big, big), (1, 1, big)],
+    }[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("big", [2**60, 2**63, HUGE])
+def test_relation_block_matches_elem_le(family, big):
+    near = window_payloads(family, WindowSpec.make(**NEAR[family]))
+    far = far_payloads(family, big)
+    for rows, cols in ((near, far), (far, near), (near, near[::2]), (far, far)):
+        block = relation_block(family, rows, cols)
+        assert block.dtype == bool and block.shape == (len(rows), len(cols))
+        assert (block == oracle_matrix(family, rows, cols)).all(), (rows, cols)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_relation_block_with_an_empty_side(family):
+    some = window_payloads(family, WindowSpec.make(**NEAR[family]))
+    for rows, cols in (([], some), (some, []), ([], [])):
+        block = relation_block(family, rows, cols)
+        assert block.dtype == bool and block.shape == (len(rows), len(cols))
 
 
 @pytest.mark.parametrize("family, axes", FAR_WINDOWS)

@@ -2,8 +2,9 @@
 
 The digests are SHA-256 of ``verify all`` stdout and of ``--seed 0 sweep``
 stdout with the wall-clock ``detail.elapsed`` of acceptance criteria 1 and 5
-set to null (the only fields that vary between runs).  Update them only for
-an intended change of report contents.
+set to null (the only fields that vary between runs), and of the JSON of a
+grid of family claim, cofinality, counting and min-drop reports.  Update them
+only for an intended change of report contents.
 """
 
 import contextlib
@@ -11,10 +12,12 @@ import hashlib
 import io
 import json
 
-from fishbone import cli
+from fishbone import cli, families, verify
+from fishbone.families import WindowSpec
 
 VERIFY_ALL_SHA256 = "495f94599dae2e12186945b7a855f84d5b4179a53a56d67018ff394ece55d5ae"
 SWEEP_SEED0_SHA256 = "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7"
+REPORT_GRID_SHA256 = "04adb60261c95c97ecae6a908054a4c0d3c9141d42df0e8f1d009a88db50ccfa"
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -40,3 +43,41 @@ def test_sweep_stdout_is_pinned():
         if rep["claim"] in ("acceptance-1", "acceptance-5"):
             rep["detail"]["elapsed"] = None
     assert sha256(json.dumps(reports, indent=2) + "\n") == SWEEP_SEED0_SHA256
+
+
+# Named sets per family, compared in both directions.  More than a quarter
+# of the grid's reports fail, so the digest pins failing witnesses too.
+COFINALITY_GRID = [
+    ("P1", ("C1", "C2"), WindowSpec.make(n=3)),
+    ("P2", ("C0", "C1", "D(0)", "D(2)"), WindowSpec.make(z=2, n=3)),
+    ("P3", ("C(0)", "C(1)", "C(3)"), WindowSpec.make(x=4, y=4)),
+    ("P4", ("E(0)", "E(1)", "E(2)"), WindowSpec.make(x=3, y=3, z=3)),
+    ("P5", ("L(0)", "L(1)", "K(0,2)", "K(1,3)"), WindowSpec.make(n=(0, 2), c=3)),
+]
+
+
+def report_grid() -> list[dict]:
+    reports = [families.verify_claim("P1", "pigeonhole", {"m": m}) for m in range(5)]
+    reports += [
+        families.verify_claim("P3", "atomic_antichain", {"n": n, "m": m, "B": B})
+        for n in range(4) for m in range(4) for B in range(4)
+    ]
+    reports += [
+        families.verify_claim("P4", "no_domination", {"n": n, "m": m, "B": B, "slack": slack})
+        for n in range(3) for m in range(3) for B in range(3) for slack in range(3)
+    ]
+    reports += [families.verify_claim("P2", "shift_reduction", {"B": B}) for B in range(5)]
+    reports += [
+        families.check_bounded_cofinally_above(family, upper, lower, spec, slack)
+        for family, names, spec in COFINALITY_GRID
+        for upper in names for lower in names for slack in range(4)
+    ]
+    reports += [verify.verify_final_counting(a) for a in range(1, 5)]
+    reports += [verify.verify_min_drop(u, v, B) for u in range(4) for v in range(4) for B in (0, 3, 8)]
+    return [r.to_dict() for r in reports]
+
+
+def test_report_grid_is_pinned():
+    reports = report_grid()
+    assert sum(r["status"] == "fail" for r in reports) == 120
+    assert sha256(json.dumps(reports, indent=2) + "\n") == REPORT_GRID_SHA256
