@@ -584,9 +584,13 @@ def _claim_p2_partitions(B: int) -> VerificationReport:
     """Both named families cover the window exactly once."""
     spec = WindowSpec.make(z=B, n=B)
     everything = window_payloads("P2", spec)
+
+    def subsets(names) -> list[list]:
+        return [list(filter(_named_predicate("P2", name), everything)) for name in names]
+
     families = {
-        "C0/C1": [named_subset_payloads("P2", c, spec) for c in ("C0", "C1")],
-        "D(n)": [named_subset_payloads("P2", f"D({n})", spec) for n in range(B + 1)],
+        "C0/C1": subsets(("C0", "C1")),
+        "D(n)": subsets([f"D({n})" for n in range(B + 1)]),
     }
     detail = {}
     for label, sets in families.items():

@@ -95,46 +95,28 @@ def loads_certificate(text: str) -> SpineCertificate:
 # --------------------------------------------------------------------- height
 
 
-def _longest_chains(rel: np.ndarray, order: Iterable[int]) -> np.ndarray:
-    """For each element i, the size of the longest chain ending at i, where
-    ``rel[j, i]`` means j comes before i and ``order`` lists every element
-    after all the elements that come before it."""
-    out = np.zeros(len(rel), dtype=np.int64)
-    for i in order:
-        before = np.flatnonzero(rel[:, i])
-        out[i] = 1 + (out[before].max() if before.size else 0)
-    return out
-
-
-def _up_lengths(P: FinitePoset) -> np.ndarray:
-    """For each element, the length of the longest chain ending at it."""
-    return _longest_chains(P.strict_matrix, P.linear_extension.tolist())
-
-
-def _max_chain(P: FinitePoset, up: np.ndarray) -> tuple[int, list]:
-    n = len(P)
-    if n == 0:
+def _max_chain(P: FinitePoset) -> tuple[int, list]:
+    if not len(P):
         return 0, []
+    up, down = P.chain_lengths
     h = int(up.max())
+    # up[i] + down[i] - 1 <= h, with equality exactly when i lies on some
+    # maximum chain.  Each level takes the first such element in declared
+    # order that lies strictly above the previous pick.
+    on_max = up + down == h + 1
     strict = P.strict_matrix
-    # down[i]: longest chain starting at i (so up[i] + down[i] - 1 <= h,
-    # with equality exactly when i lies on some maximum chain).
-    down = _longest_chains(strict.T, P.linear_extension[::-1].tolist())
     chain: list[int] = []
-    cur = -1
     for level in range(1, h + 1):
-        for i in range(n):
-            if up[i] == level and down[i] == h - level + 1:
-                if cur >= 0 and not strict[cur, i]:
-                    continue
-                chain.append(i)
-                cur = i
-                break
-    assert len(chain) == h
+        pick = on_max & (up == level)
+        if chain:
+            pick &= strict[chain[-1]]
+        chain.append(int(np.argmax(pick)))
+        assert pick[chain[-1]]
     return h, [P.elements[i] for i in chain]
 
 
-def _level_parts(P: FinitePoset, up: np.ndarray) -> list[list]:
+def _level_parts(P: FinitePoset) -> list[list]:
+    up = P.chain_lengths[0]
     h = int(up.max()) if len(P) else 0
     parts: list[list] = [[] for _ in range(h)]
     for i, e in enumerate(P.elements):
@@ -148,7 +130,7 @@ def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
     Among all maximum chains, returns the one whose successive elements have
     least declared index, chosen greedily from the bottom.
     """
-    return _max_chain(P, _up_lengths(P))
+    return _max_chain(P)
 
 
 def height(P: FinitePoset) -> int:
@@ -161,7 +143,7 @@ def mirsky_partition(P: FinitePoset) -> list[list]:
     Part k (0-based) holds the elements whose longest chain from below has
     size k+1; there are exactly height(P) parts and each is an antichain.
     """
-    return _level_parts(P, _up_lengths(P))
+    return _level_parts(P)
 
 
 # ---------------------------------------------------------------------- width
@@ -335,9 +317,8 @@ def find_spine(P: FinitePoset) -> SpineCertificate:
     Each level is an antichain (two comparable elements have different
     levels) and any maximum chain passes through every level exactly once.
     """
-    up = _up_lengths(P)
-    h, chain = _max_chain(P, up)
-    parts = _level_parts(P, up)
+    h, chain = _max_chain(P)
+    parts = _level_parts(P)
     assert len(parts) == h
     return SpineCertificate(chain=tuple(chain), antichains=tuple(tuple(p) for p in parts))
 

@@ -3,12 +3,18 @@
 A :class:`FinitePoset` stores its elements in a fixed declared order and a
 reflexive ``leq`` matrix, next to the strict and comparability matrices derived
 from it once, so comparison queries are O(1) and the partial-order axioms can
-be checked with a few boolean matrix operations.  Every module answers its
-finite comparison questions through these three matrices.
+be checked with a few boolean matrix operations.  The cover matrix and the
+chain lengths are also computed once.  Every module answers its finite
+comparison questions through these.
 
-The one product kernel (closure, the transitivity check and covers) is exact
-at every size: it never counts paths in a type that can wrap.  Intended scale
-is up to a few thousand elements; storage is quadratic.
+A poset built from generator pairs gets its closure, cover matrix and chain
+lengths from one level-synchronous pass over the generator DAG: Kahn's peel
+into generations (the Mirsky levels), then one top-down walk that ORs
+bit-packed successor rows.  A poset built from a table computes its covers
+with the one product kernel, which also checks transitivity, and its chain
+lengths with the same peel, lazily.  Every path is exact at every size: none
+counts paths in a type that can wrap.  Intended scale is up to a few thousand
+elements; storage is quadratic.
 """
 
 from __future__ import annotations
@@ -84,10 +90,131 @@ def _shortest_cycle(nodes: Sequence[int], edges: dict[int, list[int]]) -> list[i
     return best
 
 
+def _cycle(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
+    """The cycle reported for cyclic generator arcs (no loops): ``graphlib``
+    names the nodes of one cycle it stalls on, and the shortest cycle
+    through them is reported."""
+    edges: dict[int, list[int]] = {}
+    for i, j in arcs:
+        edges.setdefault(i, []).append(j)
+    sorter: graphlib.TopologicalSorter = graphlib.TopologicalSorter()
+    for i in range(n):
+        sorter.add(i)
+    for i, outs in edges.items():
+        for j in outs:
+            sorter.add(j, i)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as err:
+        return _shortest_cycle(err.args[1][:-1], edges)
+    raise AssertionError("the arcs have no cycle")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _generations(rel: np.ndarray) -> list[np.ndarray]:
+    """Kahn's peel of a DAG into generations: generation k lists the
+    elements whose longest path from a source has k arcs.
+
+    ``rel`` is reflexive: ``[i, j]`` for each arc i -> j and for i == j.  An
+    element is free once its count of unplaced predecessors, itself
+    included, is 1.  On a cycle the peel stalls, so the generations then
+    hold fewer than all elements.
+    """
+    waiting = rel.sum(axis=0)
+    layer = np.flatnonzero(waiting == 1)
+    gens, placed = [], 0
+    while layer.size:
+        gens.append(layer)
+        placed += layer.size
+        if placed == len(rel):
+            break
+        waiting -= rel[layer].sum(axis=0)
+        layer = np.flatnonzero(waiting == 1)
+    return gens
+
+
+def _levels(gens: list[np.ndarray], n: int) -> np.ndarray:
+    """Each element's generation, counted from 1."""
+    level = np.empty(n, dtype=np.int64)
+    for k, layer in enumerate(gens, 1):
+        level[layer] = k
+    return level
+
+
+# A slice of the walk gathers one strict row per arc of its elements, so
+# the slices are cut small enough to keep that under 64 MB even when every
+# element of a generation has n arcs.
+_GATHER_BYTES = 1 << 26
+
+
+def _close(rel: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """``leq``, strict order, covers and (up, down) chain lengths of the DAG
+    ``rel`` (``[i, j]`` an arc i -> j, with no loops), or None when it has a
+    cycle.  ``rel`` gains its diagonal.
+
+    One level-synchronous pass: the peel into generations, whose index is
+    the up-length, then one walk down the generations on bit-packed rows.
+    Every successor of an element lies in a later generation, so its strict
+    row is final when the element is reached, and ``far``, the OR of the
+    successors' strict rows, is what the element reaches by two arcs or
+    more.  Its strict row is then its arcs | far and its cover row its arcs
+    & ~far, and its down-length is one more than its successors' longest.
+    The diagonal gives every element an arc to itself, whose strict row and
+    down-length are still 0 when it is read, so no arc list is empty.
+    """
+    n = len(rel)
+    packed = np.packbits(rel, axis=1)
+    np.fill_diagonal(rel, True)
+    gens = _generations(rel)
+    if sum(map(len, gens)) < n:
+        return None
+    up = _levels(gens, n)
+    # The walk runs over positions: the generations from the top, each in
+    # declared order, so that every slice of it is one basic slice.
+    order = np.argsort(-up, kind="stable")
+    position = np.argsort(order)
+    tails, heads = np.nonzero(rel[order])
+    heads = position[heads]
+    first = np.searchsorted(tails, np.arange(n + 1))
+    bounds = first.tolist()
+    arcs = packed[order]
+    strict = np.zeros_like(arcs)
+    far = np.zeros_like(arcs)
+    down = np.zeros(n, dtype=np.int64)
+    step = max(1, _GATHER_BYTES // max(1, n * arcs.shape[1]))
+    # The top generation has no successors, so the walk starts below it:
+    # its strict rows stay 0 and its down-lengths are 1.
+    top = gens[-1].size if gens else 0
+    down[:top] = 1
+    cuts = [top]
+    for layer in reversed(gens[:-1]):
+        end = cuts[-1] + layer.size
+        cuts += range(cuts[-1] + step, end, step)
+        cuts.append(end)
+    for p, q in zip(cuts, cuts[1:]):
+        succ = heads[bounds[p] : bounds[q]]
+        starts = first[p:q] - bounds[p]
+        np.bitwise_or.reduceat(strict[succ], starts, axis=0, out=far[p:q])
+        np.bitwise_or(arcs[p:q], far[p:q], out=strict[p:q])
+        np.maximum.reduceat(down[succ], starts, out=down[p:q])
+        down[p:q] += 1
+    strict = np.unpackbits(strict[position], axis=1, count=n).view(bool)
+    leq = strict.copy()
+    np.fill_diagonal(leq, True)
+    cover = np.unpackbits((arcs & ~far)[position], axis=1, count=n).view(bool)
+    return leq, strict, cover, up, down[position]
+
+
 class FinitePoset:
     """An immutable finite poset with a declared element order."""
 
-    __slots__ = ("elements", "_index", "_leq", "_strict", "_comparable", "_order", "_position")
+    __slots__ = (
+        "elements", "_index", "_leq", "_strict", "_comparable", "_order", "_position", "_cover", "_lengths"
+    )
 
     def __init__(self, elements: Iterable[ElementId], leq: np.ndarray, *, validate: bool = True):
         self.elements: tuple = tuple(elements)
@@ -101,11 +228,13 @@ class FinitePoset:
         strict = table & ~np.eye(n, dtype=bool)
         if validate:
             self._check_axioms(table, strict)
-        comparable = table | table.T
-        for m in (table, strict, comparable):
-            m.setflags(write=False)
-        self._leq, self._strict, self._comparable = table, strict, comparable
-        self._order = self._position = None
+        self._set(table, strict)
+
+    def _set(self, leq: np.ndarray, strict: np.ndarray) -> None:
+        """Freeze ``leq`` and ``strict`` and derive comparability; the rest
+        is computed on first use."""
+        self._leq, self._strict, self._comparable = map(_frozen, (leq, strict, leq | leq.T))
+        self._order = self._position = self._cover = self._lengths = None
 
     def _check_axioms(self, m: np.ndarray, strict: np.ndarray) -> None:
         if m.shape[0] == 0:
@@ -133,14 +262,17 @@ class FinitePoset:
         """Reflexive-transitive closure of ``pairs`` (each meaning x <= y).
 
         Cycles among distinct elements are rejected before the closure is
-        computed; the error reports one shortest offending cycle.
+        computed; the error reports one shortest offending cycle.  The
+        closure, the covers and the chain lengths come from one pass: the
+        generations of the generator DAG, then one walk down them.
         """
         elems = tuple(elements)
         index = {e: i for i, e in enumerate(elems)}
         if len(index) != len(elems):
             raise ValueError("duplicate elements")
         n = len(elems)
-        edges: dict[int, list[int]] = {}
+        src: list[int] = []
+        dst: list[int] = []
         for x, y in pairs:
             if x not in index:
                 raise UnknownElement(x)
@@ -148,31 +280,21 @@ class FinitePoset:
                 raise UnknownElement(y)
             i, j = index[x], index[y]
             if i != j:
-                edges.setdefault(i, []).append(j)
+                src.append(i)
+                dst.append(j)
 
-        sorter: graphlib.TopologicalSorter = graphlib.TopologicalSorter()
-        for i in range(n):
-            sorter.add(i)
-        for i, outs in edges.items():
-            for j in outs:
-                sorter.add(j, i)
-        try:
-            sorter.prepare()
-        except graphlib.CycleError as err:
-            in_cycle = err.args[1][:-1]
-            cyc = _shortest_cycle(in_cycle, edges)
-            raise CycleError([elems[i] for i in cyc]) from None
-
-        m = np.eye(n, dtype=bool)
-        for i, outs in edges.items():
-            for j in outs:
-                m[i, j] = True
-        while True:
-            bigger = m | _bool_matmul(m, m)
-            if (bigger == m).all():
-                break
-            m = bigger
-        return cls(elems, m, validate=False)
+        rel = np.zeros((n, n), dtype=bool)
+        rel[src, dst] = True
+        closed = _close(rel)
+        if closed is None:
+            raise CycleError([elems[i] for i in _cycle(n, zip(src, dst))])
+        leq, strict, cover, up, down = closed
+        P = cls.__new__(cls)
+        P.elements, P._index = elems, index
+        P._set(leq, strict)
+        P._cover = _frozen(cover)
+        P._lengths = (_frozen(up), _frozen(down))
+        return P
 
     def induced(self, members: Iterable[ElementId]) -> "FinitePoset":
         """Subposet on ``members``, keeping the declared element order."""
@@ -202,6 +324,26 @@ class FinitePoset:
         """Read-only: element indices sorted by down-set size, then declared
         index, so every element comes after all the elements below it."""
         return self._ranked()[0]
+
+    @property
+    def cover_matrix(self) -> np.ndarray:
+        """Read-only: ``[i, j]`` is elements[i] < elements[j] with nothing
+        strictly between (elements[j] covers elements[i])."""
+        if self._cover is None:
+            self._cover = _frozen(self._strict & ~_bool_matmul(self._strict, self._strict))
+        return self._cover
+
+    @property
+    def chain_lengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(up, down)``: for each element, the size of the
+        longest chain with it on top, and of the longest with it at the
+        bottom.  ``up`` is the Mirsky level, counted from 1."""
+        if self._lengths is None:
+            n = len(self.elements)
+            up = _levels(_generations(self._leq), n)
+            down = _levels(_generations(self._leq.T), n)
+            self._lengths = (_frozen(up), _frozen(down))
+        return self._lengths
 
     def _ranked(self) -> tuple[np.ndarray, list[int]]:
         """The linear extension and each element's position in it, computed
@@ -279,10 +421,7 @@ class FinitePoset:
         This is the transitive reduction of the strict order, listed by the
         declared order of v then u.
         """
-        cov = self._strict & ~_bool_matmul(self._strict, self._strict)
-        pairs = [(int(u), int(v)) for u, v in np.argwhere(cov)]
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        return [(self.elements[v], self.elements[u]) for u, v in pairs]
+        return [(self.elements[v], self.elements[u]) for v, u in np.argwhere(self.cover_matrix.T).tolist()]
 
     def open_interval(self, x, y) -> frozenset:
         i, j = self.index(x), self.index(y)

@@ -139,6 +139,8 @@ def verify_min_drop(u: int, v: int, B: int) -> VerificationReport:
     """
     if u < 0 or v < 0:
         raise PreconditionViolated("need u, v >= 0")
+    if B < 0:
+        raise PreconditionViolated(f"bound B={B} leaves no (x, y) to check")
     params = {"u": u, "v": v, "B": B}
     grid = [(x, y, 1) for x in range(B + 1) for y in range(B + 1)]
     below = relation_block("P5", grid, [(u, v, 0)])[:, 0]

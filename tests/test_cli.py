@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -308,12 +311,29 @@ def test_verify_mindrop_rejects_negative_corners(capsys, u, v):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_verify_mindrop_rejects_a_negative_bound(capsys):
+    # B = -1 leaves an empty grid, which would certify nothing.
+    code, out, err = run(capsys, "verify", "mindrop", "--u", "2", "--v", "2", "--bound", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_verify_all_desk(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     reports = json.loads(out)
     assert len(reports) == 11
     assert all(r["status"] != "fail" for r in reports)
+
+
+def test_python_dash_m_runs_the_same_command_line(capsys):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fishbone", "verify", "all"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run(capsys, "verify", "all")[1]
 
 
 # -------------------------------------------------------------------- sweep

@@ -185,9 +185,9 @@ def test_linear_extension_and_successor_lists_follow_the_rank():
 # random relabelling, so the declared order says nothing about the order.
 
 
-def _relabelled(n: int, pairs, rng: random.Random) -> FinitePoset:
+def _relabelled(n: int, pairs, rng: random.Random) -> list[tuple[int, int]]:
     label = rng.sample(range(n), n)
-    return FinitePoset.from_generators(range(n), [(label[a], label[b]) for a, b in pairs])
+    return [(label[a], label[b]) for a, b in pairs]
 
 
 def _dim2_poset(n: int, rng: random.Random) -> FinitePoset:
@@ -197,7 +197,7 @@ def _dim2_poset(n: int, rng: random.Random) -> FinitePoset:
     return FinitePoset(range(n), (x[:, None] <= x) & (y[:, None] <= y))
 
 
-def _layered_poset(n: int, rng: random.Random) -> FinitePoset:
+def _layered_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
     """Seven layers; each element points to up to three elements in each of
     the next two layers."""
     layer = sorted(rng.randrange(7) for _ in range(n))
@@ -211,7 +211,7 @@ def _layered_poset(n: int, rng: random.Random) -> FinitePoset:
     return _relabelled(n, pairs, rng)
 
 
-def _deep_poset(n: int, rng: random.Random) -> FinitePoset:
+def _deep_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
     """Five long chains through 0..n-1, tied by sparse short upward edges."""
     owner = [rng.randrange(5) for _ in range(n)]
     last: dict[int, int] = {}
@@ -227,9 +227,25 @@ def _deep_poset(n: int, rng: random.Random) -> FinitePoset:
 
 
 @functools.cache
+def _scale_generators(shape: str, n: int) -> list[tuple[int, int]]:
+    """Generator pairs of each scale poset.  layered and deep are built from
+    theirs; dim2 is given its covers, found by an exact float64 product on
+    its table, plus n comparable pairs that are redundant."""
+    rng = random.Random(f"{shape}-{n}")
+    if shape != "dim2":
+        return {"layered": _layered_pairs, "deep": _deep_pairs}[shape](n, rng)
+    strict = _scale_poset(shape, n).strict_matrix
+    fl = strict.astype(np.float64)
+    covers = strict & ~(fl @ fl > 0)
+    extra = rng.sample(np.argwhere(strict).tolist(), n)
+    return [(a, b) for a, b in np.argwhere(covers).tolist() + extra]
+
+
+@functools.cache
 def _scale_poset(shape: str, n: int) -> FinitePoset:
-    build = {"dim2": _dim2_poset, "layered": _layered_poset, "deep": _deep_poset}[shape]
-    return build(n, random.Random(f"{shape}-{n}"))
+    if shape == "dim2":
+        return _dim2_poset(n, random.Random(f"{shape}-{n}"))
+    return FinitePoset.from_generators(range(n), _scale_generators(shape, n))
 
 
 SCALE_CASES = [(shape, n) for n in (300, 1000) for shape in ("dim2", "layered", "deep")]
@@ -259,6 +275,39 @@ def test_width_at_scale_matches_scipy_matching(shape, n):
         sparse.csr_matrix(P.strict_matrix), perm_type="column"
     )
     assert width(P) == n - int((match >= 0).sum())
+
+
+def _longest_paths(G, order) -> list[int]:
+    """For each node of G, the number of nodes on the longest path ending
+    there, relaxing the arcs along the topological ``order``."""
+    length = dict.fromkeys(G, 1)
+    for v in order:
+        for w in G.successors(v):
+            length[w] = max(length[w], length[v] + 1)
+    return [length[i] for i in range(len(G))]
+
+
+@pytest.mark.parametrize("shape,n", SCALE_CASES)
+def test_generator_pass_at_scale_matches_networkx(shape, n):
+    nx = pytest.importorskip("networkx")
+    pairs = _scale_generators(shape, n)
+    P = FinitePoset.from_generators(range(n), pairs)
+    assert P == _scale_poset(shape, n)
+    G = nx.DiGraph(pairs)
+    G.add_nodes_from(range(n))
+    closed = np.array(list(nx.transitive_closure_dag(G).edges()), dtype=np.intp).reshape(-1, 2)
+    closure = np.eye(n, dtype=bool)
+    closure[closed[:, 0], closed[:, 1]] = True
+    assert (P.leq_matrix == closure).all()
+    assert P.covers() == sorted((v, u) for u, v in nx.transitive_reduction(G).edges())
+    up, down = P.chain_lengths
+    assert up.tolist() == _longest_paths(G, nx.topological_sort(G))
+    R = G.reverse()
+    assert down.tolist() == _longest_paths(R, nx.topological_sort(R))
+    # A poset given the same table computes its covers and lengths lazily.
+    T = FinitePoset(range(n), P.leq_matrix, validate=False)
+    assert (T.cover_matrix == P.cover_matrix).all()
+    assert all((a == b).all() for a, b in zip(T.chain_lengths, P.chain_lengths))
 
 
 def _gap_witness_by_loops(P: FinitePoset, chain):
@@ -553,3 +602,15 @@ def test_gap_witness_trades_are_improving(P):
         traded = [x for x in members if x not in E] + D
         assert P.is_chain(traded)
         assert len(set(traded)) == len(members) - len(E) + len(D)
+
+
+@given(posets(max_size=12))
+@settings(max_examples=80)
+def test_table_and_generator_built_posets_agree(P):
+    # from_generators fills the covers and chain lengths in its pass; the
+    # same table given to the constructor fills them lazily.
+    T = FinitePoset(P.elements, P.leq_matrix)
+    assert T.covers() == P.covers()
+    assert find_spine(T) == find_spine(P)
+    assert height_and_max_chain(T) == height_and_max_chain(P)
+    assert mirsky_partition(T) == mirsky_partition(P)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fishbone import poset as poset_module
 from fishbone.poset import (
     CycleError,
     FinitePoset,
@@ -71,6 +72,69 @@ def test_two_cycle_is_reported_minimally():
             "abc", [("a", "b"), ("b", "a"), ("b", "c")]
         )
     assert set(exc.value.cycle) == {"a", "b"}
+
+
+# Which cycle is named when the generators hold several: these values were
+# recorded when graphlib alone checked for cycles, and must not change.
+@pytest.mark.parametrize(
+    "elements, pairs, cycle",
+    [
+        ("abcdef", [("a", "b"), ("b", "a"), ("c", "d"), ("d", "e"), ("e", "c"), ("e", "f")], ("a", "b")),
+        ("xyabc", [("x", "y"), ("y", "a"), ("a", "b"), ("b", "c"), ("c", "a")], ("a", "b", "c")),
+        (range(5), [(0, 1), (1, 2), (2, 0), (1, 3), (3, 1), (3, 4)], (0, 1, 2)),
+        (range(6), [(5, 5), (4, 5), (4, 5), (5, 3), (3, 4), (0, 0), (1, 2), (2, 1), (1, 2)], (1, 2)),
+        (range(8), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (6, 7), (7, 5), (5, 6), (2, 6)], (0, 1, 2, 3, 4)),
+    ],
+)
+def test_cycle_error_names_a_fixed_cycle(elements, pairs, cycle):
+    with pytest.raises(CycleError) as exc:
+        FinitePoset.from_generators(elements, pairs)
+    assert exc.value.cycle == cycle
+
+
+def test_generator_edge_cases():
+    # Self-loops and repeated pairs change nothing.
+    P = FinitePoset.from_generators("abc", [("a", "a"), ("a", "b"), ("a", "b"), ("b", "c"), ("c", "c"), ("b", "c")])
+    assert P == FinitePoset.from_generators("abc", [("a", "b"), ("b", "c")])
+    assert P.covers() == [("b", "a"), ("c", "b")]
+    assert [m.tolist() for m in P.chain_lengths] == [[1, 2, 3], [3, 2, 1]]
+    # Isolated elements are minimal and maximal at once.
+    Q = FinitePoset.from_generators("abcd", [("c", "a")])
+    assert Q.covers() == [("a", "c")]
+    assert [m.tolist() for m in Q.chain_lengths] == [[2, 1, 1, 1], [1, 1, 2, 1]]
+    # The empty poset.
+    E = FinitePoset.from_generators([], [])
+    assert len(E) == 0 and E.leq_matrix.shape == E.cover_matrix.shape == (0, 0)
+    assert E.covers() == [] and [m.tolist() for m in E.chain_lengths] == [[], []]
+
+
+@given(posets(max_size=12))
+def test_walk_cut_into_one_row_slices_gives_the_same_pass(P):
+    # Large generations are walked in slices; one row per slice must agree.
+    pairs = [tuple(p) for p in np.argwhere(P.strict_matrix).tolist()]
+    whole = FinitePoset.from_generators(P.elements, pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poset_module, "_GATHER_BYTES", 1)
+        sliced = FinitePoset.from_generators(P.elements, pairs)
+    assert sliced == whole == P
+    assert (sliced.cover_matrix == whole.cover_matrix).all()
+    assert all((a == b).all() for a, b in zip(sliced.chain_lengths, whole.chain_lengths))
+
+
+def test_covers_and_chain_lengths_are_read_only_on_both_paths():
+    built = diamond()
+    table = FinitePoset(built.elements, built.leq_matrix)
+    for P in (built, table):
+        assert P.cover_matrix.tolist() == [
+            [False, True, True, False],
+            [False, False, False, True],
+            [False, False, False, True],
+            [False, False, False, False],
+        ]
+        assert [m.tolist() for m in P.chain_lengths] == [[1, 2, 2, 3], [3, 2, 2, 1]]
+        for m in (P.cover_matrix, *P.chain_lengths):
+            with pytest.raises(ValueError):
+                m[0] = 0
 
 
 def test_duplicate_elements_rejected():
