@@ -616,17 +616,20 @@ def _claim_p2_shift_reduction(B: int) -> VerificationReport:
     (z-1, 0, n) in the window lies below some (z, 0, m) in the window."""
     spec = WindowSpec.make(z=B, n=B)
     zlo, zhi = spec.bound("z")
-    # One block pair per column: a single block over all columns would grow
-    # with the square of their number.
-    for z in range(zlo + 1, zhi + 1):
-        y = _first_unreached("P2", [(z - 1, 0, n) for n in range(B + 1)], [(z, 0, m) for m in range(B + 1)])
-        if y is not None:
-            return VerificationReport(
-                claim="P2.shift_reduction",
-                params={"B": B},
-                status=FAIL,
-                witness=element_id("P2", y),
-            )
+    # Axis 0 is the column z, axis 1 the lower point's n, axis 2 the upper
+    # point's m: one broadcast holds every column's block pair.
+    z = np.arange(zlo + 1, zhi + 1).reshape(-1, 1, 1)
+    n = np.arange(B + 1)
+    lower, upper = (z - 1, 0, n[:, None]), (z, 0, n)
+    reached = (_le_p2_cols(lower, upper) & ~_le_p2_cols(upper, lower)).any(axis=2)
+    if not reached.all():
+        col, k = np.unravel_index(int(reached.argmin()), reached.shape)
+        return VerificationReport(
+            claim="P2.shift_reduction",
+            params={"B": B},
+            status=FAIL,
+            witness=element_id("P2", (zlo + int(col), 0, int(k))),
+        )
     return VerificationReport(
         claim="P2.shift_reduction",
         params={"B": B},

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poset import FinitePoset, NotAChain, PosetError, _is_element_id
+from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _is_element_id, _row_lists
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -155,11 +155,7 @@ def _successor_lists(P: FinitePoset) -> list[list[int]]:
     declared index).  One column permutation of the strict matrix gives
     every list its order."""
     order = P.linear_extension
-    ranked = P.strict_matrix[:, order]
-    rows, cols = np.nonzero(ranked)
-    flat = order[cols].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=len(P))).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return _row_lists(P.strict_matrix[:, order], order)
 
 
 def _alternating_layers(succ, match_l, match_r) -> tuple[list[int], bytearray, int]:
@@ -336,34 +332,49 @@ def check_spine(P: FinitePoset, cert: SpineCertificate) -> VerificationReport:
             claim="spine", params=params, status=FAIL, witness=witness, detail={"reason": reason}
         )
 
-    for x in cert.chain:
-        if x not in P:
-            return fail("chain element not in poset", x)
-    for part in cert.antichains:
-        for x in part:
-            if x not in P:
-                return fail("antichain element not in poset", x)
-    for a, b in zip(cert.chain, cert.chain[1:]):
-        if not P.lt(a, b):
-            return fail("chain not strictly increasing", [a, b])
-    seen: dict = {}
-    for k, part in enumerate(cert.antichains):
+    try:
+        chain = np.array([P.index(x) for x in cert.chain], dtype=np.intp)
+    except UnknownElement as err:
+        return fail("chain element not in poset", err.element)
+    try:
+        members = np.array([P.index(x) for part in cert.antichains for x in part], dtype=np.intp)
+    except UnknownElement as err:
+        return fail("antichain element not in poset", err.element)
+    rises = P.strict_matrix[chain[:-1], chain[1:]]
+    if not rises.all():
+        k = int(rises.argmin())
+        return fail("chain not strictly increasing", [cert.chain[k], cert.chain[k + 1]])
+    # The parts are read in order up to the first one that lists an element
+    # again.  Before it they are disjoint, so a label per element says which
+    # part holds it, and one comparison of labels tests all their pairs.
+    sizes = [len(part) for part in cert.antichains]
+    part_of = np.repeat(np.arange(len(sizes)), sizes)
+    firsts = np.unique(members, return_index=True)[1]
+    again = np.ones(len(members), dtype=bool)
+    again[firsts] = False
+    repeat = int(again.argmax()) if again.any() else len(members)
+    label = np.full(len(P), -1)
+    label[members[:repeat]] = part_of[:repeat]
+    clash = P.comparability_matrix & (label[:, None] == label) & (label >= 0)[:, None]
+    np.fill_diagonal(clash, False)
+    if clash.any():
+        k = int(label[clash.any(axis=1)].min())
+        return fail("part is not an antichain", list(cert.antichains[k]))
+    if repeat < len(members):
+        k = int(part_of[repeat])
+        part = cert.antichains[k]
         if not P.is_antichain(part):
             return fail("part is not an antichain", list(part))
-        for x in part:
-            if x in seen:
-                return fail("element in two parts", x)
-            seen[x] = k
-    missing = [e for e in P.elements if e not in seen]
-    if missing:
-        return fail("element in no part", missing[0])
-    chain_set = set(cert.chain)
-    if len(chain_set) != len(cert.chain):
+        return fail("element in two parts", part[repeat - sum(sizes[:k])])
+    if (label < 0).any():
+        return fail("element in no part", P.elements[int(label.argmin())])
+    if len(set(chain.tolist())) != len(chain):
         return fail("chain repeats an element", cert.chain[0])
-    for k, part in enumerate(cert.antichains):
-        hits = [x for x in part if x in chain_set]
-        if len(hits) != 1:
-            return fail("part must meet the chain exactly once", {"part": k, "hits": hits})
+    off = np.bincount(label[chain], minlength=len(sizes)) != 1
+    if off.any():
+        k, on_chain = int(off.argmax()), set(cert.chain)
+        hits = [x for x in cert.antichains[k] if x in on_chain]
+        return fail("part must meet the chain exactly once", {"part": k, "hits": hits})
     return VerificationReport(claim="spine", params=params, status=PASS)
 
 

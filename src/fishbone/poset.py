@@ -8,18 +8,20 @@ chain lengths are also computed once.  Every module answers its finite
 comparison questions through these.
 
 A poset built from generator pairs gets its closure, cover matrix and chain
-lengths from one level-synchronous pass over the generator DAG: Kahn's peel
-into generations (the Mirsky levels), then one top-down walk that ORs
-bit-packed successor rows.  A poset built from a table computes its covers
-with the one product kernel, which also checks transitivity, and its chain
-lengths with the same peel, lazily.  Every path is exact at every size: none
-counts paths in a type that can wrap.  Intended scale is up to a few thousand
-elements; storage is quadratic.
+lengths from one kernel over the generator DAG's successor lists: a Kahn pass
+into generations (the Mirsky levels), then one walk in reverse topological
+order that keeps each element's rows as Python-int bitsets.  A poset built
+from a table computes its covers with the one product kernel, which also
+checks transitivity, and its chain lengths lazily, with the same kernel over
+its covers.  Every path is exact at every size: none counts paths in a type
+that can wrap.  Intended scale is up to a few thousand elements; storage is
+quadratic.
 """
 
 from __future__ import annotations
 
 import graphlib
+import itertools
 import json
 from collections import deque
 from typing import Iterable, Sequence
@@ -60,7 +62,7 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def _shortest_cycle(nodes: Sequence[int], edges: dict[int, list[int]]) -> list[int]:
+def _shortest_cycle(nodes: Sequence[int], edges: list[list[int]]) -> list[int]:
     """Shortest directed cycle touching `nodes`, ties broken by start index."""
     node_set = set(nodes)
     best: list[int] | None = None
@@ -71,7 +73,7 @@ def _shortest_cycle(nodes: Sequence[int], edges: dict[int, list[int]]) -> list[i
         found = None
         while queue and found is None:
             cur = queue.popleft()
-            for nxt in edges.get(cur, ()):
+            for nxt in edges[cur]:
                 if nxt == start:
                     found = cur
                     break
@@ -90,23 +92,20 @@ def _shortest_cycle(nodes: Sequence[int], edges: dict[int, list[int]]) -> list[i
     return best
 
 
-def _cycle(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
-    """The cycle reported for cyclic generator arcs (no loops): ``graphlib``
-    names the nodes of one cycle it stalls on, and the shortest cycle
-    through them is reported."""
-    edges: dict[int, list[int]] = {}
-    for i, j in arcs:
-        edges.setdefault(i, []).append(j)
+def _cycle(succ: list[list[int]]) -> list[int]:
+    """The cycle reported for cyclic generator arcs (no loops), given as
+    successor lists: ``graphlib`` names the nodes of one cycle it stalls
+    on, and the shortest cycle through them is reported."""
     sorter: graphlib.TopologicalSorter = graphlib.TopologicalSorter()
-    for i in range(n):
+    for i in range(len(succ)):
         sorter.add(i)
-    for i, outs in edges.items():
+    for i, outs in enumerate(succ):
         for j in outs:
             sorter.add(j, i)
     try:
         sorter.prepare()
     except graphlib.CycleError as err:
-        return _shortest_cycle(err.args[1][:-1], edges)
+        return _shortest_cycle(err.args[1][:-1], succ)
     raise AssertionError("the arcs have no cycle")
 
 
@@ -115,98 +114,74 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _generations(rel: np.ndarray) -> list[np.ndarray]:
-    """Kahn's peel of a DAG into generations: generation k lists the
-    elements whose longest path from a source has k arcs.
-
-    ``rel`` is reflexive: ``[i, j]`` for each arc i -> j and for i == j.  An
-    element is free once its count of unplaced predecessors, itself
-    included, is 1.  On a cycle the peel stalls, so the generations then
-    hold fewer than all elements.
-    """
-    waiting = rel.sum(axis=0)
-    layer = np.flatnonzero(waiting == 1)
-    gens, placed = [], 0
-    while layer.size:
-        gens.append(layer)
-        placed += layer.size
-        if placed == len(rel):
-            break
-        waiting -= rel[layer].sum(axis=0)
-        layer = np.flatnonzero(waiting == 1)
-    return gens
+def _row_lists(m: np.ndarray, labels: np.ndarray | None = None) -> list[list[int]]:
+    """For each row of the boolean matrix ``m``, the columns of its True
+    entries in increasing order, or ``labels`` of them when given."""
+    rows, cols = np.nonzero(m)
+    flat = (cols if labels is None else labels[cols]).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(m))).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _levels(gens: list[np.ndarray], n: int) -> np.ndarray:
-    """Each element's generation, counted from 1."""
-    level = np.empty(n, dtype=np.int64)
-    for k, layer in enumerate(gens, 1):
-        level[layer] = k
-    return level
+def _unpack(rows: list[int], n: int) -> np.ndarray:
+    """``bool[n, n]`` whose row i has bit j of ``rows[i]`` in column j."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
-# A slice of the walk gathers one strict row per arc of its elements, so
-# the slices are cut small enough to keep that under 64 MB even when every
-# element of a generation has n arcs.
-_GATHER_BYTES = 1 << 26
-
-
-def _close(rel: np.ndarray) -> tuple[np.ndarray, ...] | None:
+def _close(succ: list[list[int]]) -> tuple[np.ndarray, ...] | None:
     """``leq``, strict order, covers and (up, down) chain lengths of the DAG
-    ``rel`` (``[i, j]`` an arc i -> j, with no loops), or None when it has a
-    cycle.  ``rel`` gains its diagonal.
+    whose arcs i -> j are listed in ``succ[i]`` (no loops; repeats allowed),
+    or None when it has a cycle.
 
-    One level-synchronous pass: the peel into generations, whose index is
-    the up-length, then one walk down the generations on bit-packed rows.
-    Every successor of an element lies in a later generation, so its strict
-    row is final when the element is reached, and ``far``, the OR of the
-    successors' strict rows, is what the element reaches by two arcs or
-    more.  Its strict row is then its arcs | far and its cover row its arcs
-    & ~far, and its down-length is one more than its successors' longest.
-    The diagonal gives every element an arc to itself, whose strict row and
-    down-length are still 0 when it is read, so no arc list is empty.
+    Two passes over the successor lists.  A level-synchronous Kahn pass
+    peels the DAG into generations: generation k holds the elements whose
+    longest path from a source has k - 1 arcs, so k is the up-length, and
+    the generations in turn are a topological order.  It stalls on a cycle.
+    A walk in reverse topological order then keeps each element's rows as
+    Python ints, bit j for element j.  Every successor's strict row is final
+    when the element is reached, and ``far``, the OR of those rows, is what
+    the element reaches by two arcs or more, so its strict row is arcs | far
+    and its cover row arcs & ~far; its down-length is one more than its
+    successors' longest.  Python ints cannot wrap, and neither pass recurses.
     """
-    n = len(rel)
-    packed = np.packbits(rel, axis=1)
-    np.fill_diagonal(rel, True)
-    gens = _generations(rel)
-    if sum(map(len, gens)) < n:
+    n = len(succ)
+    waiting = [0] * n
+    for outs in succ:
+        for j in outs:
+            waiting[j] += 1
+    up = [0] * n
+    order: list[int] = []
+    layer = [i for i in range(n) if not waiting[i]]
+    level = 0
+    while layer:
+        order += layer
+        level += 1
+        nxt = []
+        for i in layer:
+            up[i] = level
+            for j in succ[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    nxt.append(j)
+        layer = nxt
+    if len(order) < n:
         return None
-    up = _levels(gens, n)
-    # The walk runs over positions: the generations from the top, each in
-    # declared order, so that every slice of it is one basic slice.
-    order = np.argsort(-up, kind="stable")
-    position = np.argsort(order)
-    tails, heads = np.nonzero(rel[order])
-    heads = position[heads]
-    first = np.searchsorted(tails, np.arange(n + 1))
-    bounds = first.tolist()
-    arcs = packed[order]
-    strict = np.zeros_like(arcs)
-    far = np.zeros_like(arcs)
-    down = np.zeros(n, dtype=np.int64)
-    step = max(1, _GATHER_BYTES // max(1, n * arcs.shape[1]))
-    # The top generation has no successors, so the walk starts below it:
-    # its strict rows stay 0 and its down-lengths are 1.
-    top = gens[-1].size if gens else 0
-    down[:top] = 1
-    cuts = [top]
-    for layer in reversed(gens[:-1]):
-        end = cuts[-1] + layer.size
-        cuts += range(cuts[-1] + step, end, step)
-        cuts.append(end)
-    for p, q in zip(cuts, cuts[1:]):
-        succ = heads[bounds[p] : bounds[q]]
-        starts = first[p:q] - bounds[p]
-        np.bitwise_or.reduceat(strict[succ], starts, axis=0, out=far[p:q])
-        np.bitwise_or(arcs[p:q], far[p:q], out=strict[p:q])
-        np.maximum.reduceat(down[succ], starts, out=down[p:q])
-        down[p:q] += 1
-    strict = np.unpackbits(strict[position], axis=1, count=n).view(bool)
-    leq = strict.copy()
+    bit = [1 << j for j in range(n)]
+    strict, cover, down = [0] * n, [0] * n, [1] * n
+    for i in reversed(order):
+        arcs = far = longest = 0
+        for j in succ[i]:
+            arcs |= bit[j]
+            far |= strict[j]
+            if down[j] > longest:
+                longest = down[j]
+        strict[i], cover[i], down[i] = arcs | far, arcs & ~far, longest + 1
+    strict_m = _unpack(strict, n)
+    leq = strict_m.copy()
     np.fill_diagonal(leq, True)
-    cover = np.unpackbits((arcs & ~far)[position], axis=1, count=n).view(bool)
-    return leq, strict, cover, up, down[position]
+    return leq, strict_m, _unpack(cover, n), np.array(up, dtype=np.int64), np.array(down, dtype=np.int64)
 
 
 class FinitePoset:
@@ -263,16 +238,15 @@ class FinitePoset:
 
         Cycles among distinct elements are rejected before the closure is
         computed; the error reports one shortest offending cycle.  The
-        closure, the covers and the chain lengths come from one pass: the
-        generations of the generator DAG, then one walk down them.
+        closure, the covers and the chain lengths all come from
+        :func:`_close`.
         """
         elems = tuple(elements)
         index = {e: i for i, e in enumerate(elems)}
         if len(index) != len(elems):
             raise ValueError("duplicate elements")
         n = len(elems)
-        src: list[int] = []
-        dst: list[int] = []
+        succ: list[list[int]] = [[] for _ in range(n)]
         for x, y in pairs:
             if x not in index:
                 raise UnknownElement(x)
@@ -280,14 +254,10 @@ class FinitePoset:
                 raise UnknownElement(y)
             i, j = index[x], index[y]
             if i != j:
-                src.append(i)
-                dst.append(j)
-
-        rel = np.zeros((n, n), dtype=bool)
-        rel[src, dst] = True
-        closed = _close(rel)
+                succ[i].append(j)
+        closed = _close(succ)
         if closed is None:
-            raise CycleError([elems[i] for i in _cycle(n, zip(src, dst))])
+            raise CycleError([elems[i] for i in _cycle(succ)])
         leq, strict, cover, up, down = closed
         P = cls.__new__(cls)
         P.elements, P._index = elems, index
@@ -339,10 +309,7 @@ class FinitePoset:
         longest chain with it on top, and of the longest with it at the
         bottom.  ``up`` is the Mirsky level, counted from 1."""
         if self._lengths is None:
-            n = len(self.elements)
-            up = _levels(_generations(self._leq), n)
-            down = _levels(_generations(self._leq.T), n)
-            self._lengths = (_frozen(up), _frozen(down))
+            self._lengths = tuple(map(_frozen, _close(_row_lists(self.cover_matrix))[3:]))
         return self._lengths
 
     def _ranked(self) -> tuple[np.ndarray, list[int]]:
@@ -515,23 +482,35 @@ def _is_element_id(x) -> bool:
     return isinstance(x, (str, int)) and not isinstance(x, bool)
 
 
+_ID_TYPES = {str, int}
+
+
 def poset_from_json_dict(data: dict) -> FinitePoset:
     """Poset from ``{"elements": [...], "le": [[x, y], ...]}``.
 
     Elements are unique strings or integers; each ``le`` entry is a 2-list
-    of elements meaning x <= y.  Anything else raises ValueError.
+    of elements meaning x <= y.  Anything else raises ValueError, naming the
+    first bad pair.  The common case, where every value has exactly one of
+    the JSON types allowed, is accepted by set-of-types tests alone.
     """
     if not isinstance(data, dict) or "elements" not in data or "le" not in data:
         raise ValueError("poset JSON needs 'elements' and 'le' keys")
     elements, le = data["elements"], data["le"]
-    if not isinstance(elements, list) or not all(_is_element_id(e) for e in elements):
+    if not isinstance(elements, list) or not (
+        set(map(type, elements)) <= _ID_TYPES or all(map(_is_element_id, elements))
+    ):
         raise ValueError("poset JSON 'elements' must be a list of strings or integers")
     if not isinstance(le, list):
         raise ValueError("poset JSON 'le' must be a list of [lower, upper] pairs")
-    for p in le:
-        if not (isinstance(p, list) and len(p) == 2 and all(_is_element_id(x) for x in p)):
-            raise ValueError(f"bad le pair {p!r}")
-    return FinitePoset.from_generators(elements, [tuple(p) for p in le])
+    if not (
+        set(map(type, le)) <= {list}
+        and set(map(len, le)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(le))) <= _ID_TYPES
+    ):
+        for p in le:
+            if not (isinstance(p, list) and len(p) == 2 and all(_is_element_id(x) for x in p)):
+                raise ValueError(f"bad le pair {p!r}")
+    return FinitePoset.from_generators(elements, le)
 
 
 def load_poset(path: str) -> FinitePoset:

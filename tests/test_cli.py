@@ -92,6 +92,12 @@ def test_poset_malformed_file(capsys, tmp_path):
         '{"elements": [true], "le": []}',
         '{"elements": ["a", "a"], "le": []}',
         '{"elements": ["a", "b"], "le": [[["a"], "b"]]}',
+        '{"elements": [0, 1], "le": [[true, 1]]}',
+        '{"elements": [0, 1], "le": [[1.0, 0]]}',
+        '{"elements": ["a", "b", "c"], "le": [["a", "b", "c"]]}',
+        '{"elements": ["a"], "le": [["a"]]}',
+        '{"elements": ["a"], "le": [[null, "a"]]}',
+        '{"elements": [1.5], "le": []}',
     ],
 )
 def test_poset_malformed_members(capsys, tmp_path, text):

@@ -10,6 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from fishbone import families
 from fishbone.cli import main
 from fishbone.families import (
     FAMILIES,
@@ -451,6 +452,27 @@ def test_p2_claims():
     assert verify_claim("P2", "partitions", {"B": 4}).ok
     rep = verify_claim("P2", "shift_reduction", {"B": 6})
     assert rep.ok and rep.status == "verified-up-to-bound"
+
+
+def test_shift_reduction_names_the_first_unreached_point_column_by_column(monkeypatch):
+    le = families._le_p2_cols
+
+    def broken(p, q):
+        # (1, i, n >= 3) and (2, i, n >= 1) are below nothing at all.
+        z, _, n = p
+        return le(p, q) & ((z != 1) | (n < 3)) & ((z != 2) | (n < 1))
+
+    monkeypatch.setattr(families, "_le_p2_cols", broken)
+    B = 4
+
+    def reached(p):  # the per-column scan, on scalars
+        z = p[0] + 1
+        return any(broken(p, (z, 0, m)) and not broken((z, 0, m), p) for m in range(B + 1))
+
+    first = next(p for z in range(-B, B) for p in [(z, 0, n) for n in range(B + 1)] if not reached(p))
+    assert first == (1, 0, 3)
+    rep = verify_claim("P2", "shift_reduction", {"B": B})
+    assert rep.status == "fail" and rep.witness == element_id("P2", first)
 
 
 def test_p3_claims():

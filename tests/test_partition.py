@@ -29,6 +29,7 @@ from fishbone.partition import (
     width_and_dilworth,
 )
 from fishbone.poset import FinitePoset, NotAChain
+from fishbone.report import FAIL, PASS, VerificationReport
 from fishbone.random_posets import random_poset
 
 
@@ -310,6 +311,19 @@ def test_generator_pass_at_scale_matches_networkx(shape, n):
     assert all((a == b).all() for a, b in zip(T.chain_lengths, P.chain_lengths))
 
 
+@given(posets(max_size=12))
+@settings(max_examples=80)
+def test_table_built_chain_lengths_match_the_longest_path_dp(P):
+    nx = pytest.importorskip("networkx")
+    T = FinitePoset(P.elements, P.leq_matrix)
+    G = nx.DiGraph(np.argwhere(T.strict_matrix).tolist())
+    G.add_nodes_from(range(len(T)))
+    up, down = T.chain_lengths
+    assert up.tolist() == _longest_paths(G, nx.topological_sort(G))
+    R = G.reverse()
+    assert down.tolist() == _longest_paths(R, nx.topological_sort(R))
+
+
 def _gap_witness_by_loops(P: FinitePoset, chain):
     """Reference for smc_gap_witness: every region scanned element by element."""
     members = P.chain_sorted(set(chain))
@@ -402,6 +416,89 @@ def test_check_spine_failure_reasons():
         reason(SpineCertificate(("a", "d"), (("a",), ("b", "c"), ("d",))))
         == "part must meet the chain exactly once"
     )
+
+
+def _check_spine_by_loops(P: FinitePoset, cert: SpineCertificate) -> VerificationReport:
+    """Reference for check_spine: every member, pair and part in turn."""
+    params = {"chain": len(cert.chain), "antichains": len(cert.antichains)}
+
+    def fail(reason: str, witness) -> VerificationReport:
+        return VerificationReport(
+            claim="spine", params=params, status=FAIL, witness=witness, detail={"reason": reason}
+        )
+
+    for x in cert.chain:
+        if x not in P:
+            return fail("chain element not in poset", x)
+    for part in cert.antichains:
+        for x in part:
+            if x not in P:
+                return fail("antichain element not in poset", x)
+    for a, b in zip(cert.chain, cert.chain[1:]):
+        if not P.lt(a, b):
+            return fail("chain not strictly increasing", [a, b])
+    seen: dict = {}
+    for k, part in enumerate(cert.antichains):
+        if not P.is_antichain(part):
+            return fail("part is not an antichain", list(part))
+        for x in part:
+            if x in seen:
+                return fail("element in two parts", x)
+            seen[x] = k
+    missing = [e for e in P.elements if e not in seen]
+    if missing:
+        return fail("element in no part", missing[0])
+    chain_set = set(cert.chain)
+    if len(chain_set) != len(cert.chain):
+        return fail("chain repeats an element", cert.chain[0])
+    for k, part in enumerate(cert.antichains):
+        hits = [x for x in part if x in chain_set]
+        if len(hits) != 1:
+            return fail("part must meet the chain exactly once", {"part": k, "hits": hits})
+    return VerificationReport(claim="spine", params=params, status=PASS)
+
+
+@st.composite
+def mutated_spines(draw):
+    """A poset and its spine certificate, changed by a few random edits:
+    members moved, copied, dropped or replaced by unknown ids, parts split,
+    merged, emptied or reordered, and chain members swapped or repeated."""
+    P = draw(posets(max_size=9))
+    cert = find_spine(P)
+    chain = list(cert.chain)
+    parts = [list(p) for p in cert.antichains]
+    pool = st.sampled_from([*P.elements, "zz"])
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.integers(0, 8))
+        k = draw(st.integers(0, len(parts) - 1)) if parts else 0
+        if edit == 0 and parts and parts[k]:
+            x = parts[k].pop(draw(st.integers(0, len(parts[k]) - 1)))
+            parts[draw(st.integers(0, len(parts) - 1))].append(x)
+        elif edit == 1 and parts:
+            parts[k].insert(draw(st.integers(0, len(parts[k]))), draw(pool))
+        elif edit == 2 and parts and parts[k]:
+            parts[k].pop(draw(st.integers(0, len(parts[k]) - 1)))
+        elif edit == 3 and parts:
+            parts.insert(draw(st.integers(0, len(parts))), parts.pop(k))
+        elif edit == 4 and len(parts) > 1:
+            parts[k - 1] += parts.pop(k)
+        elif edit == 5 and parts:
+            parts.append([])
+        elif edit == 6 and len(chain) > 1:
+            i = draw(st.integers(0, len(chain) - 2))
+            chain[i], chain[i + 1] = chain[i + 1], chain[i]
+        elif edit == 7 and chain:
+            chain.insert(draw(st.integers(0, len(chain))), draw(pool))
+        elif edit == 8 and chain:
+            chain.pop(draw(st.integers(0, len(chain) - 1)))
+    return P, SpineCertificate(tuple(chain), tuple(map(tuple, parts)))
+
+
+@given(mutated_spines())
+@settings(max_examples=300)
+def test_check_spine_matches_the_loop_reference(case):
+    P, cert = case
+    assert check_spine(P, cert) == _check_spine_by_loops(P, cert)
 
 
 def test_certificate_json_round_trip():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fishbone import poset as poset_module
 from fishbone.poset import (
     CycleError,
     FinitePoset,
@@ -108,17 +107,21 @@ def test_generator_edge_cases():
     assert E.covers() == [] and [m.tolist() for m in E.chain_lengths] == [[], []]
 
 
-@given(posets(max_size=12))
-def test_walk_cut_into_one_row_slices_gives_the_same_pass(P):
-    # Large generations are walked in slices; one row per slice must agree.
-    pairs = [tuple(p) for p in np.argwhere(P.strict_matrix).tolist()]
-    whole = FinitePoset.from_generators(P.elements, pairs)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poset_module, "_GATHER_BYTES", 1)
-        sliced = FinitePoset.from_generators(P.elements, pairs)
-    assert sliced == whole == P
-    assert (sliced.cover_matrix == whole.cover_matrix).all()
-    assert all((a == b).all() for a, b in zip(sliced.chain_lengths, whole.chain_lengths))
+@given(posets(max_size=12), st.data())
+def test_every_generating_set_gives_the_table_poset(P, data):
+    # The strict pairs, the covers, and the covers with repeated, redundant
+    # and reflexive pairs mixed in generate one poset: the table's.
+    T = FinitePoset(P.elements, P.leq_matrix)
+    strict = [(P.elements[i], P.elements[j]) for i, j in np.argwhere(T.strict_matrix).tolist()]
+    covers = [(u, v) for v, u in T.covers()]
+    extra = data.draw(st.lists(st.sampled_from(strict), max_size=2 * len(strict))) if strict else []
+    loops = [(x, x) for x in data.draw(st.lists(st.sampled_from(P.elements), max_size=3))]
+    mixed = data.draw(st.permutations(covers + covers + extra + loops))
+    for pairs in (strict, covers, mixed):
+        Q = FinitePoset.from_generators(P.elements, pairs)
+        assert Q == T
+        assert (Q.cover_matrix == T.cover_matrix).all()
+        assert all((a == b).all() for a, b in zip(Q.chain_lengths, T.chain_lengths))
 
 
 def test_covers_and_chain_lengths_are_read_only_on_both_paths():
@@ -314,6 +317,31 @@ def test_malformed_json_dict():
         poset_from_json_dict({"elements": ["a"]})
     with pytest.raises(ValueError):
         poset_from_json_dict({"elements": ["a"], "le": [["a", "a", "a"]]})
+
+
+@pytest.mark.parametrize(
+    "le, bad",
+    [
+        ([[0, 1], [True, 1], [1.0, 0]], "[True, 1]"),
+        ([[0, 1], [1, 1.0], [True, 1]], "[1, 1.0]"),
+        ([["x", 0], ["x", None]], "['x', None]"),
+        ([[0, 1], [0, 1, 1]], "[0, 1, 1]"),
+        ([[0], [None, 1]], "[0]"),
+        ([(0, 1)], "(0, 1)"),
+    ],
+)
+def test_malformed_le_names_the_first_bad_pair(le, bad):
+    with pytest.raises(ValueError) as exc:
+        poset_from_json_dict({"elements": [0, 1, "x"], "le": le})
+    assert str(exc.value) == f"bad le pair {bad}"
+
+
+def test_element_ids_may_subclass_str_and_int():
+    class Id(int):
+        pass
+
+    P = poset_from_json_dict({"elements": [Id(0), "b"], "le": [[Id(0), "b"]]})
+    assert P.leq(0, "b") and not P.leq("b", 0)
 
 
 # ------------------------------------------------------------ random posets
