@@ -495,12 +495,13 @@ def _ladder(k: int, ymax: int = 5) -> tuple[FinitePoset, list[list]]:
 def _transversal_antichains(P: FinitePoset, chains: list[list]) -> list[tuple]:
     """Every antichain with one element per chain, in ``itertools.product``
     order, grown chain by chain from the pairwise incomparable prefixes."""
+    free = (~P.comparability_matrix).tolist()
     selections: list[tuple] = [()]
     for chain in chains:
         selections = [
-            sel + (x,) for sel in selections for x in chain if all(P.incomparable(x, y) for y in sel)
+            sel + (i,) for sel in selections for i in map(P.index, chain) if all(free[i][j] for j in sel)
         ]
-    return selections
+    return [tuple(P.elements[i] for i in sel) for sel in selections]
 
 
 def _extension_instance(rng: random.Random):

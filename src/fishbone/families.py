@@ -581,31 +581,33 @@ def _claim_p1_pigeonhole(m: int) -> VerificationReport:
 
 
 def _claim_p2_partitions(B: int) -> VerificationReport:
-    """Both named families cover the window exactly once."""
+    """Both named families cover the window exactly once.
+
+    The P2 named predicates are coordinate comparisons, so each one applied
+    to the window's coordinate columns gives its membership mask.
+    """
     spec = WindowSpec.make(z=B, n=B)
+    # The window lists its payloads in sorted order, so ``missing`` is sorted.
     everything = window_payloads("P2", spec)
-
-    def subsets(names) -> list[list]:
-        return [list(filter(_named_predicate("P2", name), everything)) for name in names]
-
-    families = {
-        "C0/C1": subsets(("C0", "C1")),
-        "D(n)": subsets([f"D({n})" for n in range(B + 1)]),
-    }
+    columns = tuple(np.array(everything).T)
+    families = {"C0/C1": ("C0", "C1"), "D(n)": [f"D({n})" for n in range(B + 1)]}
     detail = {}
-    for label, sets in families.items():
-        combined: list = [p for s in sets for p in s]
-        if len(combined) != len(set(combined)) or set(combined) != set(everything):
-            missing = sorted(set(everything) - set(combined))
-            extra = [p for p in combined if combined.count(p) > 1]
+    for label, names in families.items():
+        masks = np.array([_named_predicate("P2", name)(columns) for name in names])
+        counts = masks.sum(axis=0)
+        if (counts != 1).any():
+            # Elements in no set come first, then those in two or more, set
+            # by set.
+            missing = np.flatnonzero(counts == 0).tolist()
+            extra = [k for mask in masks for k in np.flatnonzero(mask & (counts > 1)).tolist()]
             return VerificationReport(
                 claim="P2.partitions",
                 params={"B": B},
                 status=FAIL,
-                witness=element_id("P2", (missing + extra)[0]),
+                witness=element_id("P2", everything[(missing + extra)[0]]),
                 detail={"family": label},
             )
-        detail[label] = {"sets": len(sets), "covered": len(combined)}
+        detail[label] = {"sets": len(names), "covered": int(counts.sum())}
     return VerificationReport(
         claim="P2.partitions", params={"B": B}, status=PASS, detail=detail
     )

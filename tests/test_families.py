@@ -34,6 +34,7 @@ from fishbone.families import (
     window_payloads,
 )
 from fishbone.poset import FinitePoset
+from fishbone.report import FAIL, PASS, VerificationReport
 
 # ------------------------------------------------------ generator-move oracle
 
@@ -452,6 +453,61 @@ def test_p2_claims():
     assert verify_claim("P2", "partitions", {"B": 4}).ok
     rep = verify_claim("P2", "shift_reduction", {"B": 6})
     assert rep.ok and rep.status == "verified-up-to-bound"
+
+
+def _p2_partitions_by_filter(B):
+    """Reference for P2.partitions: every named set filtered from the
+    window payloads one predicate call at a time."""
+    everything = window_payloads("P2", WindowSpec.make(z=B, n=B))
+
+    def subsets(names):
+        return [list(filter(families._named_predicate("P2", name), everything)) for name in names]
+
+    detail = {}
+    named = {"C0/C1": subsets(("C0", "C1")), "D(n)": subsets([f"D({n})" for n in range(B + 1)])}
+    for label, sets in named.items():
+        combined = [p for s in sets for p in s]
+        if len(combined) != len(set(combined)) or set(combined) != set(everything):
+            missing = sorted(set(everything) - set(combined))
+            extra = [p for p in combined if combined.count(p) > 1]
+            return VerificationReport(
+                claim="P2.partitions",
+                params={"B": B},
+                status=FAIL,
+                witness=element_id("P2", (missing + extra)[0]),
+                detail={"family": label},
+            )
+        detail[label] = {"sets": len(sets), "covered": len(combined)}
+    return VerificationReport(claim="P2.partitions", params={"B": B}, status=PASS, detail=detail)
+
+
+# Replacement P2 predicates, written with operators that apply to one
+# payload and to coordinate columns alike.
+_P2_BROKEN_SETS = {
+    "intact": {},
+    "C1 overlaps C0": {"C1": lambda p: p[1] >= 0},
+    "C1 is empty": {"C1": lambda p: p[1] == 2},
+    "D(n) overlaps D(n+1)": {
+        f"D({n})": (lambda n: lambda p: (p[2] == n) | ((p[2] == n + 1) & (p[0] > 0)))(n) for n in range(5)
+    },
+    "D(n) misses and overlaps": {
+        f"D({n})": (lambda n: lambda p: ((p[2] == n) & (p[0] != 0)) | ((p[2] == 0) & (p[0] == 0)))(n)
+        for n in range(5)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_P2_BROKEN_SETS))
+def test_p2_partitions_matches_the_filter_reference(monkeypatch, case):
+    real = families._named_predicate
+    broken = _P2_BROKEN_SETS[case]
+    monkeypatch.setattr(
+        families, "_named_predicate", lambda family, name: broken.get(name) or real(family, name)
+    )
+    for B in range(5):
+        want = _p2_partitions_by_filter(B)
+        assert verify_claim("P2", "partitions", {"B": B}) == want
+    assert want.ok == (case == "intact")
 
 
 def test_shift_reduction_names_the_first_unreached_point_column_by_column(monkeypatch):

@@ -1,8 +1,12 @@
 """Desk checks of the finite sub-lemmas about the fifth example order."""
 
+import random
+
 import pytest
 
-from fishbone.families import elem_le
+from fishbone.families import WindowSpec, elem_le, element_id, named_subset
+from fishbone.poset import FinitePoset
+from fishbone.report import FAIL, UP_TO_BOUND, VerificationReport
 from fishbone.verify import (
     PreconditionViolated,
     assignment_chain_bijections,
@@ -42,6 +46,128 @@ def test_level_structure_on_shared_windows_matches_fresh_builds():
         for s in range(2 * B + 1):
             shared = check_level_structure(n, s, B, two, one)
             assert shared.to_dict() == verify_level_structure(n, s, B).to_dict()
+
+
+def _level_structure_by_loops(n, s, B, two, one):
+    """Reference for check_level_structure: one scalar walk per row and
+    column through is_chain and is_contiguous_chain."""
+    params = {"n": n, "s": s, "B": B}
+
+    def fail(reason, witness):
+        return VerificationReport(
+            claim="P5.level_structure", params=params, status=FAIL, witness=witness, detail={"reason": reason}
+        )
+
+    spec2 = WindowSpec.make(n=(n, n + 1), c=B)
+    level_n = named_subset("P5", f"L({n})", spec2)
+    hull = two.convex_hull(level_n)
+    if hull != frozenset(level_n):
+        return fail("level is not convex in the two-level window", sorted(hull - set(level_n))[0])
+    diagonal = named_subset("P5", f"K({n},{s})", spec2)
+    if not two.is_antichain(diagonal):
+        return fail("diagonal is not an antichain", diagonal)
+    lines = 0
+    for z0 in range(B + 1):
+        row = [element_id("P5", (x, z0, n)) for x in range(B + 1)]
+        col = [element_id("P5", (z0, y, n)) for y in range(B + 1)]
+        for line in (row, col):
+            lines += 1
+            if not one.is_chain(line):
+                return fail("row/column is not a chain", line)
+            if not one.is_contiguous_chain(line):
+                return fail("row/column is not contiguous in its level", line)
+    return VerificationReport(
+        claim="P5.level_structure",
+        params=params,
+        status=UP_TO_BOUND,
+        detail={"diagonal_size": len(diagonal), "lines_checked": lines},
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_level_structure_matches_the_loop_reference_on_real_windows(n):
+    for B in range(7):
+        two, one = level_window(n, B, levels=2), level_window(n, B)
+        assert two.induced(one.elements) == one
+        for s in range(2 * B + 1):
+            want = _level_structure_by_loops(n, s, B, two, one).to_dict()
+            assert check_level_structure(n, s, B, two, one).to_dict() == want
+            assert want["status"] == UP_TO_BOUND
+
+
+def _random_level_order(names, rng, p):
+    """A random poset on ``names``: pairs follow a hidden permutation and
+    each is kept with probability p (p = 1 gives a linear order)."""
+    perm = list(names)
+    rng.shuffle(perm)
+    pairs = [(a, b) for i, a in enumerate(perm) for b in perm[i + 1 :] if rng.random() < p]
+    return FinitePoset.from_generators(names, pairs)
+
+
+def _lexicographic_level_order(n, B, major):
+    """The level's names in a linear order with coordinate ``major`` most
+    significant: its lines along the other coordinate are contiguous, the
+    others are not."""
+    points = sorted(
+        ((x, y) for x in range(B + 1) for y in range(B + 1)), key=lambda q: (q[major], q[1 - major])
+    )
+    names = [element_id("P5", (x, y, n)) for x, y in points]
+    return FinitePoset.from_generators(names, zip(names, names[1:]))
+
+
+def _grid_level_order(n, B, drop=None, extra=()):
+    """P5's order on level n (the product order, from its covers), with
+    the cover ``drop`` left out and the pairs ``extra`` added."""
+    points = [(x, y) for x in range(B + 1) for y in range(B + 1)]
+    covers = [((x, y), q) for x, y in points for q in ((x + 1, y), (x, y + 1)) if max(q) <= B]
+    pairs = [(a, b) for a, b in covers if (a, b) != drop] + list(extra)
+    name = {p: element_id("P5", (*p, n)) for p in points}
+    return FinitePoset.from_generators(name.values(), [(name[a], name[b]) for a, b in pairs])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
+    """``one`` replaced by other orders on the level's names: sparse random
+    posets (lines that are not chains), random linear orders and two
+    lexicographic orders (chains that are not contiguous), denser random
+    posets, and the level's own order with one row cover dropped (row z0
+    stops being a chain) or with (0, z0+1) <= (1, z0) added (row z0 stops
+    being contiguous), so that the first bad line lies further in."""
+    expected = {
+        "dropped cover": "row/column is not a chain",
+        "shortcut": "row/column is not contiguous in its level",
+        "not a chain": "row/column is not a chain",
+        "not contiguous": "row/column is not contiguous in its level",
+        "rows contiguous": "row/column is not contiguous in its level",
+        "columns contiguous": "row/column is not contiguous in its level",
+    }
+    rng = random.Random(seed)
+    for n in (0, 1, 2):
+        B = rng.randint(2, 5)
+        two = level_window(n, B, levels=2)
+        names = list(level_window(n, B).elements)
+        z0, x = rng.randint(0, B - 1), rng.randint(0, B - 1)
+        orders = {
+            "dropped cover": _grid_level_order(n, B, drop=((x, z0), (x + 1, z0))),
+            "shortcut": _grid_level_order(n, B, extra=[((0, z0 + 1), (1, z0))]),
+            "not a chain": _random_level_order(names, rng, 0.1),
+            "not contiguous": _random_level_order(names, rng, 1.0),
+            "rows contiguous": _lexicographic_level_order(n, B, major=1),
+            "columns contiguous": _lexicographic_level_order(n, B, major=0),
+            "dense": _random_level_order(names, rng, 0.95),
+        }
+        for kind, one in orders.items():
+            s = rng.randint(0, 2 * B)
+            want = _level_structure_by_loops(n, s, B, two, one).to_dict()
+            assert check_level_structure(n, s, B, two, one).to_dict() == want
+            assert want["status"] == FAIL
+            assert want["detail"]["reason"] == expected.get(kind, want["detail"]["reason"])
+            if kind in ("dropped cover", "shortcut"):
+                assert want["witness"] == [element_id("P5", (k, z0, n)) for k in range(B + 1)]
+            if kind == "rows contiguous":
+                assert want["witness"] == [element_id("P5", (0, k, n)) for k in range(B + 1)]
+            if kind == "columns contiguous":
+                assert want["witness"] == [element_id("P5", (k, 0, n)) for k in range(B + 1)]
 
 
 def test_level_structure_precondition():
