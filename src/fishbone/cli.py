@@ -40,6 +40,8 @@ def _parse_axes(text: str) -> dict:
             raise ValueError(f"expected key=value, got {item!r}")
         key = key.strip()
         value = value.strip()
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
         if ":" in value:
             lo, _, hi = value.partition(":")
             out[key] = (int(lo), int(hi))

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _is_element_id, _row_lists
+from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _is_element_id
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -95,7 +95,12 @@ def loads_certificate(text: str) -> SpineCertificate:
 # --------------------------------------------------------------------- height
 
 
-def _max_chain(P: FinitePoset) -> tuple[int, list]:
+def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
+    """Height (longest chain size) and the first maximum chain.
+
+    Among all maximum chains, returns the one whose successive elements have
+    least declared index, chosen greedily from the bottom.
+    """
     if not len(P):
         return 0, []
     up, down = P.chain_lengths
@@ -115,24 +120,6 @@ def _max_chain(P: FinitePoset) -> tuple[int, list]:
     return h, [P.elements[i] for i in chain]
 
 
-def _level_parts(P: FinitePoset) -> list[list]:
-    up = P.chain_lengths[0]
-    h = int(up.max()) if len(P) else 0
-    parts: list[list] = [[] for _ in range(h)]
-    for i, e in enumerate(P.elements):
-        parts[int(up[i]) - 1].append(e)
-    return parts
-
-
-def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
-    """Height (longest chain size) and the first maximum chain.
-
-    Among all maximum chains, returns the one whose successive elements have
-    least declared index, chosen greedily from the bottom.
-    """
-    return _max_chain(P)
-
-
 def height(P: FinitePoset) -> int:
     return height_and_max_chain(P)[0]
 
@@ -143,108 +130,108 @@ def mirsky_partition(P: FinitePoset) -> list[list]:
     Part k (0-based) holds the elements whose longest chain from below has
     size k+1; there are exactly height(P) parts and each is an antichain.
     """
-    return _level_parts(P)
+    up = P.chain_lengths[0]
+    h = int(up.max()) if len(P) else 0
+    parts: list[list] = [[] for _ in range(h)]
+    for i, e in enumerate(P.elements):
+        parts[int(up[i]) - 1].append(e)
+    return parts
 
 
 # ---------------------------------------------------------------------- width
 
 
-def _successor_lists(P: FinitePoset) -> list[list[int]]:
-    """For each element, the elements strictly above it, nearest first: in
-    the order of :attr:`FinitePoset.linear_extension` (down-set size, then
-    declared index).  One column permutation of the strict matrix gives
-    every list its order."""
-    order = P.linear_extension
-    return _row_lists(P.strict_matrix[:, order], order)
+def _successor_rows(P: FinitePoset) -> list[int]:
+    """For each element, the elements strictly above it as one Python int:
+    bit p stands for the element at position p of
+    :attr:`FinitePoset.linear_extension` (down-set size, then declared
+    index), so the lowest set bit is the nearest successor.  One column
+    permutation of the strict matrix gives every row its bit order."""
+    packed = np.packbits(P.strict_matrix.take(P.linear_extension, axis=1), axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
 
 
-def _alternating_layers(succ, match_l, match_r) -> tuple[list[int], bytearray, int]:
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _alternating_layers(rows, match_l, match_r, free) -> tuple[list[int], list[int], int]:
     """Breadth-first layers of the alternating paths from the unmatched left
     vertices.
 
-    Returns each left vertex's layer (-1 when unreached), which right
-    vertices were reached, and the layer whose successors include a free
-    right vertex (-1 when none does).  The search stops after that layer;
-    when there is none, it finds everything reachable.
+    Returns each left vertex's layer (-1 when unreached), for each layer the
+    right vertices first reached from it (the OR of its rows minus those
+    seen before), and all the right vertices reached.  The search stops
+    after the first layer that reaches a free right vertex; when none does,
+    it finds everything reachable.
     """
-    n = len(succ)
-    dist = [-1] * n
-    seen_r = bytearray(n)
-    layer = [u for u in range(n) if match_l[u] < 0]
-    for u in layer:
-        dist[u] = 0
-    depth, last = 0, -1
-    while layer and last < 0:
-        nxt = []
-        for u in layer:
-            for v in succ[u]:
-                if seen_r[v]:
-                    continue
-                seen_r[v] = 1
-                w = match_r[v]
-                if w < 0:
-                    last = depth
-                else:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        layer = nxt
-        depth += 1
-    if last >= 0:  # no shortest augmenting path goes past layer `last`
-        for w in layer:
-            dist[w] = -1
-    return dist, seen_r, last
+    dist = [-1] * len(rows)
+    frontier = [u for u, v in enumerate(match_l) if v < 0]
+    seen, reached = 0, []
+    while frontier:
+        reach = 0
+        for u in frontier:
+            dist[u] = len(reached)
+            reach |= rows[u]
+        reach &= ~seen
+        seen |= reach
+        reached.append(reach)
+        if reach & free:
+            break
+        frontier = []
+        while reach:
+            frontier.append(match_r[_low_bit(reach)])
+            reach &= reach - 1
+    return dist, reached, seen
 
 
-def _augment_shortest(succ, dist, last, match_l, match_r) -> None:
+def _augment_shortest(rows, order, roots, steps, match_l, match_r) -> int:
     """One Hopcroft–Karp phase: augment along vertex-disjoint shortest
-    augmenting paths until none is left in the layering ``dist``.
+    augmenting paths until none is left in the layering.
 
-    ``targets[d]`` holds the right vertices a left vertex of layer d - 1 may
-    step to: those matched into layer d, or the free ones when d is past
-    ``last``.  A right vertex leaves its set once a search through it fails
-    or a path uses it, so every list is scanned at most once per phase.
+    A left vertex at depth d of a path may step to the right vertices in
+    ``steps[d]``: those matched into layer d + 1, or the free ones past the
+    last layer.  A right vertex leaves its set once a search through it
+    fails or a path uses it, so each step takes the lowest bit of
+    ``rows[u] & steps[d]``, the nearest successor still open.  Returns the
+    free right vertices left.
     """
-    targets: list[set[int]] = [set() for _ in range(last + 2)]
-    for v, w in enumerate(match_r):
-        if w < 0:
-            targets[last + 1].add(v)
-        elif dist[w] > 0:
-            targets[dist[w]].add(v)
-    untried = [iter(nbrs) for nbrs in succ]
-    for root in range(len(succ)):
-        if dist[root] != 0:
-            continue
+    for root in roots:
         stack, via = [root], []  # the path: left vertices, right vertices
         while stack:
-            u = stack[-1]
-            v = next(filter(targets[dist[u] + 1].__contains__, untried[u]), None)
-            if v is None:  # dead end: nothing may step back into u
+            hit = rows[stack[-1]] & steps[len(via)]
+            if not hit:  # dead end: nothing may step back into it
                 stack.pop()
                 if via:
-                    targets[dist[u]].discard(via.pop())
+                    steps[len(via) - 1] &= ~(1 << via.pop())
                 continue
+            v = _low_bit(hit)
             via.append(v)
             if match_r[v] < 0:
-                for d, (x, y) in enumerate(zip(stack, via), 1):
-                    match_l[x], match_r[y] = y, x
-                    targets[d].discard(y)
+                for d, (x, y) in enumerate(zip(stack, via)):
+                    match_l[x], match_r[y] = order[y], x
+                    steps[d] &= ~(1 << y)
                 break
             stack.append(match_r[v])
+    return steps[-1]
 
 
 def _max_matching(P: FinitePoset) -> tuple[list[int], list[int]]:
     """Maximum matching of the bipartite graph x_L -- y_R for x < y, and a
     maximum antichain.
 
-    Hopcroft–Karp, O(E·sqrt(V)) for E comparable pairs and V elements, over
-    the successor lists of :func:`_successor_lists`.  A greedy pass first
-    matches each element, bottom up, to its nearest free successor, which
-    already builds a chain cover along the order.  Each phase then layers
-    the alternating paths breadth first and augments along vertex-disjoint
-    shortest paths found by a layered depth-first search.  Both searches
-    keep their own queues and stacks, so long paths never meet the
-    interpreter's recursion limit.  The result is deterministic; which
-    maximum matching it is is not part of the contract.
+    Hopcroft–Karp, O(E·sqrt(V)) for E comparable pairs and V elements, on
+    the bitset rows of :func:`_successor_rows`.  Left vertices are element
+    indices, right vertices positions in the linear extension.  A greedy
+    pass first matches each element, bottom up, to its nearest free
+    successor, which already builds a chain cover along the order.  Each
+    phase then layers the alternating paths breadth first and augments
+    along vertex-disjoint shortest paths found by a layered depth-first
+    search, with roots in declared order.  Both searches keep
+    their own queues and stacks, so long paths never meet the interpreter's
+    recursion limit.  The result is deterministic; which maximum matching
+    it is is not part of the contract.
 
     Returns ``match_l`` (each left vertex's partner, -1 when unmatched) and,
     from the final layering that finds no augmenting path, the König
@@ -252,19 +239,22 @@ def _max_matching(P: FinitePoset) -> tuple[list[int], list[int]]:
     left vertex and whose right copy is not.
     """
     n = len(P)
-    succ = _successor_lists(P)
-    match_l = [-1] * n
-    match_r = [-1] * n
-    for u in P.linear_extension.tolist():
-        for v in succ[u]:
-            if match_r[v] < 0:
-                match_l[u], match_r[v] = v, u
-                break
+    order = P.linear_extension.tolist()
+    rows = _successor_rows(P)
+    match_l, match_r = [-1] * n, [-1] * n
+    free = (1 << n) - 1
+    for u in order:
+        hit = rows[u] & free
+        if hit:
+            p = _low_bit(hit)
+            match_l[u], match_r[p] = order[p], u
+            free &= ~(1 << p)
     while True:
-        dist, seen_r, last = _alternating_layers(succ, match_l, match_r)
-        if last < 0:
-            return match_l, [i for i in range(n) if dist[i] >= 0 and not seen_r[i]]
-        _augment_shortest(succ, dist, last, match_l, match_r)
+        dist, reached, seen = _alternating_layers(rows, match_l, match_r, free)
+        if not (reached and reached[-1] & free):
+            return match_l, sorted(u for p, u in enumerate(order) if dist[u] >= 0 and not seen >> p & 1)
+        roots = [u for u in range(n) if dist[u] == 0]
+        free = _augment_shortest(rows, order, roots, reached[:-1] + [free], match_l, match_r)
 
 
 def width_and_dilworth(P: FinitePoset) -> tuple[int, list[list], list]:
@@ -313,8 +303,8 @@ def find_spine(P: FinitePoset) -> SpineCertificate:
     Each level is an antichain (two comparable elements have different
     levels) and any maximum chain passes through every level exactly once.
     """
-    h, chain = _max_chain(P)
-    parts = _level_parts(P)
+    h, chain = height_and_max_chain(P)
+    parts = mirsky_partition(P)
     assert len(parts) == h
     return SpineCertificate(chain=tuple(chain), antichains=tuple(tuple(p) for p in parts))
 

@@ -366,10 +366,6 @@ class FinitePoset:
         """Partition of the other elements into (above x, below x, incomparable)."""
         return self.up_set(x), self.down_set(x), self._members(~self._comparable[self.index(x), :])
 
-    def sorted_members(self, members: Iterable[ElementId]) -> list:
-        """Members listed in the declared element order."""
-        return [self.elements[i] for i in sorted(self.index(x) for x in members)]
-
     def chain_sorted(self, chain: Iterable[ElementId]) -> list:
         """A chain's members in increasing order; raises NotAChain otherwise."""
         position = self._ranked()[1]

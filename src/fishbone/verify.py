@@ -39,6 +39,8 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     antichain; every fixed-row and fixed-column set inside L_n is a chain
     and a contiguous chain of the single-level window.
     """
+    if n < 0 or s < 0:
+        raise PreconditionViolated("need n, s >= 0")
     if s > 2 * B:
         raise PreconditionViolated(f"diagonal s={s} exceeds window reach 2B={2 * B}")
     two = level_window(n, B, levels=2)

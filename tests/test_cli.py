@@ -293,6 +293,18 @@ def test_family_window_bad_spec(capsys):
     assert run(capsys, "family", "window", "P3", "--spec", "")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "window", "P3", "--spec", "x=2,y=1,x=3"),
+        ("family", "check", "P1", "--claim", "spine_partition", "--params", "N=1,N=2"),
+    ],
+)
+def test_repeated_axis_keys_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "repeated key" in err
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -315,6 +327,12 @@ def test_verify_rows_and_levels(capsys):
 def test_verify_mindrop_rejects_negative_corners(capsys, u, v):
     code, out, err = run(capsys, "verify", "mindrop", "--u", str(u), "--v", str(v), "--bound", "3")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("n, s", [(0, -1), (-1, 0), (-1, 3)])
+def test_verify_levels_rejects_negative_levels_and_diagonals(capsys, n, s):
+    code, out, err = run(capsys, "verify", "levels", "--n", str(n), "--s", str(s), "--bound", "3")
+    assert code == 2 and out == "" and "need n, s >= 0" in err
 
 
 def test_verify_mindrop_rejects_a_negative_bound(capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fishbone.partition import (
     NoEligiblePoint,
     SpineCertificate,
     ThresholdTooSmall,
-    _successor_lists,
+    _successor_rows,
     check_spine,
     extend_spine_partition,
     find_spine,
@@ -178,7 +179,8 @@ def test_linear_extension_and_successor_lists_follow_the_rank():
         assert order == sorted(range(len(P)), key=rank.get)
         chain = height_and_max_chain(P)[1][::-1]
         assert P.chain_sorted(chain) == sorted(chain, key=lambda x: rank[P.index(x)])
-        for u, nbrs in enumerate(_successor_lists(P)):
+        for u, row in enumerate(_successor_rows(P)):
+            nbrs = [order[p] for p in range(row.bit_length()) if row >> p & 1]
             assert nbrs == sorted(np.flatnonzero(P.strict_matrix[u]).tolist(), key=rank.get)
 
 
@@ -264,6 +266,20 @@ def test_width_at_scale_is_proved_by_an_equal_cover_and_antichain(shape, n):
     # ... and the antichain meets each of them, so both are optimal.
     assert len(set(anti)) == w and P.is_antichain(anti)
     assert width_and_dilworth(P) == (w, chains, anti)
+
+
+def test_width_memory_does_not_grow_with_the_comparable_pairs():
+    # deep-3000 has about 4.3 million comparable pairs: a width that kept an
+    # entry per pair would trace hundreds of MB, one bitset row per element
+    # about 10 MB.
+    P = _scale_poset("deep", 3000)
+    tracemalloc.start()
+    try:
+        width_and_dilworth(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("shape,n", [c for c in SCALE_CASES if c != ("deep", 1000)])
