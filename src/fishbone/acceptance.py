@@ -139,8 +139,7 @@ def criterion_3(seed: int = 0) -> VerificationReport:
     hitting the exact chain-length formula."""
     for n in (0, 1, 2):
         two, one = verify.level_window(n, 10, levels=2), verify.level_window(n, 10)
-        for s in range(9):
-            rep = verify.check_level_structure(n, s, 10, two, one)
+        for s, rep in enumerate(verify.check_level_structure(n, range(9), 10, two, one)):
             if not rep.ok:
                 return _report(3, False, witness={"n": n, "s": s, "report": rep.to_dict()})
     rng = random.Random(seed + 2)

@@ -99,14 +99,13 @@ def _cmd_family_window(args) -> tuple[int, object, str]:
     return 0, payload, f"{args.family} window with {len(P)} element(s)"
 
 
-def _cmd_family_check(args) -> tuple[int, object, str]:
-    params = _parse_params(args.params) if args.params else {}
-    rep = families.verify_claim(args.family, args.claim, params)
-    return (0 if rep.ok else 1), rep.to_dict(), f"{rep.claim} {rep.status}"
-
-
 def _one_report(rep: VerificationReport) -> tuple[int, object, str]:
     return (0 if rep.ok else 1), rep.to_dict(), f"{rep.claim} {rep.status}"
+
+
+def _cmd_family_check(args) -> tuple[int, object, str]:
+    params = _parse_params(args.params) if args.params else {}
+    return _one_report(families.verify_claim(args.family, args.claim, params))
 
 
 def _cmd_verify_levels(args) -> tuple[int, object, str]:
@@ -226,7 +225,7 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         code, payload, summary = args.func(args)
-    except (OSError, ValueError, KeyError, PosetError, ordertype.ParseError) as exc:
+    except (OSError, OverflowError, ValueError, KeyError, PosetError, ordertype.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0

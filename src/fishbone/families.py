@@ -385,12 +385,12 @@ def relation_poset(family: str, payloads: list) -> FinitePoset:
     """The finite poset the family's order induces on ``payloads``, in their
     order, with string element names.
 
-    The matrix is the square :func:`relation_block`.  Construction always
-    runs the partial-order axiom checks, which guards every comparison
-    routine against a misread generator.
+    The matrix is the square :func:`relation_block`.  Construction runs
+    the partial-order axiom checks, which guards every comparison routine
+    against a misread generator.
     """
     m = relation_block(family, payloads, payloads)
-    return FinitePoset([element_id(family, p) for p in payloads], m, validate=True)
+    return FinitePoset([element_id(family, p) for p in payloads], m)
 
 
 def window(family: str, spec: WindowSpec) -> FinitePoset:

@@ -11,11 +11,11 @@ A poset built from generator pairs gets its closure, cover matrix and chain
 lengths from one kernel over the generator DAG's successor lists: a Kahn pass
 into generations (the Mirsky levels), then one walk in reverse topological
 order that keeps each element's rows as Python-int bitsets.  A poset built
-from a table computes its covers with the one product kernel, which also
-checks transitivity, and its chain lengths lazily, with the same kernel over
-its covers.  Every path is exact at every size: none counts paths in a type
-that can wrap.  Intended scale is up to a few thousand elements; storage is
-quadratic.
+from a table squares its strict matrix once: the one product both checks
+transitivity and gives the covers.  Its chain lengths are computed on first
+use, by the generator kernel over its covers.  Every path is exact at every
+size: none counts paths in a type that can wrap.  Intended scale is up to a
+few thousand elements; storage is quadratic.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class FinitePoset:
         "elements", "_index", "_leq", "_strict", "_comparable", "_order", "_position", "_cover", "_lengths"
     )
 
-    def __init__(self, elements: Iterable[ElementId], leq: np.ndarray, *, validate: bool = True):
+    def __init__(self, elements: Iterable[ElementId], leq: np.ndarray):
         self.elements: tuple = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -200,35 +200,33 @@ class FinitePoset:
         n = len(self.elements)
         if table.shape != (n, n):
             raise ValueError(f"leq table must be {n}x{n}")
-        strict = table & ~np.eye(n, dtype=bool)
-        if validate:
-            self._check_axioms(table, strict)
-        self._set(table, strict)
-
-    def _set(self, leq: np.ndarray, strict: np.ndarray) -> None:
-        """Freeze ``leq`` and ``strict`` and derive comparability; the rest
-        is computed on first use."""
-        self._leq, self._strict, self._comparable = map(_frozen, (leq, strict, leq | leq.T))
-        self._order = self._position = self._cover = self._lengths = None
-
-    def _check_axioms(self, m: np.ndarray, strict: np.ndarray) -> None:
-        if m.shape[0] == 0:
-            return
-        if not m.diagonal().all():
-            i = int(np.argmin(m.diagonal()))
+        if not table.diagonal().all():
+            i = int(np.argmin(table.diagonal()))
             raise ValueError(f"not reflexive at {self.elements[i]!r}")
+        strict = table & ~np.eye(n, dtype=bool)
         both = strict & strict.T
         if both.any():
             i, j = map(int, np.argwhere(both)[0])
             raise ValueError(
                 f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
             )
-        closed = _bool_matmul(m, m)
-        if (closed & ~m).any():
-            i, j = map(int, np.argwhere(closed & ~m)[0])
+        # The table squared is itself | two, so ``two`` outside the table is
+        # exactly where transitivity fails; inside, it is what lies two
+        # steps or more above, and the rest of the strict order are covers.
+        two = _bool_matmul(strict, strict)
+        if (two & ~table).any():
+            i, j = map(int, np.argwhere(two & ~table)[0])
             raise ValueError(
                 f"not transitive: {self.elements[i]!r} .. {self.elements[j]!r}"
             )
+        self._set(table, strict, strict & ~two)
+
+    def _set(self, leq: np.ndarray, strict: np.ndarray, cover: np.ndarray) -> None:
+        """Freeze the three matrices and derive comparability; the rest is
+        computed on first use."""
+        self._leq, self._strict, self._cover = map(_frozen, (leq, strict, cover))
+        self._comparable = _frozen(leq | leq.T)
+        self._order = self._position = self._lengths = None
 
     # ------------------------------------------------------------------ build
 
@@ -261,16 +259,14 @@ class FinitePoset:
         leq, strict, cover, up, down = closed
         P = cls.__new__(cls)
         P.elements, P._index = elems, index
-        P._set(leq, strict)
-        P._cover = _frozen(cover)
+        P._set(leq, strict, cover)
         P._lengths = (_frozen(up), _frozen(down))
         return P
 
     def induced(self, members: Iterable[ElementId]) -> "FinitePoset":
         """Subposet on ``members``, keeping the declared element order."""
         keep = sorted({self.index(x) for x in members})
-        sub = self._leq[np.ix_(keep, keep)].copy()
-        return FinitePoset([self.elements[i] for i in keep], sub, validate=False)
+        return FinitePoset([self.elements[i] for i in keep], self._leq[np.ix_(keep, keep)])
 
     # ----------------------------------------------------------------- access
 
@@ -299,8 +295,6 @@ class FinitePoset:
     def cover_matrix(self) -> np.ndarray:
         """Read-only: ``[i, j]`` is elements[i] < elements[j] with nothing
         strictly between (elements[j] covers elements[i])."""
-        if self._cover is None:
-            self._cover = _frozen(self._strict & ~_bool_matmul(self._strict, self._strict))
         return self._cover
 
     @property
@@ -420,19 +414,6 @@ class FinitePoset:
         ok_up = (self._strict | ~above[None, :]).all(axis=1)
         ok_down = (self._strict.T | ~below[None, :]).all(axis=1)
         return self._members(ok_up & ok_down)
-
-    def interval(self, kind: str, *args) -> frozenset:
-        if kind == "open":
-            return self.open_interval(*args)
-        if kind == "closed":
-            return self.closed_interval(*args)
-        if kind == "convex":
-            return self.convex_hull(*args)
-        if kind == "wide":
-            if len(args) == 2:
-                return self.wide_interval_pair(*args)
-            return self.wide_interval(*args)
-        raise ValueError(f"unknown interval kind {kind!r}")
 
     # ------------------------------------------------------------- predicates
 

@@ -12,6 +12,8 @@ infinite statement; pass statuses mean the finite instances checked out.
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from .families import WindowSpec, element_id, named_subset, relation_block, relation_poset, window
@@ -44,47 +46,42 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     if s > 2 * B:
         raise PreconditionViolated(f"diagonal s={s} exceeds window reach 2B={2 * B}")
     two = level_window(n, B, levels=2)
-    # An induced subposet of the validated two-level window is a poset, and
-    # it equals level_window(n, B) element for element.
+    # The level's induced subposet equals level_window(n, B) element for
+    # element.
     one = two.induced(named_subset("P5", f"L({n})", WindowSpec.make(n=(n, n + 1), c=B)))
-    return check_level_structure(n, s, B, two, one)
+    return check_level_structure(n, [s], B, two, one)[0]
 
 
 def check_level_structure(
-    n: int, s: int, B: int, two: FinitePoset, one: FinitePoset
-) -> VerificationReport:
-    """The checks of :func:`verify_level_structure` against windows built by
-    the caller: ``two`` is ``level_window(n, B, levels=2)`` and ``one`` is
-    ``level_window(n, B)``.  Lets a caller check many diagonals s of one
-    level on the same two windows.
+    n: int, diagonals: Iterable[int], B: int, two: FinitePoset, one: FinitePoset
+) -> list[VerificationReport]:
+    """The report of :func:`verify_level_structure` for each s in
+    ``diagonals``, against windows built by the caller: ``two`` is
+    ``level_window(n, B, levels=2)`` and ``one`` is ``level_window(n, B)``.
 
-    The 2(B+1) lines (row z0, then column z0, for z0 = 0..B) are checked in
-    one gather over ``one``'s matrices: :meth:`FinitePoset.is_chain` and
-    :meth:`FinitePoset.is_contiguous_chain` with a leading line axis.  The
-    first failing line is reported, with "not a chain" ahead of "not
-    contiguous" on that line.
+    Only the diagonal K(n, s) depends on s, so the convexity check and the
+    line check run once per call; each report still reads them in the order
+    convexity, diagonal, lines.  The 2(B+1) lines (row z0, then column z0,
+    for z0 = 0..B) are checked in one gather over ``one``'s matrices:
+    :meth:`FinitePoset.is_chain` and :meth:`FinitePoset.is_contiguous_chain`
+    with a leading line axis.  The first failing line is reported, with
+    "not a chain" ahead of "not contiguous" on that line.
     """
-    params = {"n": n, "s": s, "B": B}
 
-    def fail(reason: str, witness) -> VerificationReport:
-        return VerificationReport(
-            claim="P5.level_structure",
-            params=params,
-            status=FAIL,
-            witness=witness,
-            detail={"reason": reason},
-        )
+    def report(s: int, failure: tuple | None, diagonal: Sequence = ()) -> VerificationReport:
+        claim, params = "P5.level_structure", {"n": n, "s": s, "B": B}
+        if failure is None:
+            detail = {"diagonal_size": len(diagonal), "lines_checked": 2 * (B + 1)}
+            return VerificationReport(claim, params, UP_TO_BOUND, detail=detail)
+        reason, witness = failure
+        return VerificationReport(claim, params, FAIL, witness, {"reason": reason})
 
     spec2 = WindowSpec.make(n=(n, n + 1), c=B)
     level_n = named_subset("P5", f"L({n})", spec2)
     hull = two.convex_hull(level_n)
     if hull != frozenset(level_n):
         extra = sorted(hull - set(level_n))
-        return fail("level is not convex in the two-level window", extra[0])
-
-    diagonal = named_subset("P5", f"K({n},{s})", spec2)
-    if not two.is_antichain(diagonal):
-        return fail("diagonal is not an antichain", diagonal)
+        return [report(s, ("level is not convex in the two-level window", extra[0])) for s in diagonals]
 
     # grid[x, y] indexes (x, y, n) in ``one``; line 2*z0 is row z0 (x runs)
     # and line 2*z0+1 is column z0 (y runs).
@@ -97,18 +94,20 @@ def check_level_structure(
     np.put_along_axis(member, idx, True, axis=1)
     fits = together & S[idx].any(axis=1) & S.T[idx].any(axis=1) & ~member
     bad = not_chain | fits.any(axis=1)
+    line_failure = None
     if bad.any():
         first = int(bad.argmax())
-        line = [one.elements[i] for i in idx[first]]
-        if not_chain[first]:
-            return fail("row/column is not a chain", line)
-        return fail("row/column is not contiguous in its level", line)
-    return VerificationReport(
-        claim="P5.level_structure",
-        params=params,
-        status=UP_TO_BOUND,
-        detail={"diagonal_size": len(diagonal), "lines_checked": len(idx)},
-    )
+        line_failure = (
+            "row/column is not a chain" if not_chain[first] else "row/column is not contiguous in its level",
+            [one.elements[i] for i in idx[first]],
+        )
+
+    reports = []
+    for s in diagonals:
+        diagonal = named_subset("P5", f"K({n},{s})", spec2)
+        failure = line_failure if two.is_antichain(diagonal) else ("diagonal is not an antichain", diagonal)
+        reports.append(report(s, failure, diagonal))
+    return reports
 
 
 # ------------------------------------------------------------ interpolation
@@ -269,20 +268,6 @@ def verify_constant_on_rows(ell: int) -> VerificationReport:
         status=PASS,
         detail={"instances": instances, "assignments": assignments},
     )
-
-
-def assignment_chain_bijections(ell: int) -> bool:
-    """Supporting fact: on every maximal chain of the rectangle, every valid
-    labelling is a bijection onto {0..ell} (ell+1 pairwise comparable cells
-    with antichain classes must take distinct labels)."""
-    for u in range(ell + 1):
-        v = ell - u
-        for path in _monotone_paths(u, v):
-            for f in _valid_assignments(u, v, path, ell):
-                for chain in _monotone_paths(u, v):
-                    if sorted(f[c] for c in chain) != list(range(ell + 1)):
-                        return False
-    return True
 
 
 # ------------------------------------------------------------ final counting

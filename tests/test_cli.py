@@ -341,6 +341,20 @@ def test_verify_mindrop_rejects_a_negative_bound(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "window", "P1", "--spec", "n=99999999999999999999"),
+        ("family", "check", "P2", "--claim", "partitions", "--params", "B=99999999999999999999"),
+        ("verify", "levels", "--n", "0", "--s", "1", "--bound", "99999999999999999999"),
+    ],
+)
+def test_integers_too_large_for_a_size_are_usage_errors(capsys, argv):
+    # Each raises OverflowError before it allocates anything.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_verify_all_desk(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0

@@ -321,8 +321,9 @@ def test_generator_pass_at_scale_matches_networkx(shape, n):
     assert up.tolist() == _longest_paths(G, nx.topological_sort(G))
     R = G.reverse()
     assert down.tolist() == _longest_paths(R, nx.topological_sort(R))
-    # A poset given the same table computes its covers and lengths lazily.
-    T = FinitePoset(range(n), P.leq_matrix, validate=False)
+    # A poset given the same table gets its covers from the constructor's
+    # product and its lengths on first use.
+    T = FinitePoset(range(n), P.leq_matrix)
     assert (T.cover_matrix == P.cover_matrix).all()
     assert all((a == b).all() for a, b in zip(T.chain_lengths, P.chain_lengths))
 
@@ -721,7 +722,8 @@ def test_gap_witness_trades_are_improving(P):
 @settings(max_examples=80)
 def test_table_and_generator_built_posets_agree(P):
     # from_generators fills the covers and chain lengths in its pass; the
-    # same table given to the constructor fills them lazily.
+    # same table given to the constructor gets its covers from its product
+    # and its chain lengths on first use.
     T = FinitePoset(P.elements, P.leq_matrix)
     assert T.covers() == P.covers()
     assert find_spine(T) == find_spine(P)

@@ -163,6 +163,43 @@ def test_raw_matrix_axiom_validation():
         FinitePoset("abc", bad_trans)
 
 
+@st.composite
+def non_transitive_tables(draw, max_size: int = 10) -> np.ndarray:
+    """A reflexive, antisymmetric table that is not transitive: the pairs
+    i < j of a hidden linear order are kept at random, one i < k < j is
+    forced without its shortcut i <= j, and the rows are relabelled."""
+    n = draw(st.integers(min_value=3, max_value=max_size))
+    keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    table = np.triu(np.array(keep).reshape(n, n), 1) | np.eye(n, dtype=bool)
+    i, k, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)))
+    table[i, k] = table[k, j] = True
+    table[i, j] = False
+    perm = draw(st.permutations(range(n)))
+    return table[np.ix_(perm, perm)]
+
+
+@given(non_transitive_tables())
+def test_transitivity_witness_is_the_first_pair_of_the_integer_square(table):
+    # Reference: the table squared in exact integers, and its first pair
+    # (row-major) that the table lacks.
+    m = table.astype(np.int64)
+    i, j = map(int, np.argwhere((m @ m > 0) & ~table)[0])
+    elements = [f"e{k}" for k in range(len(table))]
+    with pytest.raises(ValueError) as exc:
+        FinitePoset(elements, table)
+    assert str(exc.value) == f"not transitive: {elements[i]!r} .. {elements[j]!r}"
+
+
+@given(posets(max_size=12), st.data())
+def test_induced_covers_match_the_generator_built_subposet(P, data):
+    members = data.draw(st.sets(st.sampled_from(P.elements)))
+    Q = P.induced(members)
+    strict = [(x, y) for x in Q.elements for y in Q.elements if P.lt(x, y)]
+    R = FinitePoset.from_generators(Q.elements, strict)
+    assert Q == R
+    assert (Q.cover_matrix == R.cover_matrix).all()
+
+
 def test_matrix_is_frozen():
     P = diamond()
     with pytest.raises(ValueError):
@@ -263,17 +300,6 @@ def test_wide_interval_pair_on_incomparable_pair():
     # z must lie strictly below everything above c (only d) and strictly
     # above everything below b (only a).
     assert P.wide_interval_pair("b", "c") == {"b", "c"}
-
-
-def test_interval_dispatch():
-    P = diamond()
-    assert P.interval("open", "a", "d") == {"b", "c"}
-    assert P.interval("closed", "a", "d") == P.closed_interval("a", "d")
-    assert P.interval("convex", ["b", "c"]) == {"b", "c"}
-    assert P.interval("wide", "b", "c") == {"b", "c"}
-    assert P.interval("wide", ["b", "c"]) == P.wide_interval(["b", "c"])
-    with pytest.raises(ValueError):
-        P.interval("halfopen", "a", "d")
 
 
 def test_contiguous_chain():
@@ -407,7 +433,7 @@ def test_axiom_check_sees_transitivity_past_256_paths():
     elements, table = _wide_diamond(256)
     table[0, -1] = False
     with pytest.raises(ValueError, match="not transitive"):
-        FinitePoset(elements, table, validate=True)
+        FinitePoset(elements, table)
 
 
 def test_covers_omit_pairs_with_256_elements_between():

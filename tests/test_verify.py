@@ -9,7 +9,8 @@ from fishbone.poset import FinitePoset
 from fishbone.report import FAIL, UP_TO_BOUND, VerificationReport
 from fishbone.verify import (
     PreconditionViolated,
-    assignment_chain_bijections,
+    _monotone_paths,
+    _valid_assignments,
     check_level_structure,
     desk_preset,
     interpolate_chain,
@@ -43,9 +44,9 @@ def test_level_structure_on_shared_windows_matches_fresh_builds():
     B = 6
     for n in (0, 1):
         two, one = level_window(n, B, levels=2), level_window(n, B)
-        for s in range(2 * B + 1):
-            shared = check_level_structure(n, s, B, two, one)
-            assert shared.to_dict() == verify_level_structure(n, s, B).to_dict()
+        shared = check_level_structure(n, range(2 * B + 1), B, two, one)
+        fresh = [verify_level_structure(n, s, B) for s in range(2 * B + 1)]
+        assert [r.to_dict() for r in shared] == [r.to_dict() for r in fresh]
 
 
 def _level_structure_by_loops(n, s, B, two, one):
@@ -89,9 +90,10 @@ def test_level_structure_matches_the_loop_reference_on_real_windows(n):
     for B in range(7):
         two, one = level_window(n, B, levels=2), level_window(n, B)
         assert two.induced(one.elements) == one
-        for s in range(2 * B + 1):
+        reports = check_level_structure(n, range(2 * B + 1), B, two, one)
+        for s, rep in enumerate(reports):
             want = _level_structure_by_loops(n, s, B, two, one).to_dict()
-            assert check_level_structure(n, s, B, two, one).to_dict() == want
+            assert rep.to_dict() == want
             assert want["status"] == UP_TO_BOUND
 
 
@@ -159,7 +161,7 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
         for kind, one in orders.items():
             s = rng.randint(0, 2 * B)
             want = _level_structure_by_loops(n, s, B, two, one).to_dict()
-            assert check_level_structure(n, s, B, two, one).to_dict() == want
+            assert check_level_structure(n, [s], B, two, one)[0].to_dict() == want
             assert want["status"] == FAIL
             assert want["detail"]["reason"] == expected.get(kind, want["detail"]["reason"])
             if kind in ("dropped cover", "shortcut"):
@@ -168,6 +170,31 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
                 assert want["witness"] == [element_id("P5", (0, k, n)) for k in range(B + 1)]
             if kind == "columns contiguous":
                 assert want["witness"] == [element_id("P5", (k, 0, n)) for k in range(B + 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_level_structure_per_diagonal_reports_match_the_loop_reference_on_perturbed_windows(seed):
+    """``two`` replaced by linear orders on its names: a random one, where
+    the level is not convex, and one with the level's names first, where
+    the level is convex and only the one-point diagonal is an antichain, so
+    one call mixes diagonal failures with the line check's pass."""
+    rng = random.Random(seed)
+    for n in (0, 1):
+        B = rng.randint(1, 4)
+        one = level_window(n, B)
+        names = list(level_window(n, B, levels=2).elements)
+        rng.shuffle(names)
+        level_first = sorted(names, key=lambda e: e not in set(one.elements))
+        cases = {
+            tuple(names): {"level is not convex in the two-level window"},
+            tuple(level_first): {None, "diagonal is not an antichain"},
+        }
+        for order, reasons in cases.items():
+            two = FinitePoset.from_generators(order, zip(order, order[1:]))
+            reports = check_level_structure(n, range(2 * B + 1), B, two, one)
+            want = [_level_structure_by_loops(n, s, B, two, one).to_dict() for s in range(2 * B + 1)]
+            assert [r.to_dict() for r in reports] == want
+            assert {r.detail.get("reason") for r in reports} == reasons
 
 
 def test_level_structure_precondition():
@@ -229,9 +256,23 @@ def test_constant_on_rows_counts():
         assert rep.detail == {"instances": count, "assignments": count}
 
 
+def _assignment_chain_bijections(ell):
+    """Supporting fact: on every maximal chain of the rectangle, every valid
+    labelling is a bijection onto {0..ell} (ell+1 pairwise comparable cells
+    with antichain classes must take distinct labels)."""
+    for u in range(ell + 1):
+        v = ell - u
+        for path in _monotone_paths(u, v):
+            for f in _valid_assignments(u, v, path, ell):
+                for chain in _monotone_paths(u, v):
+                    if sorted(f[c] for c in chain) != list(range(ell + 1)):
+                        return False
+    return True
+
+
 def test_each_instance_forces_exactly_one_assignment():
     for ell in (1, 2, 3):
-        assert assignment_chain_bijections(ell)
+        assert _assignment_chain_bijections(ell)
 
 
 def test_constant_on_rows_precondition():
