@@ -27,8 +27,9 @@ reach exactly those points.  No comparison depends on a window.
 Every bulk comparison is a rectangular :func:`relation_block`: window
 matrices, the claims and cofinality checks here, and the P5 lemmas of
 ``verify``.  It evaluates the same closed form once, broadcast over integer
-coordinate columns (int64 while exact, Python ints past that); ``elem_le``
-decides one pair at a time and stays the independent oracle.
+coordinate columns (the narrowest exact integer type, Python ints past
+int64); ``elem_le`` decides one pair at a time and stays the independent
+oracle.
 
 Windows name their elements by compact strings ("bot", "(0,1)",
 "(-1,0,2)", ...) so window posets serialize cleanly.
@@ -346,10 +347,11 @@ def window_payloads(family: str, spec: WindowSpec) -> list:
 _P1_KIND = {"bot": 0, "a": 2, "top": 3}
 
 # No intermediate of a broadcast form exceeds four times the largest
-# |coordinate| plus two (P5's 2*(u+v) is the largest), so with every
-# coordinate below 2**60 in size int64 is exact.  Past that the same
-# expression runs on Python ints in object columns.
-_INT64_EXACT = 2**60
+# |coordinate| plus two (P5's 2*(u+v) is the largest), so the columns take
+# the narrowest signed integer type that holds that bound: int8 for
+# coordinates up to 31, where a form's broadcasts run about three times as
+# fast as in int64, and up to int64 for coordinates below 2**61.  Past that
+# the type is object and the same expression runs on Python ints.
 
 
 def _coords(family: str, p) -> tuple:
@@ -361,9 +363,9 @@ def _coords(family: str, p) -> tuple:
 def relation_block(family: str, rows: list, cols: list) -> np.ndarray:
     """``bool[len(rows), len(cols)]`` whose entry (i, j) is rows[i] <= cols[j].
 
-    The family's broadcast form runs once over coordinate columns: int64
-    when every coordinate of both sides is small enough, Python ints
-    otherwise.  Payloads are not validated (they come from enumerations of
+    The family's broadcast form runs once over coordinate columns of the
+    narrowest integer type that is exact for both sides, or of Python ints
+    past int64.  Payloads are not validated (they come from enumerations of
     the family); passing the same list as ``rows`` and ``cols`` converts it
     once.
     """
@@ -371,8 +373,8 @@ def relation_block(family: str, rows: list, cols: list) -> np.ndarray:
         return np.zeros((len(rows), len(cols)), dtype=bool)
     points = rows if cols is rows else [*rows, *cols]
     flat = [c for p in points for c in _coords(family, p)]
-    exact = -_INT64_EXACT < min(flat) and max(flat) < _INT64_EXACT
-    a = np.array(flat, dtype=np.int64 if exact else object).reshape(len(points), -1).T
+    size = max(-min(flat), max(flat))
+    a = np.array(flat, dtype=np.min_scalar_type(-(4 * size + 2))).reshape(len(points), -1).T
     return _LE_COLS[family](a[:, : len(rows), None], a[:, None, len(points) - len(cols) :])
 
 

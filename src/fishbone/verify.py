@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .families import WindowSpec, element_id, named_subset, relation_block, relation_poset, window
+from .families import WindowSpec, element_id, named_subset_payloads, relation_block, window_payloads
 from .poset import FinitePoset, PosetError
 from .report import FAIL, PASS, UP_TO_BOUND, VerificationReport
 
@@ -29,8 +29,14 @@ class PreconditionViolated(PosetError):
 
 
 def level_window(n: int, B: int, levels: int = 1) -> FinitePoset:
-    """Window of P5 covering levels n .. n+levels-1 with both coords <= B."""
-    return window("P5", WindowSpec.make(n=(n, n + levels - 1), c=B))
+    """Window of P5 covering levels n .. n+levels-1 with both coords <= B.
+
+    Its elements are the ``(x, y, n)`` payload tuples, not their names:
+    the desk checks name an element only when it is a failure witness.
+    Construction runs the same axiom checks as :func:`families.window`.
+    """
+    payloads = window_payloads("P5", WindowSpec.make(n=(n, n + levels - 1), c=B))
+    return FinitePoset(payloads, relation_block("P5", payloads, payloads))
 
 
 def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
@@ -48,7 +54,7 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     two = level_window(n, B, levels=2)
     # The level's induced subposet equals level_window(n, B) element for
     # element.
-    one = two.induced(named_subset("P5", f"L({n})", WindowSpec.make(n=(n, n + 1), c=B)))
+    one = two.induced(named_subset_payloads("P5", f"L({n})", WindowSpec.make(n=(n, n + 1), c=B)))
     return check_level_structure(n, [s], B, two, one)[0]
 
 
@@ -66,6 +72,10 @@ def check_level_structure(
     :meth:`FinitePoset.is_chain` and :meth:`FinitePoset.is_contiguous_chain`
     with a leading line axis.  The first failing line is reported, with
     "not a chain" ahead of "not contiguous" on that line.
+
+    Both windows hold ``(x, y, n)`` payload tuples, as :func:`level_window`
+    builds them; the lines are looked up through ``one.index``.  Element
+    names are built only for a failure's witness.
     """
 
     def report(s: int, failure: tuple | None, diagonal: Sequence = ()) -> VerificationReport:
@@ -77,15 +87,15 @@ def check_level_structure(
         return VerificationReport(claim, params, FAIL, witness, {"reason": reason})
 
     spec2 = WindowSpec.make(n=(n, n + 1), c=B)
-    level_n = named_subset("P5", f"L({n})", spec2)
+    level_n = named_subset_payloads("P5", f"L({n})", spec2)
     hull = two.convex_hull(level_n)
     if hull != frozenset(level_n):
-        extra = sorted(hull - set(level_n))
-        return [report(s, ("level is not convex in the two-level window", extra[0])) for s in diagonals]
+        extra = min(element_id("P5", p) for p in hull - set(level_n))
+        return [report(s, ("level is not convex in the two-level window", extra)) for s in diagonals]
 
     # grid[x, y] indexes (x, y, n) in ``one``; line 2*z0 is row z0 (x runs)
     # and line 2*z0+1 is column z0 (y runs).
-    grid = np.array([[one.index(element_id("P5", (x, y, n))) for y in range(B + 1)] for x in range(B + 1)])
+    grid = np.array([[one.index((x, y, n)) for y in range(B + 1)] for x in range(B + 1)])
     idx = np.stack((grid.T, grid), axis=1).reshape(2 * (B + 1), B + 1)
     C, S = one.comparability_matrix, one.strict_matrix
     together = C[idx].all(axis=1)
@@ -99,13 +109,16 @@ def check_level_structure(
         first = int(bad.argmax())
         line_failure = (
             "row/column is not a chain" if not_chain[first] else "row/column is not contiguous in its level",
-            [one.elements[i] for i in idx[first]],
+            [element_id("P5", one.elements[i]) for i in idx[first]],
         )
 
     reports = []
     for s in diagonals:
-        diagonal = named_subset("P5", f"K({n},{s})", spec2)
-        failure = line_failure if two.is_antichain(diagonal) else ("diagonal is not an antichain", diagonal)
+        diagonal = named_subset_payloads("P5", f"K({n},{s})", spec2)
+        if two.is_antichain(diagonal):
+            failure = line_failure
+        else:
+            failure = ("diagonal is not an antichain", [element_id("P5", p) for p in diagonal])
         reports.append(report(s, failure, diagonal))
     return reports
 
@@ -278,6 +291,12 @@ def verify_final_counting(a: int) -> VerificationReport:
     below every (u, v, 0) with u + v >= 2a (checked for coords <= 3a), while
     the region T = {(u, v, 0): u + v <= 2a-1} has height only 2a — so no
     antichain partition of T can host all of F one-per-part.
+
+    The part of the cut past coordinate 3a needs no check: P5's sum clause
+    puts (x, y, 1) below (u, v, 0) whenever x + y <= 2(u + v), and F's
+    point (a+t, a, 1) has x + y = 2a + t <= 4a <= 2(u + v) for every
+    u + v >= 2a.  So F lies below the whole cut, not only below the part
+    the window checks.
     """
     if a < 1:
         raise PreconditionViolated("need a >= 1")
@@ -306,7 +325,7 @@ def verify_final_counting(a: int) -> VerificationReport:
     from .partition import height
 
     T = [(u, v, 0) for u in range(2 * a) for v in range(2 * a) if u + v <= 2 * a - 1]
-    h = height(relation_poset("P5", T))
+    h = height(FinitePoset(T, relation_block("P5", T, T)))
     ok = len(F) == 2 * a + 1 and h == 2 * a
     return VerificationReport(
         claim="P5.final_counting",

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishbone import acceptance, cli
+from fishbone import acceptance, cli, families
 from fishbone.cli import main
 from fishbone.ordertype import MAX_NESTING
 
@@ -160,10 +160,10 @@ CERT_DOCS = JSON_VALUES | st.fixed_dictionaries(
 
 
 def quiet_main(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -179,7 +179,7 @@ def test_poset_files_never_escape_the_exit_codes(poset, cert):
                      ["poset", "check", paths["diamond"], "--cert", paths["cert"]],
                      ["poset", "spine", paths["poset"]],
                      ["poset", "canon", paths["poset"]]):
-            code, out = quiet_main(argv)
+            code, out, _ = quiet_main(argv)
             assert code in (0, 1, 2), argv
             if code == 1:
                 report = json.loads(out)
@@ -442,3 +442,112 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert [code for code, _ in shared] == [0, 0, 0, 2, 0]
     assert len(json.loads(shared[4][1])) == 12
     assert seeds == [3, 0, 3, 0]
+
+
+# ------------------------------------------------------------ boundary fuzz
+#
+# Every command line ends in exit code 0, 1 or 2 with no traceback, and
+# every failing report names a witness.  Integers stay at desk scale: the
+# checks behind `verify rows`, `mindrop` and `counting` enumerate what they
+# are given.
+
+
+def assert_clean_exit(argv):
+    code, out, err = quiet_main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "", argv
+    else:
+        data = json.loads(out)
+        reports = data if isinstance(data, list) else [data]
+        for rep in reports:
+            if rep.get("status") == "fail":
+                assert rep["witness"] is not None, argv
+        assert (code == 1) == any(rep.get("status") == "fail" for rep in reports), argv
+
+
+TERM_TEXT = st.text(alphabet="0123456789w*+[]() ", max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.text(max_size=40) | TERM_TEXT)
+def test_ot_check_never_escapes_the_exit_codes(text):
+    assert_clean_exit(["ot", "check", text])
+
+
+SMALL_INTS = st.integers(-1, 6).map(str)
+NOT_INTS = st.sampled_from(["", "x", "1.5", "-", "--", "1e3", "0x10", "w", " 2 "])
+
+
+@st.composite
+def options(draw, pairs):
+    """The ``(option, value strategy)`` pairs, each given once, in a drawn
+    order; then, half the time, one mutation: an option dropped or repeated,
+    an unknown option added, a value that is not an integer, or a value
+    left out."""
+    argv = [[name, draw(values)] for name, values in draw(st.permutations(pairs))]
+    mutation = draw(st.sampled_from([None] * 5 + ["drop", "repeat", "unknown", "not an int", "no value"]))
+    at = draw(st.integers(0, max(len(argv) - 1, 0)))
+    if mutation == "unknown" or (mutation and not argv):
+        argv.insert(at, ["--nope", draw(SMALL_INTS)])
+    elif mutation == "drop":
+        del argv[at]
+    elif mutation == "repeat":
+        argv.insert(at, [argv[at][0], draw(SMALL_INTS | NOT_INTS)])
+    elif mutation == "not an int":
+        argv[at][1] = draw(NOT_INTS)
+    elif mutation == "no value":
+        del argv[at][1]
+    return [a for pair in argv for a in pair]
+
+
+RANGES = st.tuples(st.integers(-1, 4), st.integers(-1, 3)).map(lambda t: f"{t[0]}:{t[0] + t[1]}")
+
+
+def axis_list(keys, value=SMALL_INTS | RANGES):
+    """``key=value`` items for `--spec` or `--params`: each key once, with
+    sometimes an unknown key, an empty item or a malformed value mixed in."""
+    items = st.tuples(*(st.tuples(st.just(k), value).map("=".join) for k in keys)).map(list)
+    noise = st.sampled_from([[]] * 6 + [["q=1"], [""], ["n"], ["B=x"], ["=3"], ["x=1:2:3"], ["y=2:3"]])
+    return st.tuples(items, noise).map(lambda t: ",".join(t[0] + t[1]))
+
+
+VERIFY_OPTIONS = {
+    "levels": ["--n", "--s", "--bound"],
+    "mindrop": ["--u", "--v", "--bound"],
+    "rows": ["--ell"],
+    "counting": ["--a"],
+    "all": [],
+}
+
+
+@st.composite
+def command_lines(draw):
+    argv = draw(st.sampled_from([[]] * 6 + [["--seed", "2"], ["--seed", "-1"], ["--seed", "x"], ["--seed"]]))
+    command = draw(st.sampled_from(["verify", "family window", "family check", "ot check", "sweep", "poset"]))
+    argv += command.split()
+    family = draw(st.sampled_from([*families.FAMILIES, *families.FAMILIES, "P6"]))
+    if command == "verify":
+        action = draw(st.sampled_from([*VERIFY_OPTIONS, "nope"]))
+        argv += [action, *draw(options([(name, SMALL_INTS) for name in VERIFY_OPTIONS.get(action, [])]))]
+    elif command == "family window":
+        argv += [family, *draw(options([("--spec", axis_list(families.FAMILY_AXES.get(family, ("n",))))]))]
+    elif command == "family check":
+        claim = draw(st.sampled_from([*families.claim_names(family) * 3, "nope"]))
+        keys = families._CLAIMS.get((family, claim), (None, ("B",)))[1]
+        argv += [family, *draw(options([("--claim", st.just(claim)), ("--params", axis_list(keys, SMALL_INTS))]))]
+    elif command == "ot check":
+        argv += draw(st.lists(TERM_TEXT | NOT_INTS, min_size=1, max_size=2))
+    elif command == "sweep":
+        # Without a budget of zero or less the whole battery would run, so
+        # the budget is never dropped; its value may still be malformed.
+        argv += ["--budget-seconds", draw(st.sampled_from(["0", "-1", "-2.5", "x", ""]))]
+        argv += draw(st.sampled_from([[], [], ["--nope"], ["--budget-seconds"]]))
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=command_lines())
+def test_command_lines_never_escape_the_exit_codes(argv):
+    assert_clean_exit(argv)

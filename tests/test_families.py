@@ -4,6 +4,7 @@ the generator edges inside a window, cross-check the closed-form comparisons
 of P2, P3 and P4; the per-pair ``elem_le`` checks every window matrix and
 rectangular ``relation_block``."""
 
+import itertools
 import json
 from collections import deque
 
@@ -123,9 +124,9 @@ def oracle_covers(family, payloads):
 BIG = 2**62
 HUGE = 10**20
 
-# Near the int64 limit and far past it, on the axes the broadcast forms add,
-# subtract, double or divide: P3 x (and y), P4 x/z (and y), P5 c (and n).
-# 2**60 - 5 .. 2**60 - 1 is the largest range computed in int64.
+# Across the int8 and int16 limits (coordinates 31 and 8191), near the int64
+# one and far past it, on the axes the broadcast forms add, subtract, double
+# or divide: P3 x (and y), P4 x/z (and y), P5 c (and n).
 FAR_WINDOWS = [
     ("P1", {"n": (BIG - 3, BIG + 1)}),
     ("P2", {"z": (-BIG - 1, -BIG + 1), "n": (BIG - 1, BIG)}),
@@ -138,6 +139,10 @@ FAR_WINDOWS = [
     ("P5", {"n": (0, 2), "c": (BIG - 4, BIG - 1)}),
     ("P5", {"n": (0, 2), "c": (2**63 - 2, 2**63 + 1)}),
     ("P5", {"n": (HUGE, HUGE + 2), "c": (HUGE, HUGE + 3)}),
+    ("P3", {"x": (2**13 - 6, 2**13), "y": (0, 3)}),
+    ("P4", {"x": (29, 33), "y": (0, 3), "z": (30, 32)}),
+    ("P5", {"n": (0, 2), "c": (29, 33)}),
+    ("P5", {"n": (0, 2), "c": (2**13 - 3, 2**13 + 1)}),
 ]
 
 
@@ -207,6 +212,28 @@ def test_relation_block_matches_elem_le(family, big):
         block = relation_block(family, rows, cols)
         assert block.dtype == bool and block.shape == (len(rows), len(cols))
         assert (block == oracle_matrix(family, rows, cols)).all(), (rows, cols)
+
+
+def edge_points(family, c):
+    """Points whose coordinates are 0, 1, c - 1 and c: every sum, difference
+    and double a broadcast form takes of them is near its largest."""
+    vals = (0, 1, c - 1, c)
+    return {
+        "P1": ["bot", "a", "top", *itertools.product(vals, (0, 1))],
+        "P2": list(itertools.product((-c, -1, 0, c), (0, 1), vals)),
+        "P3": list(itertools.product(vals, vals)),
+        "P4": list(itertools.product(vals, vals, vals)),
+        "P5": list(itertools.product(vals, vals, (0, 1, c))),
+    }[family]
+
+
+# The largest coordinate each integer type takes (P5's x + y <= 2*(u + v)
+# reaches 4c, which must fit), and the next one, which takes a wider type.
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("c", [31, 32, 2**13 - 1, 2**13, 2**29 - 1, 2**29, 2**61 - 1, 2**61])
+def test_relation_block_at_the_integer_type_edges(family, c):
+    points = edge_points(family, c)
+    assert (relation_block(family, points, points) == oracle_matrix(family, points, points)).all()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from fishbone.families import WindowSpec, elem_le, element_id, named_subset
+from fishbone import acceptance, families, verify
+from fishbone.families import WindowSpec, elem_le, element_id, named_subset_payloads
 from fishbone.poset import FinitePoset
 from fishbone.report import FAIL, UP_TO_BOUND, VerificationReport
 from fishbone.verify import (
@@ -51,7 +52,8 @@ def test_level_structure_on_shared_windows_matches_fresh_builds():
 
 def _level_structure_by_loops(n, s, B, two, one):
     """Reference for check_level_structure: one scalar walk per row and
-    column through is_chain and is_contiguous_chain."""
+    column through is_chain and is_contiguous_chain, on windows of payload
+    tuples; witnesses are turned into names with element_id."""
     params = {"n": n, "s": s, "B": B}
 
     def fail(reason, witness):
@@ -59,24 +61,27 @@ def _level_structure_by_loops(n, s, B, two, one):
             claim="P5.level_structure", params=params, status=FAIL, witness=witness, detail={"reason": reason}
         )
 
+    def names(points):
+        return [element_id("P5", p) for p in points]
+
     spec2 = WindowSpec.make(n=(n, n + 1), c=B)
-    level_n = named_subset("P5", f"L({n})", spec2)
+    level_n = named_subset_payloads("P5", f"L({n})", spec2)
     hull = two.convex_hull(level_n)
     if hull != frozenset(level_n):
-        return fail("level is not convex in the two-level window", sorted(hull - set(level_n))[0])
-    diagonal = named_subset("P5", f"K({n},{s})", spec2)
+        return fail("level is not convex in the two-level window", sorted(names(hull - set(level_n)))[0])
+    diagonal = named_subset_payloads("P5", f"K({n},{s})", spec2)
     if not two.is_antichain(diagonal):
-        return fail("diagonal is not an antichain", diagonal)
+        return fail("diagonal is not an antichain", names(diagonal))
     lines = 0
     for z0 in range(B + 1):
-        row = [element_id("P5", (x, z0, n)) for x in range(B + 1)]
-        col = [element_id("P5", (z0, y, n)) for y in range(B + 1)]
+        row = [(x, z0, n) for x in range(B + 1)]
+        col = [(z0, y, n) for y in range(B + 1)]
         for line in (row, col):
             lines += 1
             if not one.is_chain(line):
-                return fail("row/column is not a chain", line)
+                return fail("row/column is not a chain", names(line))
             if not one.is_contiguous_chain(line):
-                return fail("row/column is not contiguous in its level", line)
+                return fail("row/column is not contiguous in its level", names(line))
     return VerificationReport(
         claim="P5.level_structure",
         params=params,
@@ -97,24 +102,23 @@ def test_level_structure_matches_the_loop_reference_on_real_windows(n):
             assert want["status"] == UP_TO_BOUND
 
 
-def _random_level_order(names, rng, p):
-    """A random poset on ``names``: pairs follow a hidden permutation and
+def _random_level_order(points, rng, p):
+    """A random poset on ``points``: pairs follow a hidden permutation and
     each is kept with probability p (p = 1 gives a linear order)."""
-    perm = list(names)
+    perm = list(points)
     rng.shuffle(perm)
     pairs = [(a, b) for i, a in enumerate(perm) for b in perm[i + 1 :] if rng.random() < p]
-    return FinitePoset.from_generators(names, pairs)
+    return FinitePoset.from_generators(points, pairs)
 
 
 def _lexicographic_level_order(n, B, major):
-    """The level's names in a linear order with coordinate ``major`` most
+    """The level's payloads in a linear order with coordinate ``major`` most
     significant: its lines along the other coordinate are contiguous, the
     others are not."""
     points = sorted(
-        ((x, y) for x in range(B + 1) for y in range(B + 1)), key=lambda q: (q[major], q[1 - major])
+        ((x, y, n) for x in range(B + 1) for y in range(B + 1)), key=lambda q: (q[major], q[1 - major])
     )
-    names = [element_id("P5", (x, y, n)) for x, y in points]
-    return FinitePoset.from_generators(names, zip(names, names[1:]))
+    return FinitePoset.from_generators(points, zip(points, points[1:]))
 
 
 def _grid_level_order(n, B, drop=None, extra=()):
@@ -123,13 +127,12 @@ def _grid_level_order(n, B, drop=None, extra=()):
     points = [(x, y) for x in range(B + 1) for y in range(B + 1)]
     covers = [((x, y), q) for x, y in points for q in ((x + 1, y), (x, y + 1)) if max(q) <= B]
     pairs = [(a, b) for a, b in covers if (a, b) != drop] + list(extra)
-    name = {p: element_id("P5", (*p, n)) for p in points}
-    return FinitePoset.from_generators(name.values(), [(name[a], name[b]) for a, b in pairs])
+    return FinitePoset.from_generators([(*p, n) for p in points], [((*a, n), (*b, n)) for a, b in pairs])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
-    """``one`` replaced by other orders on the level's names: sparse random
+    """``one`` replaced by other orders on the level's payloads: sparse random
     posets (lines that are not chains), random linear orders and two
     lexicographic orders (chains that are not contiguous), denser random
     posets, and the level's own order with one row cover dropped (row z0
@@ -147,16 +150,16 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
     for n in (0, 1, 2):
         B = rng.randint(2, 5)
         two = level_window(n, B, levels=2)
-        names = list(level_window(n, B).elements)
+        points = list(level_window(n, B).elements)
         z0, x = rng.randint(0, B - 1), rng.randint(0, B - 1)
         orders = {
             "dropped cover": _grid_level_order(n, B, drop=((x, z0), (x + 1, z0))),
             "shortcut": _grid_level_order(n, B, extra=[((0, z0 + 1), (1, z0))]),
-            "not a chain": _random_level_order(names, rng, 0.1),
-            "not contiguous": _random_level_order(names, rng, 1.0),
+            "not a chain": _random_level_order(points, rng, 0.1),
+            "not contiguous": _random_level_order(points, rng, 1.0),
             "rows contiguous": _lexicographic_level_order(n, B, major=1),
             "columns contiguous": _lexicographic_level_order(n, B, major=0),
-            "dense": _random_level_order(names, rng, 0.95),
+            "dense": _random_level_order(points, rng, 0.95),
         }
         for kind, one in orders.items():
             s = rng.randint(0, 2 * B)
@@ -174,19 +177,19 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_level_structure_per_diagonal_reports_match_the_loop_reference_on_perturbed_windows(seed):
-    """``two`` replaced by linear orders on its names: a random one, where
-    the level is not convex, and one with the level's names first, where
+    """``two`` replaced by linear orders on its payloads: a random one, where
+    the level is not convex, and one with the level's payloads first, where
     the level is convex and only the one-point diagonal is an antichain, so
     one call mixes diagonal failures with the line check's pass."""
     rng = random.Random(seed)
     for n in (0, 1):
         B = rng.randint(1, 4)
         one = level_window(n, B)
-        names = list(level_window(n, B, levels=2).elements)
-        rng.shuffle(names)
-        level_first = sorted(names, key=lambda e: e not in set(one.elements))
+        points = list(level_window(n, B, levels=2).elements)
+        rng.shuffle(points)
+        level_first = sorted(points, key=lambda e: e not in set(one.elements))
         cases = {
-            tuple(names): {"level is not convex in the two-level window"},
+            tuple(points): {"level is not convex in the two-level window"},
             tuple(level_first): {None, "diagonal is not an antichain"},
         }
         for order, reasons in cases.items():
@@ -195,6 +198,61 @@ def test_level_structure_per_diagonal_reports_match_the_loop_reference_on_pertur
             want = [_level_structure_by_loops(n, s, B, two, one).to_dict() for s in range(2 * B + 1)]
             assert [r.to_dict() for r in reports] == want
             assert {r.detail.get("reason") for r in reports} == reasons
+
+
+def test_convexity_witness_is_the_first_name_in_string_order():
+    """The two-level window as a linear order that puts (10,0,n+1) and
+    (2,0,n+1) between two of the level's points: the witness is the first
+    extra element by name, and "(10,0,1)" sorts before "(2,0,1)"."""
+    n, B = 0, 10
+    level = list(level_window(n, B).elements)
+    extras = [(10, 0, n + 1), (2, 0, n + 1)]
+    rest = [p for p in level_window(n, B, levels=2).elements if p not in set(level) | set(extras)]
+    order = [level[0], *extras, *level[1:], *rest]
+    two = FinitePoset.from_generators(order, zip(order, order[1:]))
+    rep = check_level_structure(n, [0], B, two, level_window(n, B))[0]
+    assert rep.to_dict() == _level_structure_by_loops(n, 0, B, two, level_window(n, B)).to_dict()
+    assert rep.detail == {"reason": "level is not convex in the two-level window"}
+    assert rep.witness == "(10,0,1)"
+
+
+def _count_element_ids(monkeypatch):
+    """Replace element_id in verify and in families by one counting
+    wrapper; returns the list of payloads it was called on."""
+    calls = []
+    real = families.element_id
+
+    def counted(family, payload):
+        calls.append(payload)
+        return real(family, payload)
+
+    monkeypatch.setattr(verify, "element_id", counted)
+    monkeypatch.setattr(families, "element_id", counted)
+    return calls
+
+
+def test_passing_desk_checks_build_no_element_names(monkeypatch):
+    """Names are built only for failure witnesses: a passing ``verify all``
+    and criterion 3 build none."""
+    calls = _count_element_ids(monkeypatch)
+    assert all(r.ok for r in desk_preset())
+    for n in (0, 1, 2):
+        two, one = level_window(n, 10, levels=2), level_window(n, 10)
+        assert all(r.ok for r in check_level_structure(n, range(9), 10, two, one))
+    assert acceptance.criterion_3().ok
+    assert calls == []
+
+
+def test_a_failing_line_names_only_its_witness(monkeypatch):
+    """With one row cover dropped, the report names the B+1 points of that
+    row and nothing else."""
+    n, B, z0 = 1, 5, 2
+    two, one = level_window(n, B, levels=2), _grid_level_order(n, B, drop=((3, z0), (4, z0)))
+    calls = _count_element_ids(monkeypatch)
+    rep = check_level_structure(n, [4], B, two, one)[0]
+    assert rep.detail == {"reason": "row/column is not a chain"}
+    assert calls == [(x, z0, n) for x in range(B + 1)]
+    assert rep.witness == [f"({x},{z0},{n})" for x in range(B + 1)]
 
 
 def test_level_structure_precondition():
@@ -290,6 +348,19 @@ def test_final_counting_gap():
         assert rep.detail["F_size"] == 2 * a + 1
         assert rep.detail["T_height"] == 2 * a
         assert rep.detail["gap"] == 1
+
+
+@pytest.mark.parametrize("a", range(1, 7))
+def test_final_counting_chain_lies_below_the_whole_cut(a):
+    """The docstring's argument, by plain arithmetic for coordinates up to
+    6a (the report checks up to 3a): every point of F meets P5's sum clause
+    x + y <= 2(u + v) against every cut point (u, v) with u + v >= 2a."""
+    F = [(a + t, a) for t in range(2 * a + 1)]
+    cut = [(u, v) for u in range(6 * a + 1) for v in range(6 * a + 1) if u + v >= 2 * a]
+    assert max(x + y for x, y in F) == 4 * a <= 2 * min(u + v for u, v in cut)
+    assert all(x + y <= 2 * (u + v) for x, y in F for u, v in cut)
+    assert all(elem_le("P5", (x, y, 1), (u, v, 0)) for x, y in F for u, v in cut)
+    assert verify_final_counting(a).ok
 
 
 def test_final_counting_precondition():
