@@ -91,12 +91,7 @@ def _cmd_ot_check(args) -> tuple[int, object, str]:
 def _cmd_family_window(args) -> tuple[int, object, str]:
     spec = families.WindowSpec.make(**_parse_axes(args.spec))
     P = families.window(args.family, spec)
-    payload = P.to_json_dict()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    return 0, payload, f"{args.family} window with {len(P)} element(s)"
+    return 0, P.to_json_dict(), f"{args.family} window with {len(P)} element(s)"
 
 
 def _one_report(rep: VerificationReport) -> tuple[int, object, str]:
@@ -178,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = ps.add_parser("window", help="materialize a finite window as a poset file")
     q.add_argument("family", choices=families.FAMILIES)
     q.add_argument("--spec", required=True, help="axis bounds, e.g. \"n=3\" or \"x=2,y=0:5\"")
-    q.add_argument("--out", help="also write the poset JSON to this file")
     q.set_defaults(func=_cmd_family_window)
     q = ps.add_parser("check", help="run a named bounded claim")
     q.add_argument("family", choices=families.FAMILIES)

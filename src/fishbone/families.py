@@ -133,22 +133,6 @@ def element_id(family: str, payload) -> str:
     return "(" + ",".join(map(str, payload)) + ")"
 
 
-_TUPLE_ID = re.compile(r"\((-?\d+)(?:,(-?\d+))*\)")
-
-
-def parse_element(family: str, text: str):
-    if family == "P1" and text in ("bot", "top", "a"):
-        return text
-    if not (text.startswith("(") and text.endswith(")")):
-        raise FamilyMismatch(family, text)
-    try:
-        coords = tuple(int(c) for c in text[1:-1].split(","))
-    except ValueError:
-        raise FamilyMismatch(family, text) from None
-    _check_payload(family, coords)
-    return coords
-
-
 def _check_payload(family: str, payload) -> None:
     if family == "P1":
         if payload in ("bot", "top", "a"):
@@ -306,19 +290,9 @@ _LE_COLS = {"P1": _le_p1_cols, "P2": _le_p2_cols, "P3": _le_p3_cols, "P4": _le_p
 
 def elem_le(family: str, p, q) -> bool:
     """Decide p <= q in the named family; raises FamilyMismatch."""
-    if family not in _LE:
-        raise ValueError(f"unknown family {family!r}")
     _check_payload(family, p)
     _check_payload(family, q)
     return _LE[family](p, q)
-
-
-def elem_lt(family: str, p, q) -> bool:
-    return p != q and elem_le(family, p, q)
-
-
-def elem_comparable(family: str, p, q) -> bool:
-    return elem_le(family, p, q) or elem_le(family, q, p)
 
 
 # ------------------------------------------------------------------ windows
@@ -715,13 +689,13 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> Verificat
 
 
 _CLAIMS = {
-    ("P1", "spine_partition"): (_claim_p1_spine_partition, ("N",)),
-    ("P1", "pigeonhole"): (_claim_p1_pigeonhole, ("m",)),
-    ("P2", "partitions"): (_claim_p2_partitions, ("B",)),
-    ("P2", "shift_reduction"): (_claim_p2_shift_reduction, ("B",)),
-    ("P3", "row_bound"): (_claim_p3_row_bound, ("y", "B")),
-    ("P3", "atomic_antichain"): (_claim_p3_atomic_antichain, ("n", "m", "B")),
-    ("P4", "no_domination"): (_claim_p4_no_domination, ("n", "m", "B")),
+    ("P1", "spine_partition"): _claim_p1_spine_partition,
+    ("P1", "pigeonhole"): _claim_p1_pigeonhole,
+    ("P2", "partitions"): _claim_p2_partitions,
+    ("P2", "shift_reduction"): _claim_p2_shift_reduction,
+    ("P3", "row_bound"): _claim_p3_row_bound,
+    ("P3", "atomic_antichain"): _claim_p3_atomic_antichain,
+    ("P4", "no_domination"): _claim_p4_no_domination,
 }
 
 
@@ -735,11 +709,12 @@ def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:
     key = (family, claim)
     if key not in _CLAIMS:
         raise UnknownClaim(family, claim)
-    func, required = _CLAIMS[key]
-    missing = [k for k in required if k not in params]
+    func = _CLAIMS[key]
+    parameters = inspect.signature(func).parameters
+    missing = [k for k, p in parameters.items() if p.default is p.empty and k not in params]
     if missing:
         raise ValueError(f"claim {family}.{claim} needs parameters {missing}")
-    unknown = [k for k in params if k not in inspect.signature(func).parameters]
+    unknown = [k for k in params if k not in parameters]
     if unknown:
         raise ValueError(f"claim {family}.{claim} takes no parameters {unknown}")
     values = {k: int(v) for k, v in params.items()}

@@ -129,10 +129,6 @@ def normalize(t: OrderTerm) -> OrderTerm:
     raise TypeError(f"not an order term: {t!r}")
 
 
-def is_finite(t: OrderTerm) -> bool:
-    return isinstance(t, Fin)
-
-
 # --------------------------------------------------------------- parse/render
 
 

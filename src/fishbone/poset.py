@@ -356,10 +356,6 @@ class FinitePoset:
     def down_set(self, x) -> frozenset:
         return self._members(self._strict[:, self.index(x)])
 
-    def comparability(self, x) -> tuple[frozenset, frozenset, frozenset]:
-        """Partition of the other elements into (above x, below x, incomparable)."""
-        return self.up_set(x), self.down_set(x), self._members(~self._comparable[self.index(x), :])
-
     def chain_sorted(self, chain: Iterable[ElementId]) -> list:
         """A chain's members in increasing order; raises NotAChain otherwise."""
         position = self._ranked()[1]
@@ -380,14 +376,6 @@ class FinitePoset:
         """
         return [(self.elements[v], self.elements[u]) for v, u in np.argwhere(self.cover_matrix.T).tolist()]
 
-    def open_interval(self, x, y) -> frozenset:
-        i, j = self.index(x), self.index(y)
-        return self._members(self._strict[i, :] & self._strict[:, j])
-
-    def closed_interval(self, x, y) -> frozenset:
-        i, j = self.index(x), self.index(y)
-        return self._members(self._leq[i, :] & self._leq[:, j])
-
     def convex_hull(self, members: Iterable[ElementId]) -> frozenset:
         """Elements lying between two members: {x : exists y, z in X, y <= x <= z}."""
         idx = [self.index(m) for m in members]
@@ -403,16 +391,8 @@ class FinitePoset:
         idx = [self.index(m) for m in members]
         if not idx:
             return frozenset(self.elements)
-        return self._wide(self._strict[idx, :].all(axis=0), self._strict[:, idx].all(axis=1))
-
-    def wide_interval_pair(self, x, y) -> frozenset:
-        """Pair form: {z : (w > y -> w > z) and (w < x -> w < z) for all w}."""
-        return self._wide(self._strict[self.index(y), :], self._strict[:, self.index(x)])
-
-    def _wide(self, above: np.ndarray, below: np.ndarray) -> frozenset:
-        """{z : every w in ``above`` is > z and every w in ``below`` is < z}."""
-        ok_up = (self._strict | ~above[None, :]).all(axis=1)
-        ok_down = (self._strict.T | ~below[None, :]).all(axis=1)
+        ok_up = (self._strict | ~self._strict[idx, :].all(axis=0)).all(axis=1)
+        ok_down = (self._strict.T | ~self._strict[:, idx].all(axis=1)).all(axis=1)
         return self._members(ok_up & ok_down)
 
     # ------------------------------------------------------------- predicates

@@ -22,12 +22,9 @@ from fishbone.families import (
     check_bounded_bicomparable,
     check_bounded_cofinally_above,
     claim_names,
-    elem_comparable,
     elem_le,
-    elem_lt,
     element_id,
     named_subset,
-    parse_element,
     relation_block,
     relation_poset,
     verify_claim,
@@ -283,16 +280,9 @@ def test_element_ids_and_parsing():
     assert element_id("P5", (1, 2, 0)) == "(1,2,0)"
     assert element_id("P2", (-1, 0, 2)) == "(-1,0,2)"
     assert element_id("P1", "bot") == "bot"
-    assert parse_element("P5", "(1,2,0)") == (1, 2, 0)
-    assert parse_element("P1", "a") == "a"
-    assert parse_element("P1", "(3,1)") == (3, 1)
 
 
 def test_element_parsing_rejects_mismatches():
-    with pytest.raises(FamilyMismatch):
-        parse_element("P3", "(1,2,3)")
-    with pytest.raises(FamilyMismatch):
-        parse_element("P3", "x")
     with pytest.raises(FamilyMismatch):
         elem_le("P1", (0, 2), (1, 1))
     with pytest.raises(FamilyMismatch):
@@ -312,9 +302,9 @@ def test_p1_frozen_order():
     assert elem_le("P1", (0, 1), (1, 0))  # strictly smaller index crosses
     assert not elem_le("P1", (1, 1), (1, 0))
     assert not elem_le("P1", (0, 0), (5, 1))
-    assert elem_lt("P1", "bot", "a") and not elem_lt("P1", "a", "a")
-    assert elem_comparable("P1", (0, 1), (4, 0))
-    assert not elem_comparable("P1", (4, 0), "a")
+    assert elem_le("P1", "bot", "a") and not elem_le("P1", "a", "bot")
+    assert elem_le("P1", (0, 1), (4, 0))
+    assert not elem_le("P1", (4, 0), "a") and not elem_le("P1", "a", (4, 0))
 
 
 def test_p1_window_enumeration_and_named_chains():
@@ -408,7 +398,8 @@ def test_p4_far_out():
 
 def test_p4_column_is_not_a_chain():
     # Two members of E(2) with incomparable z-coordinates at equal height.
-    assert not elem_comparable("P4", (2, 0, 5), (2, 1, 0))
+    assert not elem_le("P4", (2, 0, 5), (2, 1, 0))
+    assert not elem_le("P4", (2, 1, 0), (2, 0, 5))
 
 
 # ------------------------------------------------------------ P5 relations
@@ -570,6 +561,19 @@ def test_p3_claims():
 def test_p4_no_domination_claim():
     rep = verify_claim("P4", "no_domination", {"n": 1, "m": 2, "B": 4})
     assert rep.ok and rep.status == "verified-up-to-bound"
+
+
+def test_claim_parameter_messages():
+    # Required parameters are the ones without a default, in signature order.
+    with pytest.raises(ValueError) as err:
+        verify_claim("P4", "no_domination", {})
+    assert str(err.value) == "claim P4.no_domination needs parameters ['n', 'm', 'B']"
+    with pytest.raises(ValueError) as err:
+        verify_claim("P4", "no_domination", {"n": 1, "B": 2})
+    assert str(err.value) == "claim P4.no_domination needs parameters ['m']"
+    with pytest.raises(ValueError) as err:
+        verify_claim("P4", "no_domination", {"n": 1, "m": 2, "B": 2, "slack": 2, "q": 3})
+    assert str(err.value) == "claim P4.no_domination takes no parameters ['q']"
 
 
 # -------------------------------------------------------- bounded cofinality

@@ -26,7 +26,6 @@ from fishbone.ordertype import (
     has_minimum,
     hausdorff_rank,
     is_cowellfounded,
-    is_finite,
     is_vacillating_chain,
     is_wellfounded,
     limit_point_counts,
@@ -252,7 +251,7 @@ def test_reverse_mirrors_the_invariants(t):
 def test_predicate_implications(t):
     wf = is_wellfounded(t)
     cowf = is_cowellfounded(t)
-    assert is_finite(t) == (wf and cowf)
+    assert isinstance(t, Fin) == (wf and cowf)
     if embeds_zeta(t) or embeds_omega_plus_omegastar(t):
         assert not wf and not cowf
     if embeds_omega_plus_one(t):
