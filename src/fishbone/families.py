@@ -26,10 +26,11 @@ reach exactly those points.  No comparison depends on a window.
 
 Every bulk comparison is a rectangular :func:`relation_block`: window
 matrices, the claims and cofinality checks here, and the P5 lemmas of
-``verify``.  It evaluates the same closed form once, broadcast over integer
-coordinate columns (the narrowest exact integer type, Python ints past
-int64); ``elem_le`` decides one pair at a time and stays the independent
-oracle.
+``verify``; scattered pairs, as in the axiom fuzzing of the acceptance
+battery, go through :func:`relation_pairs`.  Both evaluate the same closed
+form once, broadcast over integer coordinate columns (the narrowest exact
+integer type, Python ints past int64); ``elem_le`` decides one pair at a
+time and stays the independent oracle.
 
 Windows name their elements by compact strings ("bot", "(0,1)",
 "(-1,0,2)", ...) so window posets serialize cleanly.
@@ -328,10 +329,17 @@ _P1_KIND = {"bot": 0, "a": 2, "top": 3}
 # the type is object and the same expression runs on Python ints.
 
 
-def _coords(family: str, p) -> tuple:
-    if family == "P1":
-        return (1, *p) if isinstance(p, tuple) else (_P1_KIND[p], 0, 0)
-    return p
+def _p1_coords(p) -> tuple:
+    return (1, *p) if isinstance(p, tuple) else (_P1_KIND[p], 0, 0)
+
+
+def _columns(family: str, points: list) -> np.ndarray:
+    """``a[k, i]`` is coordinate k of points[i], in the type chosen above;
+    ``points`` is non-empty."""
+    rows = map(_p1_coords, points) if family == "P1" else points
+    flat = [c for p in rows for c in p]
+    size = max(-min(flat), max(flat))
+    return np.array(flat, dtype=np.min_scalar_type(-(4 * size + 2))).reshape(len(points), -1).T
 
 
 def relation_block(family: str, rows: list, cols: list) -> np.ndarray:
@@ -346,10 +354,19 @@ def relation_block(family: str, rows: list, cols: list) -> np.ndarray:
     if not rows or not cols:
         return np.zeros((len(rows), len(cols)), dtype=bool)
     points = rows if cols is rows else [*rows, *cols]
-    flat = [c for p in points for c in _coords(family, p)]
-    size = max(-min(flat), max(flat))
-    a = np.array(flat, dtype=np.min_scalar_type(-(4 * size + 2))).reshape(len(points), -1).T
+    a = _columns(family, points)
     return _LE_COLS[family](a[:, : len(rows), None], a[:, None, len(points) - len(cols) :])
+
+
+def relation_pairs(family: str, points: list, left, right) -> np.ndarray:
+    """``bool[len(left)]`` whose entry k is points[left[k]] <= points[right[k]].
+
+    ``points`` (non-empty, not validated) is converted to coordinate columns
+    once, and the family's broadcast form runs once on the columns gathered
+    by the index arrays ``left`` and ``right``.
+    """
+    a = _columns(family, points)
+    return _LE_COLS[family](a[:, left], a[:, right])
 
 
 def _incomparable(family: str, rows: list, cols: list) -> np.ndarray:

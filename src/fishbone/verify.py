@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .families import WindowSpec, element_id, named_subset_payloads, relation_block, window_payloads
+from .families import WindowSpec, element_id, relation_block, window_payloads
 from .poset import FinitePoset, PosetError
 from .report import FAIL, PASS, UP_TO_BOUND, VerificationReport
 
@@ -54,7 +54,7 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     two = level_window(n, B, levels=2)
     # The level's induced subposet equals level_window(n, B) element for
     # element.
-    one = two.induced(named_subset_payloads("P5", f"L({n})", WindowSpec.make(n=(n, n + 1), c=B)))
+    one = two.induced([p for p in two.elements if p[2] == n])
     return check_level_structure(n, [s], B, two, one)[0]
 
 
@@ -74,8 +74,10 @@ def check_level_structure(
     "not a chain" ahead of "not contiguous" on that line.
 
     Both windows hold ``(x, y, n)`` payload tuples, as :func:`level_window`
-    builds them; the lines are looked up through ``one.index``.  Element
-    names are built only for a failure's witness.
+    builds them.  L(n) and each K(n, s) are filtered from ``two.elements``
+    and sorted, which is the window's enumeration order whatever order
+    ``two`` lists them in; the lines are looked up through ``one.index``.
+    Element names are built only for a failure's witness.
     """
 
     def report(s: int, failure: tuple | None, diagonal: Sequence = ()) -> VerificationReport:
@@ -86,8 +88,7 @@ def check_level_structure(
         reason, witness = failure
         return VerificationReport(claim, params, FAIL, witness, {"reason": reason})
 
-    spec2 = WindowSpec.make(n=(n, n + 1), c=B)
-    level_n = named_subset_payloads("P5", f"L({n})", spec2)
+    level_n = sorted(p for p in two.elements if p[2] == n)
     hull = two.convex_hull(level_n)
     if hull != frozenset(level_n):
         extra = min(element_id("P5", p) for p in hull - set(level_n))
@@ -114,7 +115,7 @@ def check_level_structure(
 
     reports = []
     for s in diagonals:
-        diagonal = named_subset_payloads("P5", f"K({n},{s})", spec2)
+        diagonal = [p for p in level_n if p[0] + p[1] == s]
         if two.is_antichain(diagonal):
             failure = line_failure
         else:

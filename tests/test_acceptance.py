@@ -6,10 +6,14 @@ and tolerance of the criterion.
 """
 
 import itertools
+import json
+import random
 
+import numpy as np
 import pytest
 
-from fishbone import acceptance
+from fishbone import acceptance, families
+from fishbone.families import FAMILIES, elem_le
 
 
 def _check(rep, **expected_detail):
@@ -91,3 +95,61 @@ def test_ladder_transversals_match_the_product_filter(k):
 
 def test_criterion_12_axiom_fuzzing_all_families():
     _check(acceptance.criterion_12(seed=0), families=5, trials_each=1000)
+
+
+# Criterion 12 fuzzes the broadcast forms through ``relation_pairs``; these
+# tests keep the scalar ``elem_le`` tied to them on the same kind of draws.
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_relation_pairs_match_elem_le_on_criterion_12_draws(family):
+    members = acceptance._random_members(family, random.Random(12), 12, 150)
+    if family == "P1":
+        assert {"bot", "top", "a"} <= set(members)
+    left, right = np.divmod(np.arange(len(members) ** 2), len(members))
+    got = families.relation_pairs(family, members, left, right)
+    want = [elem_le(family, members[i], members[j]) for i, j in zip(left, right)]
+    assert got.dtype == bool and got.tolist() == want
+
+
+def _first_failure(monkeypatch, family, broken):
+    """Criterion 12's report with ``family``'s broadcast form replaced by
+    ``broken(form, p, q)``, plus that family's drawn members."""
+    form = families._LE_COLS[family]
+    monkeypatch.setitem(families._LE_COLS, family, lambda p, q: broken(form, p, q))
+    rep = acceptance.criterion_12(seed=0)
+    rng = random.Random(12)
+    for earlier in FAMILIES[: FAMILIES.index(family)]:
+        acceptance._random_members(earlier, rng, 12, 3000)
+    assert rep.status == "fail" and rep.witness["family"] == family
+    json.dumps(rep.to_dict())
+    return rep, acceptance._random_members(family, rng, 12, 3000)
+
+
+def test_criterion_12_reports_reflexivity_ahead_of_antisymmetry(monkeypatch):
+    # "p != q" breaks reflexivity in every trial, and antisymmetry in every
+    # trial whose p and q differ; the report names the first law.
+    rep, members = _first_failure(monkeypatch, "P2", lambda form, p, q: ~(form(p, q) & form(q, p)))
+    assert members[0] != members[1000]
+    assert rep.witness == {"family": "P2", "p": members[0], "law": "reflexive"}
+
+
+def test_criterion_12_reports_the_first_antisymmetry_failure(monkeypatch):
+    # Comparing P3 points by y alone is a preorder: only antisymmetry breaks.
+    rep, members = _first_failure(monkeypatch, "P3", lambda form, p, q: p[1] <= q[1])
+    t = next(t for t in range(1000) if members[t] != members[1000 + t] and members[t][1] == members[1000 + t][1])
+    assert rep.witness == {"family": "P3", "p": members[t], "q": members[1000 + t], "law": "antisymmetric"}
+
+
+def test_criterion_12_reports_a_broken_transitive_law(monkeypatch):
+    # P5's order cut down to pairs at most six levels apart stays reflexive
+    # and antisymmetric but is not transitive.
+    def cut(form, p, q):
+        return form(p, q) & (p[2] - q[2] <= 6)
+
+    rep, _ = _first_failure(monkeypatch, "P5", cut)
+    w = rep.witness
+    assert list(w) == ["family", "p", "q", "r", "law"] and w["law"] == "transitive"
+    assert all(type(c) is int for role in "pqr" for c in w[role])
+    le = families._le_p5_cols
+    assert cut(le, w["p"], w["q"]) and cut(le, w["q"], w["r"]) and not cut(le, w["p"], w["r"])

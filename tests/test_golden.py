@@ -1,10 +1,10 @@
 """Pinned stdout of the two batteries, so that refactors keep it byte-identical.
 
-The digests are SHA-256 of ``verify all`` stdout and of ``--seed 0 sweep``
-stdout with the wall-clock ``detail.elapsed`` of acceptance criteria 1 and 5
-set to null (the only fields that vary between runs), and of the JSON of a
-grid of family claim, cofinality, counting and min-drop reports.  Update them
-only for an intended change of report contents.
+The digests are SHA-256 of ``verify all`` stdout, of ``--seed S sweep``
+stdout for S = 0..7 with the wall-clock ``detail.elapsed`` of acceptance
+criteria 1 and 5 set to null (the only fields that vary between runs), and
+of the JSON of a grid of family claim, cofinality, counting and min-drop
+reports.  Update them only for an intended change of report contents.
 """
 
 import contextlib
@@ -16,7 +16,18 @@ from fishbone import cli, families, verify
 from fishbone.families import WindowSpec
 
 VERIFY_ALL_SHA256 = "495f94599dae2e12186945b7a855f84d5b4179a53a56d67018ff394ece55d5ae"
-SWEEP_SEED0_SHA256 = "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7"
+# The seeds the benchmark runs.  They give three distinct outputs: of the
+# unmasked fields, only criterion 11's attempt count depends on the seed.
+SWEEP_SHA256 = {
+    0: "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7",
+    1: "0b0e9fb536138c29fc1e59386044daec9197c3cc8a8961ad599fdef9786863fb",
+    2: "f5eb84e02568169d44b2aa5d5ca8526c49c815bdf6c0051bf0206d9698e9f91a",
+    3: "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7",
+    4: "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7",
+    5: "f5eb84e02568169d44b2aa5d5ca8526c49c815bdf6c0051bf0206d9698e9f91a",
+    6: "0b0e9fb536138c29fc1e59386044daec9197c3cc8a8961ad599fdef9786863fb",
+    7: "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7",
+}
 REPORT_GRID_SHA256 = "04adb60261c95c97ecae6a908054a4c0d3c9141d42df0e8f1d009a88db50ccfa"
 
 
@@ -36,13 +47,14 @@ def test_verify_all_stdout_is_pinned():
 
 
 def test_sweep_stdout_is_pinned():
-    text = stdout_of(["--seed", "0", "sweep"])
-    reports = json.loads(text)
-    assert text == json.dumps(reports, indent=2) + "\n"
-    for rep in reports:
-        if rep["claim"] in ("acceptance-1", "acceptance-5"):
-            rep["detail"]["elapsed"] = None
-    assert sha256(json.dumps(reports, indent=2) + "\n") == SWEEP_SEED0_SHA256
+    for seed, digest in SWEEP_SHA256.items():
+        text = stdout_of(["--seed", str(seed), "sweep"])
+        reports = json.loads(text)
+        assert text == json.dumps(reports, indent=2) + "\n"
+        for rep in reports:
+            if rep["claim"] in ("acceptance-1", "acceptance-5"):
+                rep["detail"]["elapsed"] = None
+        assert sha256(json.dumps(reports, indent=2) + "\n") == digest, seed
 
 
 # Named sets per family, compared in both directions.  More than a quarter
