@@ -389,11 +389,11 @@ def criterion_7() -> VerificationReport:
     for text in REGRESSION_TERMS:
         t = parse_term(text)
         r = reverse(t)
+        p, q = ordertype.predicates(t), ordertype.predicates(r)
         laws = [
-            ordertype.is_wellfounded(t) == ordertype.is_cowellfounded(r),
-            ordertype.embeds_zeta(t) == ordertype.embeds_zeta(r),
-            ordertype.embeds_omega_plus_omegastar(t)
-            == ordertype.embeds_omega_plus_omegastar(r),
+            p.wellfounded == q.cowellfounded,
+            p.embeds_zeta == q.embeds_zeta,
+            p.embeds_omega_plus_omegastar == q.embeds_omega_plus_omegastar,
             ordertype.alternation_number(t) == ordertype.alternation_number(r),
             ordertype.hausdorff_rank(t) == ordertype.hausdorff_rank(r),
             ordertype.is_vacillating_chain(t) == ordertype.is_vacillating_chain(r),
@@ -403,7 +403,7 @@ def criterion_7() -> VerificationReport:
         if not all(laws):
             return _report(7, False, witness={"term": text, "laws": laws})
         want = oracle_predicates(t)
-        got = ordertype.predicates(t).to_dict()
+        got = p.to_dict()
         if any(got[k] != v for k, v in want.items()):
             return _report(7, False, witness={"term": text, "oracle": want, "got": got})
     return _report(7, True, table_rows=len(TRUTH_TABLE), regression_terms=len(REGRESSION_TERMS))

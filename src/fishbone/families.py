@@ -513,7 +513,7 @@ def check_bounded_bicomparable(
 # ------------------------------------------------------------------- claims
 
 
-def _claim_p1_spine_partition(N: int) -> VerificationReport:
+def _claim_p1_spine_partition(N: int) -> tuple:
     """The window certificate with chain C2 and the pair antichains.
 
     Parts: {bot}, {(n,0),(n,1)} for each n <= N, {a}, {top}; chain
@@ -522,27 +522,15 @@ def _claim_p1_spine_partition(N: int) -> VerificationReport:
     """
     from .partition import SpineCertificate, check_spine
 
-    spec = WindowSpec.make(n=N)
-    P = window("P1", spec)
+    P = window("P1", WindowSpec.make(n=N))
     chain = ["bot"] + [element_id("P1", (n, 1)) for n in range(N + 1)] + ["a", "top"]
-    parts: list[tuple] = [("bot",)]
-    parts += [
-        (element_id("P1", (n, 0)), element_id("P1", (n, 1))) for n in range(N + 1)
-    ]
+    parts = [("bot",), *((element_id("P1", (n, 0)), element_id("P1", (n, 1))) for n in range(N + 1))]
     parts += [("a",), ("top",)]
-    cert = SpineCertificate(chain=tuple(chain), antichains=tuple(parts))
-    rep = check_spine(P, cert)
-    status = PASS if rep.ok else FAIL
-    return VerificationReport(
-        claim="P1.spine_partition",
-        params={"N": N},
-        status=status,
-        witness=None if rep.ok else rep.witness,
-        detail={"chain_size": len(chain), "parts": len(parts)},
-    )
+    rep = check_spine(P, SpineCertificate(chain=tuple(chain), antichains=tuple(parts)))
+    return PASS if rep.ok else FAIL, rep.witness, {"chain_size": len(chain), "parts": len(parts)}
 
 
-def _claim_p1_pigeonhole(m: int) -> VerificationReport:
+def _claim_p1_pigeonhole(m: int) -> tuple:
     """Counting obstruction: no antichain partition pairs every point off
     the chain C1 with its own C1 element.
 
@@ -551,37 +539,29 @@ def _claim_p1_pigeonhole(m: int) -> VerificationReport:
     incomparable only to the C1 elements {(k,0): k <= n} (computed
     exhaustively), so with (m,0) spoken for they compete for m hosts.
     """
-    spec = WindowSpec.make(n=m)
     demanders = [(n, 1) for n in range(m + 1)]
-    c1 = named_subset_payloads("P1", "C1", spec)
+    c1 = named_subset_payloads("P1", "C1", WindowSpec.make(n=m))
     eligible = {h for h, free in zip(c1, _incomparable("P1", demanders, c1).any(axis=0)) if free}
     reserved = (m, 0)
-    hosts = sorted(eligible - {reserved})
+    hosts = [element_id("P1", h) for h in sorted(eligible - {reserved})]
     ok = len(hosts) < len(demanders)
-    return VerificationReport(
-        claim="P1.pigeonhole",
-        params={"m": m},
-        status=PASS if ok else FAIL,
-        witness=None if ok else [element_id("P1", h) for h in hosts],
-        detail={
-            "demanders": [element_id("P1", d) for d in demanders],
-            "hosts": [element_id("P1", h) for h in hosts],
-            "demander_count": len(demanders),
-            "host_count": len(hosts),
-            "reserved_for_a": element_id("P1", reserved),
-        },
-    )
+    return PASS if ok else FAIL, None if ok else hosts, {
+        "demanders": [element_id("P1", d) for d in demanders],
+        "hosts": hosts,
+        "demander_count": len(demanders),
+        "host_count": len(hosts),
+        "reserved_for_a": element_id("P1", reserved),
+    }
 
 
-def _claim_p2_partitions(B: int) -> VerificationReport:
+def _claim_p2_partitions(B: int) -> tuple:
     """Both named families cover the window exactly once.
 
     The P2 named predicates are coordinate comparisons, so each one applied
     to the window's coordinate columns gives its membership mask.
     """
-    spec = WindowSpec.make(z=B, n=B)
     # The window lists its payloads in sorted order, so ``missing`` is sorted.
-    everything = window_payloads("P2", spec)
+    everything = window_payloads("P2", WindowSpec.make(z=B, n=B))
     columns = tuple(np.array(everything).T)
     families = {"C0/C1": ("C0", "C1"), "D(n)": [f"D({n})" for n in range(B + 1)]}
     detail = {}
@@ -593,94 +573,55 @@ def _claim_p2_partitions(B: int) -> VerificationReport:
             # by set.
             missing = np.flatnonzero(counts == 0).tolist()
             extra = [k for mask in masks for k in np.flatnonzero(mask & (counts > 1)).tolist()]
-            return VerificationReport(
-                claim="P2.partitions",
-                params={"B": B},
-                status=FAIL,
-                witness=element_id("P2", everything[(missing + extra)[0]]),
-                detail={"family": label},
-            )
+            return FAIL, element_id("P2", everything[(missing + extra)[0]]), {"family": label}
         detail[label] = {"sets": len(names), "covered": int(counts.sum())}
-    return VerificationReport(
-        claim="P2.partitions", params={"B": B}, status=PASS, detail=detail
-    )
+    return PASS, None, detail
 
 
-def _claim_p2_shift_reduction(B: int) -> VerificationReport:
+def _claim_p2_shift_reduction(B: int) -> tuple:
     """Each column chain maps consistently onto the previous one: every
     (z-1, 0, n) in the window lies below some (z, 0, m) in the window."""
-    spec = WindowSpec.make(z=B, n=B)
-    zlo, zhi = spec.bound("z")
     # Axis 0 is the column z, axis 1 the lower point's n, axis 2 the upper
     # point's m: one broadcast holds every column's block pair.
-    z = np.arange(zlo + 1, zhi + 1).reshape(-1, 1, 1)
+    z = np.arange(1 - B, B + 1).reshape(-1, 1, 1)
     n = np.arange(B + 1)
     lower, upper = (z - 1, 0, n[:, None]), (z, 0, n)
     reached = (_le_p2_cols(lower, upper) & ~_le_p2_cols(upper, lower)).any(axis=2)
     if not reached.all():
         col, k = np.unravel_index(int(reached.argmin()), reached.shape)
-        return VerificationReport(
-            claim="P2.shift_reduction",
-            params={"B": B},
-            status=FAIL,
-            witness=element_id("P2", (zlo + int(col), 0, int(k))),
-        )
-    return VerificationReport(
-        claim="P2.shift_reduction",
-        params={"B": B},
-        status=UP_TO_BOUND,
-        detail={"checked": (zhi - zlo) * (B + 1)},
-    )
+        return FAIL, element_id("P2", (int(col) - B, 0, int(k))), {}
+    return UP_TO_BOUND, None, {"checked": 2 * B * (B + 1)}
 
 
-def _claim_p3_row_bound(y: int, B: int) -> VerificationReport:
+def _claim_p3_row_bound(y: int, B: int) -> tuple:
     """Maximum antichain of the row window {(x, y): x <= B} has size
     exactly min(y+1, B+1)."""
     from .partition import width_and_dilworth
 
-    P = window("P3", WindowSpec.make(x=B, y=(y, y)))
-    w, _, antichain = width_and_dilworth(P)
+    w, _, antichain = width_and_dilworth(window("P3", WindowSpec.make(x=B, y=(y, y))))
     expected = min(y + 1, B + 1)
     ok = w == expected
-    return VerificationReport(
-        claim="P3.row_bound",
-        params={"y": y, "B": B},
-        status=PASS if ok else FAIL,
-        witness=None if ok else sorted(antichain),
-        detail={"width": w, "expected": expected},
-    )
+    return PASS if ok else FAIL, None if ok else sorted(antichain), {"width": w, "expected": expected}
 
 
-def _claim_p3_atomic_antichain(n: int, m: int, B: int) -> VerificationReport:
+def _claim_p3_atomic_antichain(n: int, m: int, B: int) -> tuple:
     """Bounded evidence that distinct columns are incomparable in bulk:
     some element of column n (y <= B) is incomparable to at least B
     elements of column m (y <= 2B)."""
     if n == m:
-        return VerificationReport(
-            claim="P3.atomic_antichain",
-            params={"n": n, "m": m, "B": B},
-            status=FAIL,
-            witness=element_id("P3", (n, 0)),
-            detail={"reason": "columns coincide"},
-        )
+        return FAIL, element_id("P3", (n, 0)), {"reason": "columns coincide"}
     column = [(n, y1) for y1 in range(B + 1)]
     counts = _incomparable("P3", column, [(m, y2) for y2 in range(2 * B + 1)]).sum(axis=1)
-    best = column[int(counts.argmax())], int(counts.max())
-    ok = best[1] >= B
-    return VerificationReport(
-        claim="P3.atomic_antichain",
-        params={"n": n, "m": m, "B": B},
-        status=UP_TO_BOUND if ok else FAIL,
-        witness=None if ok else element_id("P3", best[0]),
-        detail={
-            "best_element": element_id("P3", best[0]),
-            "incomparable_count": best[1],
-            "required": B,
-        },
-    )
+    best, count = element_id("P3", column[int(counts.argmax())]), int(counts.max())
+    ok = count >= B
+    return UP_TO_BOUND if ok else FAIL, None if ok else best, {
+        "best_element": best,
+        "incomparable_count": count,
+        "required": B,
+    }
 
 
-def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> VerificationReport:
+def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> tuple:
     """No single window element of E(n) lies above the whole window of
     E(m): each candidate (n, y, z) with y, z <= B is refuted inside the
     slack-widened window of E(m).  The asymmetric windows matter — a
@@ -691,18 +632,8 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> Verificat
     targets = [(m, v, w) for v in range(wide + 1) for w in range(wide + 1)]
     dominating = relation_block("P4", targets, candidates).all(axis=0)
     if dominating.any():
-        return VerificationReport(
-            claim="P4.no_domination",
-            params={"n": n, "m": m, "B": B, "slack": slack},
-            status=FAIL,
-            witness=element_id("P4", candidates[int(dominating.argmax())]),
-        )
-    return VerificationReport(
-        claim="P4.no_domination",
-        params={"n": n, "m": m, "B": B, "slack": slack},
-        status=UP_TO_BOUND,
-        detail={"candidates": len(candidates), "targets": len(targets)},
-    )
+        return FAIL, element_id("P4", candidates[int(dominating.argmax())]), {}
+    return UP_TO_BOUND, None, {"candidates": len(candidates), "targets": len(targets)}
 
 
 _CLAIMS = {
@@ -722,7 +653,10 @@ def claim_names(family: str) -> list[str]:
 
 def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:
     """Run a registered finite check; see the per-claim functions.  Every
-    claim parameter is a natural number."""
+    claim parameter is a natural number.  A claim function returns
+    ``(status, witness, detail)``; its report is named ``"<family>.<claim>"``
+    and its params are the claim's arguments in signature order, defaults
+    included."""
     key = (family, claim)
     if key not in _CLAIMS:
         raise UnknownClaim(family, claim)
@@ -738,4 +672,6 @@ def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:
     negative = [k for k, v in values.items() if v < 0]
     if negative:
         raise ValueError(f"claim {family}.{claim} parameters {negative} must be natural numbers")
-    return func(**values)
+    args = {k: values.get(k, p.default) for k, p in parameters.items()}
+    status, witness, detail = func(**args)
+    return VerificationReport(f"{family}.{claim}", args, status, witness, detail)

@@ -514,33 +514,6 @@ def _facts(t: OrderTerm) -> _Facts:
 # ----------------------------------------------------------------- predicates
 
 
-def is_wellfounded(t: OrderTerm) -> bool:
-    """No ω*-chain."""
-    return _facts(t).wf
-
-
-def is_cowellfounded(t: OrderTerm) -> bool:
-    """No ω-chain; the mirror image of :func:`is_wellfounded`."""
-    return _facts(t).cowf
-
-
-def embeds_omega_plus_one(t: OrderTerm) -> bool:
-    """Contains an ω-chain together with an element above all of it."""
-    return _facts(t).wp1
-
-
-def embeds_zeta(t: OrderTerm) -> bool:
-    """Contains a suborder of type ζ = ω* + ω (an unbounded-below ω*-chain
-    with an unbounded-above ω-chain entirely above it)."""
-    return _facts(t).zeta
-
-
-def embeds_omega_plus_omegastar(t: OrderTerm) -> bool:
-    """Contains a suborder of type ω + ω* (an ω-chain with an ω*-chain
-    entirely above it)."""
-    return _facts(t).owv
-
-
 @dataclass(frozen=True)
 class TermPredicates:
     """The five primitive predicates, plus the derived names used elsewhere:
@@ -548,10 +521,17 @@ class TermPredicates:
     ``atomic_increasing`` (no ω+1 suborder, so all ω-chains are cofinal)."""
 
     wellfounded: bool
+    """No ω*-chain."""
     cowellfounded: bool
+    """No ω-chain; the mirror image of ``wellfounded``."""
     embeds_omega_plus_one: bool
+    """Contains an ω-chain together with an element above all of it."""
     embeds_zeta: bool
+    """Contains a suborder of type ζ = ω* + ω (an unbounded-below ω*-chain
+    with an unbounded-above ω-chain entirely above it)."""
     embeds_omega_plus_omegastar: bool
+    """Contains a suborder of type ω + ω* (an ω-chain with an ω*-chain
+    entirely above it)."""
 
     @property
     def iwf(self) -> bool:

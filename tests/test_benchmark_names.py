@@ -1,0 +1,61 @@
+"""The benchmark in perfbench/ still finds every package name it uses.
+
+perfbench/worker.py builds its list of desk checks from ``verify.*`` when
+it is imported, and perfbench/oracles.py and run.py import some names only
+inside the functions that use them.  Deleting or renaming one of those
+names would otherwise surface only in a benchmark run, not in these tests.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SCRIPTS = sorted(PERFBENCH.glob("*.py"))
+
+
+def test_worker_and_run_import(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("probe", "gen", "oracles", "worker", "run"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    worker = importlib.import_module("worker")
+    importlib.import_module("run")
+    assert worker.DESK and all(callable(fn) for _, fn, _ in worker.DESK)
+
+
+def package_names(path: Path) -> list[tuple[str, str]]:
+    """Every ``(module, name)`` the script takes from the package: names in
+    ``from fishbone[.module] import ...`` statements at any depth, and
+    attributes read from a package module bound by ``import fishbone`` or
+    ``from fishbone import``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules: dict[str, str] = {}
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names if a.name == "fishbone")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fishbone":
+            for alias in node.names:
+                used.append((node.module, alias.name))
+                if node.module == "fishbone":
+                    modules[alias.asname or alias.name] = f"fishbone.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            used.append((modules[node.value.id], node.attr))
+    return used
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_every_package_name_the_benchmark_uses_resolves(path):
+    for module, name in package_names(path):
+        assert hasattr(importlib.import_module(module), name), f"{path.name}: {module}.{name}"
+
+
+def test_the_lazy_imports_are_seen():
+    names = {n for p in SCRIPTS for n in package_names(p)}
+    assert ("fishbone.acceptance", "oracle_predicates") in names
+    assert ("fishbone.ordertype", "OmegaStarRep") in names
+    assert ("fishbone.verify", "verify_min_drop") in names

@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishbone import acceptance, cli, families
+from fishbone import acceptance, cli, families, verify
 from fishbone.cli import main
 from fishbone.ordertype import MAX_NESTING
 
@@ -352,6 +353,22 @@ def test_integers_too_large_for_a_size_are_usage_errors(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("verify", "rows", "--ell", str(10**20)), "MAX_ROWS_ELL=8"),
+        (("verify", "counting", "--a", str(10**20)), "MAX_COUNTING_A=40"),
+        (("verify", "mindrop", "--u", "2", "--v", "2", "--bound", str(10**20)), "MAX_MIN_DROP_BOUND=1000"),
+    ],
+)
+def test_sizes_past_an_exhaustive_checks_cap_are_usage_errors(capsys, argv, cap):
+    # Each check rejects its size before it enumerates anything.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and err.startswith("error:") and cap in err
+
+
 def test_verify_all_desk(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
@@ -444,9 +461,9 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 # ------------------------------------------------------------ boundary fuzz
 #
 # Every command line ends in exit code 0, 1 or 2 with no traceback, and
-# every failing report names a witness.  Integers stay at desk scale: the
-# checks behind `verify rows`, `mindrop` and `counting` enumerate what they
-# are given.
+# every failing report names a witness.  Integers stay at desk scale,
+# except the sizes of the three capped checks (`verify rows --ell`,
+# `counting --a`, `mindrop --bound`), which are also drawn past every cap.
 
 
 def assert_clean_exit(argv):
@@ -510,11 +527,13 @@ def axis_list(keys, value=SMALL_INTS | RANGES):
     return st.tuples(items, noise).map(lambda t: ",".join(t[0] + t[1]))
 
 
+LARGEST_CAP = max(verify.MAX_ROWS_ELL, verify.MAX_COUNTING_A, verify.MAX_MIN_DROP_BOUND)
+PAST_CAPS = st.integers(LARGEST_CAP + 1, 10**30).map(str)
 VERIFY_OPTIONS = {
-    "levels": ["--n", "--s", "--bound"],
-    "mindrop": ["--u", "--v", "--bound"],
-    "rows": ["--ell"],
-    "counting": ["--a"],
+    "levels": [("--n", SMALL_INTS), ("--s", SMALL_INTS), ("--bound", SMALL_INTS)],
+    "mindrop": [("--u", SMALL_INTS), ("--v", SMALL_INTS), ("--bound", SMALL_INTS | PAST_CAPS)],
+    "rows": [("--ell", SMALL_INTS | PAST_CAPS)],
+    "counting": [("--a", SMALL_INTS | PAST_CAPS)],
     "all": [],
 }
 
@@ -527,7 +546,7 @@ def command_lines(draw):
     family = draw(st.sampled_from([*families.FAMILIES, *families.FAMILIES, "P6"]))
     if command == "verify":
         action = draw(st.sampled_from([*VERIFY_OPTIONS, "nope"]))
-        argv += [action, *draw(options([(name, SMALL_INTS) for name in VERIFY_OPTIONS.get(action, [])]))]
+        argv += [action, *draw(options(VERIFY_OPTIONS.get(action, [])))]
     elif command == "family window":
         argv += [family, *draw(options([("--spec", axis_list(families.FAMILY_AXES.get(family, ("n",))))]))]
     elif command == "family check":
@@ -551,3 +570,11 @@ def command_lines(draw):
 @given(argv=command_lines())
 def test_command_lines_never_escape_the_exit_codes(argv):
     assert_clean_exit(argv)
+
+
+# The whole-CLI fuzz above reaches each verify action only a few times, so
+# the verify options get a run of their own.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(action=st.sampled_from(sorted(VERIFY_OPTIONS)), data=st.data())
+def test_verify_command_lines_never_escape_the_exit_codes(action, data):
+    assert_clean_exit(["verify", action, *data.draw(options(VERIFY_OPTIONS[action]))])

@@ -4,6 +4,7 @@ the generator edges inside a window, cross-check the closed-form comparisons
 of P2, P3 and P4; the per-pair ``elem_le`` checks every window matrix and
 rectangular ``relation_block``."""
 
+import inspect
 import itertools
 import json
 from collections import deque
@@ -574,6 +575,24 @@ def test_claim_parameter_messages():
     with pytest.raises(ValueError) as err:
         verify_claim("P4", "no_domination", {"n": 1, "m": 2, "B": 2, "slack": 2, "q": 3})
     assert str(err.value) == "claim P4.no_domination takes no parameters ['q']"
+
+
+@pytest.mark.parametrize("key", sorted(families._CLAIMS), ids="{0[0]}.{0[1]}".format)
+def test_every_claim_report_is_named_and_echoes_its_arguments(key):
+    # Each argument gets a distinct small value, so the columns of
+    # P3.atomic_antichain differ.  The first call passes only the required
+    # arguments, in reverse order; the second passes every argument.
+    family, claim = key
+    signature = inspect.signature(families._CLAIMS[key])
+    parameters = signature.parameters
+    values = {k: 1 + i for i, k in enumerate(parameters)}
+    required = {k: values[k] for k in reversed(parameters) if parameters[k].default is parameters[k].empty}
+    for given in (required, values):
+        bound = signature.bind(**given)
+        bound.apply_defaults()
+        rep = verify_claim(family, claim, given)
+        assert rep.claim == f"{family}.{claim}"
+        assert list(rep.params.items()) == list(bound.arguments.items())
 
 
 # -------------------------------------------------------- bounded cofinality

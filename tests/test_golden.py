@@ -4,7 +4,8 @@ The digests are SHA-256 of ``verify all`` stdout, of ``--seed S sweep``
 stdout for S = 0..7 with the wall-clock ``detail.elapsed`` of acceptance
 criteria 1 and 5 set to null (the only fields that vary between runs), and
 of the JSON of a grid of family claim, cofinality, counting and min-drop
-reports.  Update them only for an intended change of report contents.
+reports, and of a second grid of the three family claims the first leaves
+out.  Update them only for an intended change of report contents.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ SWEEP_SHA256 = {
     7: "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7",
 }
 REPORT_GRID_SHA256 = "04adb60261c95c97ecae6a908054a4c0d3c9141d42df0e8f1d009a88db50ccfa"
+CLAIM_GRID_SHA256 = "6c7ea5dc0d1aa5829ac26059309edcb87b143163627a8373f81de5d096d36947"
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -93,3 +95,19 @@ def test_report_grid_is_pinned():
     reports = report_grid()
     assert sum(r["status"] == "fail" for r in reports) == 120
     assert sha256(json.dumps(reports, indent=2) + "\n") == REPORT_GRID_SHA256
+
+
+def claim_grid() -> list[dict]:
+    """The registered claims that :func:`report_grid` does not run."""
+    reports = [families.verify_claim("P1", "spine_partition", {"N": N}) for N in range(5)]
+    reports += [families.verify_claim("P2", "partitions", {"B": B}) for B in range(1, 5)]
+    reports += [
+        families.verify_claim("P3", "row_bound", {"y": y, "B": B}) for y in range(4) for B in range(4)
+    ]
+    return [r.to_dict() for r in reports]
+
+
+def test_claim_grid_is_pinned():
+    reports = claim_grid()
+    assert len(reports) == 25 and all(r["status"] == "pass" for r in reports)
+    assert sha256(json.dumps(reports, indent=2) + "\n") == CLAIM_GRID_SHA256

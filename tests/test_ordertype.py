@@ -19,15 +19,10 @@ from fishbone.ordertype import (
     ParseError,
     Sum,
     alternation_number,
-    embeds_omega_plus_omegastar,
-    embeds_omega_plus_one,
-    embeds_zeta,
     has_maximum,
     has_minimum,
     hausdorff_rank,
-    is_cowellfounded,
     is_vacillating_chain,
-    is_wellfounded,
     limit_point_counts,
     normalize,
     parse_term,
@@ -55,11 +50,12 @@ TABLE = {
 def test_reference_invariants(text):
     t = parse_term(text)
     wf, cowf, wp1, zeta, owv, alt, rank, limits, vac = TABLE[text]
-    assert is_wellfounded(t) == wf
-    assert is_cowellfounded(t) == cowf
-    assert embeds_omega_plus_one(t) == wp1
-    assert embeds_zeta(t) == zeta
-    assert embeds_omega_plus_omegastar(t) == owv
+    p = predicates(t)
+    assert p.wellfounded == wf
+    assert p.cowellfounded == cowf
+    assert p.embeds_omega_plus_one == wp1
+    assert p.embeds_zeta == zeta
+    assert p.embeds_omega_plus_omegastar == owv
     assert alternation_number(t) == alt
     assert hausdorff_rank(t) == rank
     assert limit_point_counts(t) == limits
@@ -236,9 +232,10 @@ def test_reverse_is_an_involution(t):
 @settings(max_examples=200)
 def test_reverse_mirrors_the_invariants(t):
     r = reverse(t)
-    assert is_wellfounded(t) == is_cowellfounded(r)
-    assert embeds_zeta(t) == embeds_zeta(r)
-    assert embeds_omega_plus_omegastar(t) == embeds_omega_plus_omegastar(r)
+    p, q = predicates(t), predicates(r)
+    assert p.wellfounded == q.cowellfounded
+    assert p.embeds_zeta == q.embeds_zeta
+    assert p.embeds_omega_plus_omegastar == q.embeds_omega_plus_omegastar
     assert alternation_number(t) == alternation_number(r)
     assert hausdorff_rank(t) == hausdorff_rank(r)
     assert is_vacillating_chain(t) == is_vacillating_chain(r)
@@ -249,15 +246,16 @@ def test_reverse_mirrors_the_invariants(t):
 @given(terms)
 @settings(max_examples=200)
 def test_predicate_implications(t):
-    wf = is_wellfounded(t)
-    cowf = is_cowellfounded(t)
+    p = predicates(t)
+    wf = p.wellfounded
+    cowf = p.cowellfounded
     assert isinstance(t, Fin) == (wf and cowf)
-    if embeds_zeta(t) or embeds_omega_plus_omegastar(t):
+    if p.embeds_zeta or p.embeds_omega_plus_omegastar:
         assert not wf and not cowf
-    if embeds_omega_plus_one(t):
+    if p.embeds_omega_plus_one:
         assert not cowf
     if alternation_number(t) == 0:
-        assert not embeds_zeta(t)
+        assert not p.embeds_zeta
 
 
 # ----------------------------------------------------------------- golden
