@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _is_element_id
+from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _block, _is_element_id
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -428,7 +428,7 @@ def _thick_partners(P: FinitePoset, members: Sequence, y) -> list:
     idx = [P.index(x) for x in members]
     comp = P.comparability_matrix
     with_y = comp[idx, P.index(y)]
-    covers_y = (comp[np.ix_(idx, idx)] | ~with_y[:, None]).all(axis=0)
+    covers_y = (_block(comp, idx) | ~with_y[:, None]).all(axis=0)
     return [members[k] for k in np.flatnonzero(covers_y & ~with_y)]
 
 

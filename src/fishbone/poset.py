@@ -56,10 +56,25 @@ class NotAChain(PosetError):
         self.pair = (x, y)
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product.  The float32 product of 0/1 matrices sums
-    nonnegative terms, which never round to 0, so ``> 0`` is exact."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+def _bool_matmul(a: np.ndarray) -> np.ndarray:
+    """Boolean square of the 0/1 matrix ``a``, converted to float32 once.
+    The float32 product sums nonnegative terms, which never round to 0, so
+    ``> 0`` is exact."""
+    f = a.astype(np.float32)
+    return (f @ f) > 0
+
+
+# numpy's 2-D index machinery (np.argwhere, np.nonzero on a matrix, np.ix_)
+# costs several times what flat indices and two takes do at these sizes.
+def _true_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the True entries of the matrix ``m``, in
+    row-major order: ``np.argwhere(m)`` as two arrays."""
+    return np.divmod(np.flatnonzero(m), m.shape[1])
+
+
+def _block(m: np.ndarray, idx) -> np.ndarray:
+    """The square submatrix ``m[np.ix_(idx, idx)]``, as a new array."""
+    return m.take(idx, 0).take(idx, 1)
 
 
 def _shortest_cycle(nodes: Sequence[int], edges: list[list[int]]) -> list[int]:
@@ -114,11 +129,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _row_lists(m: np.ndarray, labels: np.ndarray | None = None) -> list[list[int]]:
+def _row_lists(m: np.ndarray) -> list[list[int]]:
     """For each row of the boolean matrix ``m``, the columns of its True
-    entries in increasing order, or ``labels`` of them when given."""
-    rows, cols = np.nonzero(m)
-    flat = (cols if labels is None else labels[cols]).tolist()
+    entries in increasing order."""
+    rows, cols = _true_pairs(m)
+    flat = cols.tolist()
     ends = np.cumsum(np.bincount(rows, minlength=len(m))).tolist()
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
@@ -206,16 +221,16 @@ class FinitePoset:
         strict = table & ~np.eye(n, dtype=bool)
         both = strict & strict.T
         if both.any():
-            i, j = map(int, np.argwhere(both)[0])
+            i, j = (int(k[0]) for k in _true_pairs(both))
             raise ValueError(
                 f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
             )
         # The table squared is itself | two, so ``two`` outside the table is
         # exactly where transitivity fails; inside, it is what lies two
         # steps or more above, and the rest of the strict order are covers.
-        two = _bool_matmul(strict, strict)
+        two = _bool_matmul(strict)
         if (two & ~table).any():
-            i, j = map(int, np.argwhere(two & ~table)[0])
+            i, j = (int(k[0]) for k in _true_pairs(two & ~table))
             raise ValueError(
                 f"not transitive: {self.elements[i]!r} .. {self.elements[j]!r}"
             )
@@ -266,7 +281,7 @@ class FinitePoset:
     def induced(self, members: Iterable[ElementId]) -> "FinitePoset":
         """Subposet on ``members``, keeping the declared element order."""
         keep = sorted({self.index(x) for x in members})
-        return FinitePoset([self.elements[i] for i in keep], self._leq[np.ix_(keep, keep)])
+        return FinitePoset([self.elements[i] for i in keep], _block(self._leq, keep))
 
     # ----------------------------------------------------------------- access
 
@@ -374,7 +389,16 @@ class FinitePoset:
         This is the transitive reduction of the strict order, listed by the
         declared order of v then u.
         """
-        return [(self.elements[v], self.elements[u]) for v, u in np.argwhere(self.cover_matrix.T).tolist()]
+        e = self.elements
+        return [(e[v], e[u]) for v, u in zip(*self._cover_pairs())]
+
+    def _cover_pairs(self) -> tuple[list[int], list[int]]:
+        """``np.argwhere(cover_matrix.T)`` as lists (upper, lower): a
+        stable sort of the row-major pairs by upper, which costs less than
+        flattening the transposed matrix."""
+        lower, upper = _true_pairs(self._cover)
+        order = np.argsort(upper, kind="stable")
+        return upper[order].tolist(), lower[order].tolist()
 
     def convex_hull(self, members: Iterable[ElementId]) -> frozenset:
         """Elements lying between two members: {x : exists y, z in X, y <= x <= z}."""
@@ -399,7 +423,7 @@ class FinitePoset:
 
     def _comparable_block(self, members: Iterable[ElementId]) -> np.ndarray:
         idx = [self.index(m) for m in members]
-        return self._comparable[np.ix_(idx, idx)]
+        return _block(self._comparable, idx)
 
     def is_chain(self, members: Iterable[ElementId]) -> bool:
         return bool(self._comparable_block(members).all())
@@ -426,10 +450,8 @@ class FinitePoset:
 
     def to_json_dict(self) -> dict:
         """JSON form with the cover relation as generators (lower, upper)."""
-        return {
-            "elements": list(self.elements),
-            "le": [[u, v] for v, u in self.covers()],
-        }
+        e = self.elements
+        return {"elements": list(e), "le": [[e[u], e[v]] for v, u in zip(*self._cover_pairs())]}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"

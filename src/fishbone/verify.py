@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import WindowSpec, element_id, relation_block, window_payloads
-from .poset import FinitePoset, PosetError
+from .poset import FinitePoset, PosetError, _true_pairs
 from .report import FAIL, PASS, UP_TO_BOUND, VerificationReport
 
 
@@ -29,6 +29,7 @@ class PreconditionViolated(PosetError):
 MAX_MIN_DROP_BOUND = 1000
 MAX_ROWS_ELL = 8
 MAX_COUNTING_A = 40
+MAX_LEVELS_BOUND = 40
 
 
 # ------------------------------------------------------------- level window
@@ -52,9 +53,15 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     convex subset of the two-level window; the diagonal K(n,s) is an
     antichain; every fixed-row and fixed-column set inside L_n is a chain
     and a contiguous chain of the single-level window.
+
+    B is capped at ``MAX_LEVELS_BOUND`` = 40: the two-level window then has
+    3362 elements, and the check took 0.89 s and 178 MB peak RSS (Python
+    3.11, 2 CPUs).
     """
     if n < 0 or s < 0:
         raise PreconditionViolated("need n, s >= 0")
+    if B > MAX_LEVELS_BOUND:
+        raise PreconditionViolated(f"bound B={B} exceeds the cap MAX_LEVELS_BOUND={MAX_LEVELS_BOUND}")
     if s > 2 * B:
         raise PreconditionViolated(f"diagonal s={s} exceeds window reach 2B={2 * B}")
     two = level_window(n, B, levels=2)
@@ -329,10 +336,10 @@ def verify_final_counting(a: int) -> VerificationReport:
     le = relation_block("P5", F, F)
     # Pairs of F in combinations order, then pairs above the cut in
     # cut-point-major order: the first is the witness.
-    failures = [(F[i], F[j], "F is not a chain") for i, j in np.argwhere(np.triu(~(le | le.T), 1))]
+    failures = [(F[i], F[j], "F is not a chain") for i, j in zip(*_true_pairs(np.triu(~(le | le.T), 1)))]
     failures += [
         (F[i], cut[j], "missing comparability above the cut")
-        for j, i in np.argwhere(~relation_block("P5", F, cut).T)
+        for j, i in zip(*_true_pairs(~relation_block("P5", F, cut).T))
     ]
     if failures:
         p, q, reason = failures[0]

@@ -59,3 +59,17 @@ def test_the_lazy_imports_are_seen():
     assert ("fishbone.acceptance", "oracle_predicates") in names
     assert ("fishbone.ordertype", "OmegaStarRep") in names
     assert ("fishbone.verify", "verify_min_drop") in names
+
+
+def test_benchmark_claims_are_within_the_caps(monkeypatch):
+    # A cap below a size the benchmark runs would turn its operations into
+    # usage errors.
+    from fishbone import families
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "gen", raising=False)
+    gen = importlib.import_module("gen")
+    assert set(families.CLAIM_CAPS) == set(families._CLAIMS)
+    for family, claim, params in gen.CLAIMS:
+        caps = families.CLAIM_CAPS[family, claim]
+        assert all(params[k] <= cap for k, cap in caps.items() if k in params), (family, claim)

@@ -353,12 +353,33 @@ def test_integers_too_large_for_a_size_are_usage_errors(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def claim_argv(family, claim, **values):
+    """``family check`` argv with each required parameter of the claim at 0,
+    then ``values``."""
+    parameters = inspect.signature(families._CLAIMS[family, claim]).parameters
+    params = {k: 0 for k, p in parameters.items() if p.default is p.empty} | values
+    return ("family", "check", family, "--claim", claim, "--params", ",".join(f"{k}={v}" for k, v in params.items()))
+
+
+PAST_CLAIM_CAPS = [
+    (claim_argv(family, claim, **{key: size}), f"{key}={size} exceeds its cap {cap}")
+    for (family, claim), caps in families.CLAIM_CAPS.items()
+    for key, cap in caps.items()
+    for size in (cap + 1, 10**20)
+]
+
+
 @pytest.mark.parametrize(
     "argv, cap",
     [
         (("verify", "rows", "--ell", str(10**20)), "MAX_ROWS_ELL=8"),
         (("verify", "counting", "--a", str(10**20)), "MAX_COUNTING_A=40"),
         (("verify", "mindrop", "--u", "2", "--v", "2", "--bound", str(10**20)), "MAX_MIN_DROP_BOUND=1000"),
+        (("verify", "levels", "--n", "0", "--s", "1", "--bound", "41"), "MAX_LEVELS_BOUND=40"),
+        (("verify", "levels", "--n", "0", "--s", "1", "--bound", "100000"), "MAX_LEVELS_BOUND=40"),
+        *PAST_CLAIM_CAPS,
+        (("family", "check", "P4", "--claim", "no_domination", "--params", "n=0,m=1,B=100000"), "its cap 60"),
+        (("family", "check", "P3", "--claim", "row_bound", "--params", "y=0,B=1000000000"), "its cap 3000"),
     ],
 )
 def test_sizes_past_an_exhaustive_checks_cap_are_usage_errors(capsys, argv, cap):
@@ -462,8 +483,9 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 #
 # Every command line ends in exit code 0, 1 or 2 with no traceback, and
 # every failing report names a witness.  Integers stay at desk scale,
-# except the sizes of the three capped checks (`verify rows --ell`,
-# `counting --a`, `mindrop --bound`), which are also drawn past every cap.
+# except the capped sizes (`verify rows --ell`, `counting --a`, `mindrop
+# --bound`, `levels --bound` and the size parameters of every family claim),
+# which are also drawn past their caps, so no drawn command runs uncapped.
 
 
 def assert_clean_exit(argv):
@@ -519,23 +541,38 @@ def options(draw, pairs):
 RANGES = st.tuples(st.integers(-1, 4), st.integers(-1, 3)).map(lambda t: f"{t[0]}:{t[0] + t[1]}")
 
 
-def axis_list(keys, value=SMALL_INTS | RANGES):
-    """``key=value`` items for `--spec` or `--params`: each key once, with
-    sometimes an unknown key, an empty item or a malformed value mixed in."""
-    items = st.tuples(*(st.tuples(st.just(k), value).map("=".join) for k in keys)).map(list)
+def axis_list(keys, value=SMALL_INTS | RANGES, values=None):
+    """``key=value`` items for `--spec` or `--params`: each key once, its
+    value drawn from ``values[key]`` or else ``value``, with sometimes an
+    unknown key, an empty item or a malformed value mixed in."""
+    values = values or {}
+    items = st.tuples(*(st.tuples(st.just(k), values.get(k, value)).map("=".join) for k in keys)).map(list)
     noise = st.sampled_from([[]] * 6 + [["q=1"], [""], ["n"], ["B=x"], ["=3"], ["x=1:2:3"], ["y=2:3"]])
     return st.tuples(items, noise).map(lambda t: ",".join(t[0] + t[1]))
 
 
-LARGEST_CAP = max(verify.MAX_ROWS_ELL, verify.MAX_COUNTING_A, verify.MAX_MIN_DROP_BOUND)
-PAST_CAPS = st.integers(LARGEST_CAP + 1, 10**30).map(str)
+def capped(cap):
+    """Desk-scale sizes, or sizes past ``cap``."""
+    return SMALL_INTS | st.integers(cap + 1, 10**30).map(str)
+
+
 VERIFY_OPTIONS = {
-    "levels": [("--n", SMALL_INTS), ("--s", SMALL_INTS), ("--bound", SMALL_INTS)],
-    "mindrop": [("--u", SMALL_INTS), ("--v", SMALL_INTS), ("--bound", SMALL_INTS | PAST_CAPS)],
-    "rows": [("--ell", SMALL_INTS | PAST_CAPS)],
-    "counting": [("--a", SMALL_INTS | PAST_CAPS)],
+    "levels": [("--n", SMALL_INTS), ("--s", SMALL_INTS), ("--bound", capped(verify.MAX_LEVELS_BOUND))],
+    "mindrop": [("--u", SMALL_INTS), ("--v", SMALL_INTS), ("--bound", capped(verify.MAX_MIN_DROP_BOUND))],
+    "rows": [("--ell", capped(verify.MAX_ROWS_ELL))],
+    "counting": [("--a", capped(verify.MAX_COUNTING_A))],
     "all": [],
 }
+
+
+@st.composite
+def claim_params(draw, family, claim):
+    """`--params` of a registered claim: its required parameters and,
+    sometimes, each optional one; sizes also drawn past their caps."""
+    parameters = inspect.signature(families._CLAIMS[family, claim]).parameters
+    keys = [k for k, p in parameters.items() if p.default is p.empty or draw(st.booleans())]
+    sizes = {k: capped(cap) for k, cap in families.CLAIM_CAPS[family, claim].items()}
+    return draw(axis_list(keys, SMALL_INTS, sizes))
 
 
 @st.composite
@@ -551,11 +588,9 @@ def command_lines(draw):
         argv += [family, *draw(options([("--spec", axis_list(families.FAMILY_AXES.get(family, ("n",))))]))]
     elif command == "family check":
         claim = draw(st.sampled_from([*families.claim_names(family) * 3, "nope"]))
-        keys = ("B",)
-        if (family, claim) in families._CLAIMS:
-            parameters = inspect.signature(families._CLAIMS[family, claim]).parameters
-            keys = [k for k, p in parameters.items() if p.default is p.empty]
-        argv += [family, *draw(options([("--claim", st.just(claim)), ("--params", axis_list(keys, SMALL_INTS))]))]
+        registered = (family, claim) in families._CLAIMS
+        params = claim_params(family, claim) if registered else axis_list(("B",), SMALL_INTS)
+        argv += [family, *draw(options([("--claim", st.just(claim)), ("--params", params)]))]
     elif command == "ot check":
         argv += draw(st.lists(TERM_TEXT | NOT_INTS, min_size=1, max_size=2))
     elif command == "sweep":
@@ -578,3 +613,12 @@ def test_command_lines_never_escape_the_exit_codes(argv):
 @given(action=st.sampled_from(sorted(VERIFY_OPTIONS)), data=st.data())
 def test_verify_command_lines_never_escape_the_exit_codes(action, data):
     assert_clean_exit(["verify", action, *data.draw(options(VERIFY_OPTIONS[action]))])
+
+
+# The same for the claims, each of whose size parameters is capped.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(key=st.sampled_from(sorted(families._CLAIMS)), data=st.data())
+def test_claim_command_lines_never_escape_the_exit_codes(key, data):
+    family, claim = key
+    params = claim_params(family, claim)
+    assert_clean_exit(["family", "check", family, *data.draw(options([("--claim", st.just(claim)), ("--params", params)]))])
