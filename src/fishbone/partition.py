@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _block, _is_element_id
+from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _block, _bool_matmul, _is_element_id
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -422,14 +422,15 @@ def smc_gap_witness(P: FinitePoset, chain: Iterable) -> tuple[list, list] | None
 # ------------------------------------------------------------------ thickness
 
 
-def _thick_partners(P: FinitePoset, members: Sequence, y) -> list:
-    """The x in ``members`` incomparable to y such that every member
-    comparable to y is also comparable to x."""
+def _thick_partners(P: FinitePoset, members: Sequence, ys: Sequence) -> np.ndarray:
+    """``bool[len(ys), len(members)]``: entry [r, k] says members[k] is
+    incomparable to ys[r] and comparable to every member comparable to
+    ys[r].  One product finds, for each y and x, a member comparable to y
+    but not to x."""
     idx = [P.index(x) for x in members]
     comp = P.comparability_matrix
-    with_y = comp[idx, P.index(y)]
-    covers_y = (_block(comp, idx) | ~with_y[:, None]).all(axis=0)
-    return [members[k] for k in np.flatnonzero(covers_y & ~with_y)]
+    with_y = _block(comp, [P.index(y) for y in ys], idx)
+    return ~with_y & ~_bool_matmul(with_y, ~_block(comp, idx))
 
 
 def thick_degree(P: FinitePoset, F: Iterable, y) -> int:
@@ -439,29 +440,25 @@ def thick_degree(P: FinitePoset, F: Iterable, y) -> int:
     to y is also comparable to x.  Such x can absorb y into any antichain
     built inside F without new comparabilities appearing.
     """
-    return len(_thick_partners(P, list(F), y))
+    return int(_thick_partners(P, list(F), [y]).sum())
 
 
 def strong_thick_check(P: FinitePoset, F: Iterable, tau: int) -> VerificationReport:
     """Check every element outside F has thickness degree at least tau in F."""
     members = set(F)
     params = {"subset": len(members), "tau": tau}
-    worst = None
-    for y in P.elements:
-        if y in members:
-            continue
-        d = thick_degree(P, members, y)
-        if worst is None or d < worst[1]:
-            worst = (y, d)
-        if d < tau:
-            return VerificationReport(
-                claim="thickness",
-                params=params,
-                status=FAIL,
-                witness=y,
-                detail={"degree": d},
-            )
-    detail = {} if worst is None else {"min_degree": worst[1]}
+    outsiders = [y for y in P.elements if y not in members]
+    degrees = _thick_partners(P, list(members), outsiders).sum(axis=1)
+    low = np.flatnonzero(degrees < tau)
+    if low.size:
+        return VerificationReport(
+            claim="thickness",
+            params=params,
+            status=FAIL,
+            witness=outsiders[low[0]],
+            detail={"degree": int(degrees[low[0]])},
+        )
+    detail = {"min_degree": int(degrees.min())} if outsiders else {}
     return VerificationReport(claim="thickness", params=params, status=PASS, detail=detail)
 
 
@@ -474,8 +471,13 @@ def extend_spine_partition(
     outside element to have thickness degree >= tau in F (checked first;
     :class:`ThresholdTooSmall` otherwise).  Outside elements are then placed
     greedily in declared order: each goes to the lowest-indexed unused part
-    containing one of its covering partners, so each part absorbs at most one
-    new element and stays an antichain.
+    containing one of its thick partners, so each part absorbs at most one
+    new element.
+
+    The part stays an antichain with no further check.  An unused part holds
+    only members of F, one of them y's partner x.  A member w of the part
+    comparable to y would, by the partner condition, be comparable to x;
+    in an antichain that makes w = x, which is incomparable to y.
     """
     members = set(F)
     sub = P.induced(members)
@@ -486,27 +488,18 @@ def extend_spine_partition(
     if not rep.ok:
         raise ThresholdTooSmall(rep.witness, f"thickness degree {rep.detail['degree']} < {tau}")
 
-    part_of = {}
-    for k, part in enumerate(cert.antichains):
-        for x in part:
-            part_of[x] = k
+    part_of = {x: k for k, part in enumerate(cert.antichains) for x in part}
     new_parts = [list(part) for part in cert.antichains]
     used: set[int] = set()
     outsiders = [y for y in P.elements if y not in members]
     member_list = list(members)
-    for y in outsiders:
-        candidates = {part_of[x] for x in _thick_partners(P, member_list, y)}
-        placed = False
-        for k in sorted(candidates):
-            if k in used:
-                continue
-            if all(P.incomparable(y, w) for w in new_parts[k]):
-                new_parts[k].append(y)
-                used.add(k)
-                placed = True
-                break
-        if not placed:
+    for y, row in zip(outsiders, _thick_partners(P, member_list, outsiders)):
+        free = {part_of[member_list[k]] for k in np.flatnonzero(row)} - used
+        if not free:
             raise ThresholdTooSmall(y, "no unused antichain can absorb it")
+        k = min(free)
+        new_parts[k].append(y)
+        used.add(k)
     out = SpineCertificate(
         chain=cert.chain, antichains=tuple(tuple(p) for p in new_parts)
     )
@@ -521,31 +514,23 @@ def extend_spine_partition(
 def greedy_antichain_from_chains(P: FinitePoset, chains: Sequence[Iterable]) -> list:
     """One element per chain, forming an antichain, chosen greedily.
 
-    From the first chain take its least element.  From each later chain,
-    restrict to the maximal final segment (upper part of the chain) whose
-    members are all incomparable to everything already picked, and take that
-    segment's least element.  :class:`NoEligiblePoint` if a chain has no such
-    segment or repeats an earlier chain's element.
+    From each chain, restrict to the maximal final segment (upper part of
+    the chain) whose members are all incomparable to everything already
+    picked, and take that segment's least element; for the first chain that
+    is its least element.  :class:`NoEligiblePoint` if a chain has no such
+    segment (an empty chain included) or repeats an earlier chain's element.
     """
-    picked: list = []
-    picked_set: set = set()
+    comp = P.comparability_matrix
+    at: list[int] = []
     for ci, chain in enumerate(chains):
-        ordered = P.chain_sorted(set(chain))
-        if any(x in picked_set for x in ordered):
+        idx = [P.index(x) for x in P.chain_sorted(set(chain))]
+        if not set(at).isdisjoint(idx):
             raise NoEligiblePoint(ci, "chain repeats an already picked element")
-        if ci == 0:
-            choice = ordered[0]
-        else:
-            start = len(ordered)
-            for k in range(len(ordered) - 1, -1, -1):
-                if all(P.incomparable(ordered[k], p) for p in picked):
-                    start = k
-                else:
-                    break
-            if start == len(ordered):
-                raise NoEligiblePoint(ci, "no final segment avoids the picks so far")
-            choice = ordered[start]
-        picked.append(choice)
-        picked_set.add(choice)
+        blocked = np.flatnonzero(_block(comp, idx, at).any(axis=1))
+        start = int(blocked[-1]) + 1 if blocked.size else 0
+        if start == len(idx):
+            raise NoEligiblePoint(ci, "no final segment avoids the picks so far")
+        at.append(idx[start])
+    picked = [P.elements[i] for i in at]
     assert P.is_antichain(picked)
     return picked

@@ -11,11 +11,11 @@ A poset built from generator pairs gets its closure, cover matrix and chain
 lengths from one kernel over the generator DAG's successor lists: a Kahn pass
 into generations (the Mirsky levels), then one walk in reverse topological
 order that keeps each element's rows as Python-int bitsets.  A poset built
-from a table squares its strict matrix once: the one product both checks
-transitivity and gives the covers.  Its chain lengths are computed on first
-use, by the generator kernel over its covers.  Every path is exact at every
-size: none counts paths in a type that can wrap.  Intended scale is up to a
-few thousand elements; storage is quadratic.
+from a table squares its strict matrix once: the one product checks
+antisymmetry and transitivity and gives the covers.  Its chain lengths are
+computed on first use, by the generator kernel over its covers.  Every path
+is exact at every size: none counts paths in a type that can wrap.
+Intended scale is up to a few thousand elements; storage is quadratic.
 """
 
 from __future__ import annotations
@@ -56,12 +56,13 @@ class NotAChain(PosetError):
         self.pair = (x, y)
 
 
-def _bool_matmul(a: np.ndarray) -> np.ndarray:
-    """Boolean square of the 0/1 matrix ``a``, converted to float32 once.
+def _bool_matmul(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Boolean product of the 0/1 matrices ``a`` and ``b``, or the square of
+    ``a`` when ``b`` is None; each operand is converted to float32 once.
     The float32 product sums nonnegative terms, which never round to 0, so
-    ``> 0`` is exact."""
+    ``> 0`` is exact.  The package's only matrix product."""
     f = a.astype(np.float32)
-    return (f @ f) > 0
+    return (f @ (f if b is None else b.astype(np.float32))) > 0
 
 
 # numpy's 2-D index machinery (np.argwhere, np.nonzero on a matrix, np.ix_)
@@ -72,9 +73,10 @@ def _true_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(m), m.shape[1])
 
 
-def _block(m: np.ndarray, idx) -> np.ndarray:
-    """The square submatrix ``m[np.ix_(idx, idx)]``, as a new array."""
-    return m.take(idx, 0).take(idx, 1)
+def _block(m: np.ndarray, rows, cols=None) -> np.ndarray:
+    """The submatrix ``m[np.ix_(rows, cols)]``, as a new array; ``cols``
+    defaults to ``rows``."""
+    return m.take(rows, 0).take(rows if cols is None else cols, 1)
 
 
 def _shortest_cycle(nodes: Sequence[int], edges: list[list[int]]) -> list[int]:
@@ -219,16 +221,17 @@ class FinitePoset:
             i = int(np.argmin(table.diagonal()))
             raise ValueError(f"not reflexive at {self.elements[i]!r}")
         strict = table & ~np.eye(n, dtype=bool)
-        both = strict & strict.T
-        if both.any():
-            i, j = (int(k[0]) for k in _true_pairs(both))
+        # ``two``, the strict matrix squared, has ``two[i, i]`` set exactly
+        # when some j has i < j < i: its diagonal checks antisymmetry.  For
+        # an order the table squared is itself | two, so ``two`` outside the
+        # table is where transitivity fails; inside, it is what lies two
+        # steps or more above, and the rest of the strict order are covers.
+        two = _bool_matmul(strict)
+        if two.diagonal().any():
+            i, j = (int(k[0]) for k in _true_pairs(strict & strict.T))
             raise ValueError(
                 f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
             )
-        # The table squared is itself | two, so ``two`` outside the table is
-        # exactly where transitivity fails; inside, it is what lies two
-        # steps or more above, and the rest of the strict order are covers.
-        two = _bool_matmul(strict)
         if (two & ~table).any():
             i, j = (int(k[0]) for k in _true_pairs(two & ~table))
             raise ValueError(

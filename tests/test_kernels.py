@@ -1,10 +1,13 @@
 """The flat-index and ``take`` matrix kernels of ``poset`` against numpy's
-2-D index machinery, and ``element_id`` against the per-coordinate join.
+2-D index machinery, the thickness drivers against their per-outsider
+loops, and ``element_id`` against the per-coordinate join.
 
 ``poset._true_pairs`` and ``poset._block`` replace ``np.argwhere`` /
-``np.nonzero`` and ``np.ix_`` in the package.  Each public result built on
-them is compared here with the old formulation, kept below as the oracle,
-on hypothesis posets and on full-size family windows.
+``np.nonzero`` and ``np.ix_`` in the package, and ``partition`` reads every
+thickness question from one partner matrix (one ``poset._bool_matmul``
+product).  Each public result built on them is compared here with the old
+formulation, kept below as the oracle, on hypothesis posets and on
+full-size family windows.
 """
 
 import ast
@@ -13,12 +16,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fishbone import families, verify
+from fishbone import acceptance, families, verify
 from fishbone.families import WindowSpec, element_id, window, window_payloads
-from fishbone.partition import thick_degree
+from fishbone.partition import (
+    NoEligiblePoint,
+    SpineCertificate,
+    ThresholdTooSmall,
+    check_spine,
+    extend_spine_partition,
+    find_spine,
+    greedy_antichain_from_chains,
+    strong_thick_check,
+    thick_degree,
+    width_and_dilworth,
+)
 from fishbone.poset import FinitePoset, _block, _bool_matmul, _row_lists, _true_pairs
+from fishbone.report import FAIL, PASS, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fishbone"
 
@@ -48,12 +63,100 @@ def old_induced(P, members):
     return FinitePoset([P.elements[i] for i in keep], P.leq_matrix[np.ix_(keep, keep)])
 
 
-def old_thick_degree(P, members, y):
+def old_thick_partners(P, members, y):
     idx = [P.index(x) for x in members]
     comp = P.comparability_matrix
     with_y = comp[idx, P.index(y)]
     covers_y = (comp[np.ix_(idx, idx)] | ~with_y[:, None]).all(axis=0)
-    return len(np.flatnonzero(covers_y & ~with_y))
+    return [members[k] for k in np.flatnonzero(covers_y & ~with_y)]
+
+
+def old_thick_degree(P, members, y):
+    return len(old_thick_partners(P, list(members), y))
+
+
+def old_strong_thick_check(P, F, tau):
+    members = set(F)
+    params = {"subset": len(members), "tau": tau}
+    worst = None
+    for y in P.elements:
+        if y in members:
+            continue
+        d = old_thick_degree(P, members, y)
+        if worst is None or d < worst[1]:
+            worst = (y, d)
+        if d < tau:
+            return VerificationReport(claim="thickness", params=params, status=FAIL, witness=y, detail={"degree": d})
+    detail = {} if worst is None else {"min_degree": worst[1]}
+    return VerificationReport(claim="thickness", params=params, status=PASS, detail=detail)
+
+
+def old_extend_spine_partition(P, F, cert, tau):
+    members = set(F)
+    rep = check_spine(P.induced(members), cert)
+    if not rep.ok:
+        raise ValueError(f"invalid certificate for subset: {rep.detail.get('reason')}")
+    rep = old_strong_thick_check(P, members, tau)
+    if not rep.ok:
+        raise ThresholdTooSmall(rep.witness, f"thickness degree {rep.detail['degree']} < {tau}")
+    part_of = {}
+    for k, part in enumerate(cert.antichains):
+        for x in part:
+            part_of[x] = k
+    new_parts = [list(part) for part in cert.antichains]
+    used = set()
+    member_list = list(members)
+    for y in [y for y in P.elements if y not in members]:
+        candidates = {part_of[x] for x in old_thick_partners(P, member_list, y)}
+        placed = False
+        for k in sorted(candidates):
+            if k in used:
+                continue
+            if all(P.incomparable(y, w) for w in new_parts[k]):
+                new_parts[k].append(y)
+                used.add(k)
+                placed = True
+                break
+        if not placed:
+            raise ThresholdTooSmall(y, "no unused antichain can absorb it")
+    return SpineCertificate(chain=cert.chain, antichains=tuple(tuple(p) for p in new_parts))
+
+
+def old_greedy_antichain_from_chains(P, chains):
+    picked, picked_set = [], set()
+    for ci, chain in enumerate(chains):
+        ordered = P.chain_sorted(set(chain))
+        if any(x in picked_set for x in ordered):
+            raise NoEligiblePoint(ci, "chain repeats an already picked element")
+        if ci == 0:
+            choice = ordered[0]
+        else:
+            start = len(ordered)
+            for k in range(len(ordered) - 1, -1, -1):
+                if all(P.incomparable(ordered[k], p) for p in picked):
+                    start = k
+                else:
+                    break
+            if start == len(ordered):
+                raise NoEligiblePoint(ci, "no final segment avoids the picks so far")
+            choice = ordered[start]
+        picked.append(choice)
+        picked_set.add(choice)
+    return picked
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives: its value, or its error's type, message and
+    the element or chain index the error names."""
+    try:
+        return f(*args)
+    except (ThresholdTooSmall, NoEligiblePoint, ValueError) as err:
+        return type(err), str(err), getattr(err, "element", None), getattr(err, "chain_index", None)
+
+
+def assert_thickness_matches_the_oracles(P, F, cert, tau):
+    assert strong_thick_check(P, F, tau).to_dict() == old_strong_thick_check(P, F, tau).to_dict()
+    assert outcome(extend_spine_partition, P, F, cert, tau) == outcome(old_extend_spine_partition, P, F, cert, tau)
 
 
 def old_is_antichain(P, members):
@@ -122,6 +225,42 @@ def test_kernels_match_the_2d_index_formulations_on_family_windows(family, axes)
     assert_matches_the_oracles(window(family, WindowSpec.make(**axes)), random.Random(17))
 
 
+@settings(max_examples=150, deadline=None)
+@given(P=posets(max_size=24), seed=st.integers(0, 2**16))
+def test_thickness_drivers_match_their_per_outsider_loops(P, seed):
+    rng = random.Random(seed)
+    F = rng.sample(P.elements, rng.randint(0, len(P)))
+    cert = find_spine(P.induced(F))
+    for tau in range(3):
+        assert_thickness_matches_the_oracles(P, F, cert, tau)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extension_matches_its_per_outsider_loop_on_criterion_11_instances(seed):
+    # Criterion 11's instances meet the thickness precondition by design, so
+    # most of them extend; tau + 1 sends some to each failure.
+    rng = random.Random(seed)
+    for _ in range(25):
+        P, F, cert, tau = acceptance._extension_instance(rng)
+        for t in (tau, tau + 1):
+            assert_thickness_matches_the_oracles(P, F, cert, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=posets(max_size=24), seed=st.integers(0, 2**16))
+def test_greedy_transversal_matches_its_pairwise_loop(P, seed):
+    if not len(P):
+        return
+    rng = random.Random(seed)
+    cover = width_and_dilworth(P)[1]
+    # Subchains of a minimum chain cover, listed in drawn order; a chain
+    # drawn twice may repeat a pick.  The first is never empty: there the
+    # old loop raised IndexError (tests/test_partition.py pins the fix).
+    drawn = rng.choices(cover, k=rng.randint(1, 5))
+    chains = [rng.sample(c, rng.randint(k == 0, len(c))) for k, c in enumerate(drawn)]
+    assert outcome(greedy_antichain_from_chains, P, chains) == outcome(old_greedy_antichain_from_chains, P, chains)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.tuples(st.integers(0, 12), st.integers(0, 12)).flatmap(
@@ -138,8 +277,14 @@ def test_true_pairs_block_and_bool_matmul_match_numpy(m, data):
     n = min(m.shape)
     idx = data.draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else []
     assert np.array_equal(_block(m, idx), m[np.ix_(idx, idx)])
+    rows, cols = (data.draw(st.lists(st.integers(0, k - 1), max_size=8)) if k else [] for k in m.shape)
+    assert np.array_equal(_block(m, rows, cols), m[np.ix_(rows, cols)])
     square = m[:n, :n]
     assert np.array_equal(_bool_matmul(square), square.astype(np.int64) @ square.astype(np.int64) > 0)
+    k = data.draw(st.integers(0, 12))
+    b = np.array(data.draw(st.lists(st.booleans(), min_size=m.shape[1] * k, max_size=m.shape[1] * k)), dtype=bool)
+    b = b.reshape(m.shape[1], k)
+    assert np.array_equal(_bool_matmul(m, b), m.astype(np.int64) @ b.astype(np.int64) > 0)
 
 
 # --------------------------------------------------------- failure paths
@@ -156,6 +301,9 @@ def non_antisymmetric_tables(draw, max_size: int = 10) -> np.ndarray:
     return table
 
 
+# e0 and e1 lie both ways, and e1 <= e2 <= e3 lacks e1 <= e3: antisymmetry
+# is still the failure reported.
+@example(np.eye(4, dtype=bool) | np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=bool))
 @given(non_antisymmetric_tables())
 def test_antisymmetry_witness_is_the_first_argwhere_pair(table):
     strict = table & ~np.eye(len(table), dtype=bool)
@@ -209,6 +357,26 @@ def test_no_2d_index_machinery_in_the_package():
         f"use poset._true_pairs (np.flatnonzero and divmod) for np.argwhere / np.nonzero, "
         f"and poset._block (two takes) for np.ix_: {found}"
     )
+
+
+def test_no_matrix_product_outside_bool_matmul():
+    """``@``, np.matmul and np.dot appear in src/fishbone only inside
+    poset._bool_matmul, whose float32 product is exact; a product on a
+    narrow integer type, such as uint8, wraps."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "poset.py":
+            kernel = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_bool_matmul")
+            allowed = {id(n) for n in ast.walk(kernel)}
+        for node in ast.walk(tree):
+            product = (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)) or (
+                isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
+            )
+            if product and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"use poset._bool_matmul for a boolean matrix product: {found}"
 
 
 # ------------------------------------------------------------ element names

@@ -653,6 +653,15 @@ def test_greedy_raises_when_no_segment_is_free():
         greedy_antichain_from_chains(P, [["a"], ["b"]])
 
 
+@pytest.mark.parametrize("chains, index", [([[], ["a"]], 0), ([["a"], []], 1)])
+def test_greedy_raises_on_an_empty_chain(chains, index):
+    P = FinitePoset.from_generators("ab", [])
+    with pytest.raises(NoEligiblePoint) as exc:
+        greedy_antichain_from_chains(P, chains)
+    assert exc.value.chain_index == index
+    assert str(exc.value) == f"chain {index}: no final segment avoids the picks so far"
+
+
 def test_greedy_raises_on_repeated_element():
     P = FinitePoset.from_generators("a", [])
     with pytest.raises(NoEligiblePoint):
