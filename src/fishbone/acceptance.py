@@ -139,9 +139,10 @@ def criterion_3(seed: int = 0) -> VerificationReport:
     hitting the exact chain-length formula."""
     for n in (0, 1, 2):
         two, one = verify.level_window(n, 10, levels=2), verify.level_window(n, 10)
-        for s, rep in enumerate(verify.check_level_structure(n, range(9), 10, two, one)):
-            if not rep.ok:
-                return _report(3, False, witness={"n": n, "s": s, "report": rep.to_dict()})
+        for s, (status, _, _) in enumerate(verify.check_level_structure(n, range(9), 10, two, one)):
+            if status == FAIL:
+                report = verify.verify_level_structure(n, s, 10).to_dict()
+                return _report(3, False, witness={"n": n, "s": s, "report": report})
     rng = random.Random(seed + 2)
     for trial in range(50):
         n = rng.randint(0, 3)

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 
 from . import acceptance, families, ordertype, verify
 from .partition import check_spine, find_spine, load_certificate
@@ -103,20 +103,18 @@ def _cmd_family_check(args) -> tuple[int, object, str]:
     return _one_report(families.verify_claim(args.family, args.claim, params))
 
 
-def _cmd_verify_levels(args) -> tuple[int, object, str]:
-    return _one_report(verify.verify_level_structure(args.n, args.s, args.bound))
+# Each single ``verify`` action: its help, its check and its integer flags;
+# ``--bound`` is the check's ``B``.
+_VERIFY_ACTIONS = {
+    "levels": ("diagonal antichains and row/column chains", verify.verify_level_structure, ("n", "s", "bound")),
+    "mindrop": ("minimum-coordinate drop across one level", verify.verify_min_drop, ("u", "v", "bound")),
+    "rows": ("forced diagonal-constancy of antichain labellings", verify.verify_constant_on_rows, ("ell",)),
+    "counting": ("chain-length vs region-height counting gap", verify.verify_final_counting, ("a",)),
+}
 
 
-def _cmd_verify_mindrop(args) -> tuple[int, object, str]:
-    return _one_report(verify.verify_min_drop(args.u, args.v, args.bound))
-
-
-def _cmd_verify_rows(args) -> tuple[int, object, str]:
-    return _one_report(verify.verify_constant_on_rows(args.ell))
-
-
-def _cmd_verify_counting(args) -> tuple[int, object, str]:
-    return _one_report(verify.verify_final_counting(args.a))
+def _cmd_verify(check, flags, args) -> tuple[int, object, str]:
+    return _one_report(check(**{"B" if flag == "bound" else flag: getattr(args, flag) for flag in flags}))
 
 
 def _cmd_verify_all(args) -> tuple[int, object, str]:
@@ -182,22 +180,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="finite sub-lemmas of the fifth example order")
     ps = p.add_subparsers(dest="action", required=True)
-    q = ps.add_parser("levels", help="diagonal antichains and row/column chains")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--s", type=int, required=True)
-    q.add_argument("--bound", type=int, required=True)
-    q.set_defaults(func=_cmd_verify_levels)
-    q = ps.add_parser("mindrop", help="minimum-coordinate drop across one level")
-    q.add_argument("--u", type=int, required=True)
-    q.add_argument("--v", type=int, required=True)
-    q.add_argument("--bound", type=int, required=True)
-    q.set_defaults(func=_cmd_verify_mindrop)
-    q = ps.add_parser("rows", help="forced diagonal-constancy of antichain labellings")
-    q.add_argument("--ell", type=int, required=True)
-    q.set_defaults(func=_cmd_verify_rows)
-    q = ps.add_parser("counting", help="chain-length vs region-height counting gap")
-    q.add_argument("--a", type=int, required=True)
-    q.set_defaults(func=_cmd_verify_counting)
+    for action, (text, check, flags) in _VERIFY_ACTIONS.items():
+        q = ps.add_parser(action, help=text)
+        for flag in flags:
+            q.add_argument(f"--{flag}", type=int, required=True)
+        q.set_defaults(func=partial(_cmd_verify, check, flags))
     q = ps.add_parser("all", help="run the standard battery")
     q.set_defaults(func=_cmd_verify_all)
 

@@ -38,7 +38,6 @@ Windows name their elements by compact strings ("bot", "(0,1)",
 
 from __future__ import annotations
 
-import inspect
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -46,7 +45,7 @@ from itertools import product
 import numpy as np
 
 from .poset import FinitePoset, PosetError
-from .report import FAIL, PASS, UP_TO_BOUND, VerificationReport
+from .report import FAIL, PASS, UP_TO_BOUND, VerificationReport, claim
 
 
 class FamilyMismatch(PosetError):
@@ -518,6 +517,7 @@ def check_bounded_bicomparable(
 # ------------------------------------------------------------------- claims
 
 
+@claim("P1.spine_partition", N=1500)
 def _claim_p1_spine_partition(N: int) -> tuple:
     """The window certificate with chain C2 and the pair antichains.
 
@@ -525,8 +525,8 @@ def _claim_p1_spine_partition(N: int) -> tuple:
     bot < (0,1) < ... < (N,1) < a < top.  Fully validated as a spine
     certificate of the window poset.
 
-    N is capped at 1500 (:data:`CLAIM_CAPS`): the 3005-element window took
-    0.60 s and 149 MB peak RSS (Python 3.11, 2 CPUs).
+    N is capped at 1500: the 3005-element window took 0.60 s and 149 MB
+    peak RSS (Python 3.11, 2 CPUs).
     """
     from .partition import SpineCertificate, check_spine
 
@@ -538,6 +538,7 @@ def _claim_p1_spine_partition(N: int) -> tuple:
     return PASS if rep.ok else FAIL, rep.witness, {"chain_size": len(chain), "parts": len(parts)}
 
 
+@claim("P1.pigeonhole", m=4000)
 def _claim_p1_pigeonhole(m: int) -> tuple:
     """Counting obstruction: no antichain partition pairs every point off
     the chain C1 with its own C1 element.
@@ -547,8 +548,8 @@ def _claim_p1_pigeonhole(m: int) -> tuple:
     incomparable only to the C1 elements {(k,0): k <= n} (computed
     exhaustively), so with (m,0) spoken for they compete for m hosts.
 
-    m is capped at 4000 (:data:`CLAIM_CAPS`): the check took 0.82 s and
-    122 MB peak RSS (Python 3.11, 2 CPUs).
+    m is capped at 4000: the check took 0.82 s and 122 MB peak RSS (Python
+    3.11, 2 CPUs).
     """
     demanders = [(n, 1) for n in range(m + 1)]
     c1 = named_subset_payloads("P1", "C1", WindowSpec.make(n=m))
@@ -565,14 +566,15 @@ def _claim_p1_pigeonhole(m: int) -> tuple:
     }
 
 
+@claim("P2.partitions", B=300)
 def _claim_p2_partitions(B: int) -> tuple:
     """Both named families cover the window exactly once.
 
     The P2 named predicates are coordinate comparisons, so each one applied
     to the window's coordinate columns gives its membership mask.
 
-    B is capped at 300 (:data:`CLAIM_CAPS`): the 361,802-element window
-    took 0.72 s and 275 MB peak RSS (Python 3.11, 2 CPUs).
+    B is capped at 300: the 361,802-element window took 0.72 s and 275 MB
+    peak RSS (Python 3.11, 2 CPUs).
     """
     # The window lists its payloads in sorted order, so ``missing`` is sorted.
     everything = window_payloads("P2", WindowSpec.make(z=B, n=B))
@@ -592,12 +594,13 @@ def _claim_p2_partitions(B: int) -> tuple:
     return PASS, None, detail
 
 
+@claim("P2.shift_reduction", B=300)
 def _claim_p2_shift_reduction(B: int) -> tuple:
     """Each column chain maps consistently onto the previous one: every
     (z-1, 0, n) in the window lies below some (z, 0, m) in the window.
 
-    B is capped at 300 (:data:`CLAIM_CAPS`): the check took 0.60 s and
-    237 MB peak RSS (Python 3.11, 2 CPUs)."""
+    B is capped at 300: the check took 0.60 s and 237 MB peak RSS (Python
+    3.11, 2 CPUs)."""
     # Axis 0 is the column z, axis 1 the lower point's n, axis 2 the upper
     # point's m: one broadcast holds every column's block pair.
     z = np.arange(1 - B, B + 1).reshape(-1, 1, 1)
@@ -610,12 +613,13 @@ def _claim_p2_shift_reduction(B: int) -> tuple:
     return UP_TO_BOUND, None, {"checked": 2 * B * (B + 1)}
 
 
+@claim("P3.row_bound", B=3000)
 def _claim_p3_row_bound(y: int, B: int) -> tuple:
     """Maximum antichain of the row window {(x, y): x <= B} has size
     exactly min(y+1, B+1).
 
-    B is capped at 3000 (:data:`CLAIM_CAPS`): the check took 0.60–0.62 s
-    and 149 MB peak RSS at y = 3 and y = 3000 (Python 3.11, 2 CPUs)."""
+    B is capped at 3000: the check took 0.60–0.62 s and 149 MB peak RSS at
+    y = 3 and y = 3000 (Python 3.11, 2 CPUs)."""
     from .partition import width_and_dilworth
 
     w, _, antichain = width_and_dilworth(window("P3", WindowSpec.make(x=B, y=(y, y))))
@@ -624,13 +628,14 @@ def _claim_p3_row_bound(y: int, B: int) -> tuple:
     return PASS if ok else FAIL, None if ok else sorted(antichain), {"width": w, "expected": expected}
 
 
+@claim("P3.atomic_antichain", B=3000)
 def _claim_p3_atomic_antichain(n: int, m: int, B: int) -> tuple:
     """Bounded evidence that distinct columns are incomparable in bulk:
     some element of column n (y <= B) is incomparable to at least B
     elements of column m (y <= 2B).
 
-    B is capped at 3000 (:data:`CLAIM_CAPS`): the check took 0.70 s and
-    185 MB peak RSS (Python 3.11, 2 CPUs)."""
+    B is capped at 3000: the check took 0.70 s and 185 MB peak RSS (Python
+    3.11, 2 CPUs)."""
     if n == m:
         return FAIL, element_id("P3", (n, 0)), {"reason": "columns coincide"}
     column = [(n, y1) for y1 in range(B + 1)]
@@ -644,6 +649,7 @@ def _claim_p3_atomic_antichain(n: int, m: int, B: int) -> tuple:
     }
 
 
+@claim("P4.no_domination", B=60, slack=60)
 def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> tuple:
     """No single window element of E(n) lies above the whole window of
     E(m): each candidate (n, y, z) with y, z <= B is refuted inside the
@@ -651,9 +657,8 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> tuple:
     candidate at the very top of its own window would trivially dominate
     an equally truncated E(m).
 
-    B and slack are each capped at 60 (:data:`CLAIM_CAPS`): with both at
-    their caps the check took 0.73 s and 343 MB peak RSS (Python 3.11, 2
-    CPUs)."""
+    B and slack are each capped at 60: with both at their caps the check
+    took 0.73 s and 343 MB peak RSS (Python 3.11, 2 CPUs)."""
     candidates = [(n, y, z) for y in range(B + 1) for z in range(B + 1)]
     wide = B + slack
     targets = [(m, v, w) for v in range(wide + 1) for w in range(wide + 1)]
@@ -662,19 +667,6 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> tuple:
         return FAIL, element_id("P4", candidates[int(dominating.argmax())]), {}
     return UP_TO_BOUND, None, {"candidates": len(candidates), "targets": len(targets)}
 
-
-# Caps on the claims' size parameters, each about a second of work (each
-# claim's docstring times its caps).  Coordinates such as P3's y are not
-# sizes and are not capped.
-CLAIM_CAPS = {
-    ("P1", "spine_partition"): {"N": 1500},
-    ("P1", "pigeonhole"): {"m": 4000},
-    ("P2", "partitions"): {"B": 300},
-    ("P2", "shift_reduction"): {"B": 300},
-    ("P3", "row_bound"): {"B": 3000},
-    ("P3", "atomic_antichain"): {"B": 3000},
-    ("P4", "no_domination"): {"B": 60, "slack": 60},
-}
 
 _CLAIMS = {
     ("P1", "spine_partition"): _claim_p1_spine_partition,
@@ -692,30 +684,19 @@ def claim_names(family: str) -> list[str]:
 
 
 def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:
-    """Run a registered finite check; see the per-claim functions.  Every
-    claim parameter is a natural number, and each size parameter is at most
-    its cap in :data:`CLAIM_CAPS`.  A claim function returns
-    ``(status, witness, detail)``; its report is named ``"<family>.<claim>"``
-    and its params are the claim's arguments in signature order, defaults
-    included."""
-    key = (family, claim)
-    if key not in _CLAIMS:
+    """Run a registered finite check; see the per-claim functions.  Each
+    claim is a :func:`report.claim`: its report is named
+    ``"<family>.<claim>"``, its params are its arguments in signature order
+    with defaults included, each a natural number and each size parameter at
+    most its cap in ``.caps``."""
+    if (family, claim) not in _CLAIMS:
         raise UnknownClaim(family, claim)
-    func = _CLAIMS[key]
-    parameters = inspect.signature(func).parameters
+    func = _CLAIMS[family, claim]
+    parameters = func.__signature__.parameters
     missing = [k for k, p in parameters.items() if p.default is p.empty and k not in params]
     if missing:
         raise ValueError(f"claim {family}.{claim} needs parameters {missing}")
     unknown = [k for k in params if k not in parameters]
     if unknown:
         raise ValueError(f"claim {family}.{claim} takes no parameters {unknown}")
-    values = {k: int(v) for k, v in params.items()}
-    negative = [k for k, v in values.items() if v < 0]
-    if negative:
-        raise ValueError(f"claim {family}.{claim} parameters {negative} must be natural numbers")
-    args = {k: values.get(k, p.default) for k, p in parameters.items()}
-    for k, cap in CLAIM_CAPS[key].items():
-        if args[k] > cap:
-            raise ValueError(f"claim {family}.{claim} parameter {k}={args[k]} exceeds its cap {cap} in CLAIM_CAPS")
-    status, witness, detail = func(**args)
-    return VerificationReport(f"{family}.{claim}", args, status, witness, detail)
+    return func(**params)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Any
+
+from .poset import PosetError
 
 PASS = "pass"
 FAIL = "fail"
@@ -49,3 +53,48 @@ class VerificationReport:
         if self.detail:
             out["detail"] = self.detail
         return out
+
+
+class PreconditionViolated(PosetError, ValueError):
+    """A check was called on arguments outside the inputs it decides."""
+
+
+# Claim parameters stay below this, so that every coordinate a claim builds
+# fits the int64 coordinate columns of ``families.relation_block``.
+PARAM_LIMIT = 2**60
+
+
+def claim(name: str, **caps: int):
+    """Decorate a check that returns ``(status, witness, detail)``.
+
+    The decorated check binds its arguments to its signature (defaults
+    included) and raises :class:`PreconditionViolated` unless each is a
+    natural number below :data:`PARAM_LIMIT` and each capped one is at most
+    its cap; it then returns the :class:`VerificationReport` named ``name``
+    whose params are the arguments in signature order.  Each cap is about a
+    second of work, timed in the check's docstring; the decorated check
+    exposes them as ``.caps``.
+    """
+
+    def decorate(check):
+        signature = inspect.signature(check)
+
+        @functools.wraps(check)
+        def run(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = dict(bound.arguments)
+            for key, value in params.items():
+                if not isinstance(value, int) or value < 0:
+                    raise PreconditionViolated(f"claim {name} parameter {key}={value!r} is not a natural number")
+                if key in caps and value > caps[key]:
+                    raise PreconditionViolated(f"claim {name} parameter {key}={value} exceeds its cap {caps[key]}")
+                if value >= PARAM_LIMIT:
+                    raise PreconditionViolated(f"claim {name} parameter {key}={value} is not below 2**60")
+            return VerificationReport(name, params, *check(**params))
+
+        run.__signature__ = signature
+        run.caps = caps
+        return run
+
+    return decorate

@@ -17,19 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import WindowSpec, element_id, relation_block, window_payloads
-from .poset import FinitePoset, PosetError, _true_pairs
-from .report import FAIL, PASS, UP_TO_BOUND, VerificationReport
-
-
-class PreconditionViolated(PosetError):
-    pass
-
-
-# Caps on the sizes of the exhaustive checks; each check's docstring times its cap.
-MAX_MIN_DROP_BOUND = 1000
-MAX_ROWS_ELL = 8
-MAX_COUNTING_A = 40
-MAX_LEVELS_BOUND = 40
+from .poset import FinitePoset, _true_pairs
+from .report import FAIL, PASS, UP_TO_BOUND, PreconditionViolated, VerificationReport, claim
 
 
 # ------------------------------------------------------------- level window
@@ -46,7 +35,8 @@ def level_window(n: int, B: int, levels: int = 1) -> FinitePoset:
     return FinitePoset(payloads, relation_block("P5", payloads, payloads))
 
 
-def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
+@claim("P5.level_structure", B=40)
+def verify_level_structure(n: int, s: int, B: int) -> tuple:
     """Window checks of the level structure of P5.
 
     Checks, for levels n and n+1 with coordinates <= B: the level L_n is a
@@ -54,14 +44,9 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
     antichain; every fixed-row and fixed-column set inside L_n is a chain
     and a contiguous chain of the single-level window.
 
-    B is capped at ``MAX_LEVELS_BOUND`` = 40: the two-level window then has
-    3362 elements, and the check took 0.89 s and 178 MB peak RSS (Python
-    3.11, 2 CPUs).
+    B is capped at 40: the two-level window then has 3362 elements, and the
+    check took 0.89 s and 178 MB peak RSS (Python 3.11, 2 CPUs).
     """
-    if n < 0 or s < 0:
-        raise PreconditionViolated("need n, s >= 0")
-    if B > MAX_LEVELS_BOUND:
-        raise PreconditionViolated(f"bound B={B} exceeds the cap MAX_LEVELS_BOUND={MAX_LEVELS_BOUND}")
     if s > 2 * B:
         raise PreconditionViolated(f"diagonal s={s} exceeds window reach 2B={2 * B}")
     two = level_window(n, B, levels=2)
@@ -73,9 +58,9 @@ def verify_level_structure(n: int, s: int, B: int) -> VerificationReport:
 
 def check_level_structure(
     n: int, diagonals: Iterable[int], B: int, two: FinitePoset, one: FinitePoset
-) -> list[VerificationReport]:
-    """The report of :func:`verify_level_structure` for each s in
-    ``diagonals``, against windows built by the caller: ``two`` is
+) -> list[tuple]:
+    """The ``(status, witness, detail)`` of :func:`verify_level_structure`
+    for each s in ``diagonals``, against windows built by the caller: ``two`` is
     ``level_window(n, B, levels=2)`` and ``one`` is ``level_window(n, B)``.
 
     Only the diagonal K(n, s) depends on s, so the convexity check and the
@@ -93,19 +78,17 @@ def check_level_structure(
     Element names are built only for a failure's witness.
     """
 
-    def report(s: int, failure: tuple | None, diagonal: Sequence = ()) -> VerificationReport:
-        claim, params = "P5.level_structure", {"n": n, "s": s, "B": B}
+    def outcome(failure: tuple | None, diagonal: Sequence = ()) -> tuple:
         if failure is None:
-            detail = {"diagonal_size": len(diagonal), "lines_checked": 2 * (B + 1)}
-            return VerificationReport(claim, params, UP_TO_BOUND, detail=detail)
+            return UP_TO_BOUND, None, {"diagonal_size": len(diagonal), "lines_checked": 2 * (B + 1)}
         reason, witness = failure
-        return VerificationReport(claim, params, FAIL, witness, {"reason": reason})
+        return FAIL, witness, {"reason": reason}
 
     level_n = sorted(p for p in two.elements if p[2] == n)
     hull = two.convex_hull(level_n)
     if hull != frozenset(level_n):
         extra = min(element_id("P5", p) for p in hull - set(level_n))
-        return [report(s, ("level is not convex in the two-level window", extra)) for s in diagonals]
+        return [outcome(("level is not convex in the two-level window", extra)) for _ in diagonals]
 
     # grid[x, y] indexes (x, y, n) in ``one``; line 2*z0 is row z0 (x runs)
     # and line 2*z0+1 is column z0 (y runs).
@@ -126,15 +109,15 @@ def check_level_structure(
             [element_id("P5", one.elements[i]) for i in idx[first]],
         )
 
-    reports = []
+    outcomes = []
     for s in diagonals:
         diagonal = [p for p in level_n if p[0] + p[1] == s]
         if two.is_antichain(diagonal):
             failure = line_failure
         else:
             failure = ("diagonal is not an antichain", [element_id("P5", p) for p in diagonal])
-        reports.append(report(s, failure, diagonal))
-    return reports
+        outcomes.append(outcome(failure, diagonal))
+    return outcomes
 
 
 # ------------------------------------------------------------ interpolation
@@ -172,7 +155,8 @@ def interpolate_chain(
 # ----------------------------------------------------------------- min drop
 
 
-def verify_min_drop(u: int, v: int, B: int) -> VerificationReport:
+@claim("P5.min_drop", B=1000)
+def verify_min_drop(u: int, v: int, B: int) -> tuple:
     """Whenever (x,y) on the next level down lies below (u,v) despite
     x + y > 2(u + v), the drop min(x,y)+1 <= min(u,v) is forced.
 
@@ -183,33 +167,16 @@ def verify_min_drop(u: int, v: int, B: int) -> VerificationReport:
     check, not an independent proof, and cannot fail while the order keeps
     that clause.
 
-    B is capped at ``MAX_MIN_DROP_BOUND`` = 1000: the (B+1)**2 grid at that
-    bound took 0.80 s and 157 MB peak RSS (Python 3.11, 2 CPUs).
+    B is capped at 1000: the (B+1)**2 grid at that bound took 0.80 s and
+    157 MB peak RSS (Python 3.11, 2 CPUs).
     """
-    if u < 0 or v < 0:
-        raise PreconditionViolated("need u, v >= 0")
-    if B < 0:
-        raise PreconditionViolated(f"bound B={B} leaves no (x, y) to check")
-    if B > MAX_MIN_DROP_BOUND:
-        raise PreconditionViolated(f"bound B={B} exceeds the cap MAX_MIN_DROP_BOUND={MAX_MIN_DROP_BOUND}")
-    params = {"u": u, "v": v, "B": B}
     grid = [(x, y, 1) for x in range(B + 1) for y in range(B + 1)]
     below = relation_block("P5", grid, [(u, v, 0)])[:, 0]
     qualifying = [p for p, le in zip(grid, below) if le and p[0] + p[1] > 2 * (u + v)]
     for x, y, n in qualifying:
         if not (min(x, y) + 1 <= min(u, v)):
-            return VerificationReport(
-                claim="P5.min_drop",
-                params=params,
-                status=FAIL,
-                witness=element_id("P5", (x, y, n)),
-            )
-    return VerificationReport(
-        claim="P5.min_drop",
-        params=params,
-        status=UP_TO_BOUND,
-        detail={"qualifying": len(qualifying)},
-    )
+            return FAIL, element_id("P5", (x, y, n)), {}
+    return UP_TO_BOUND, None, {"qualifying": len(qualifying)}
 
 
 # ----------------------------------------------------- constant on diagonals
@@ -259,7 +226,8 @@ def _valid_assignments(u: int, v: int, path, ell: int):
     yield from extend(0, dict(fixed))
 
 
-def verify_constant_on_rows(ell: int) -> VerificationReport:
+@claim("P5.constant_on_rows", ell=8)
+def verify_constant_on_rows(ell: int) -> tuple:
     """Every valid antichain labelling of every staircase instance of size
     ell is constant on each diagonal below the top.
 
@@ -270,14 +238,11 @@ def verify_constant_on_rows(ell: int) -> VerificationReport:
     i+j <= ell-1, exhaustively; the top diagonal is genuinely unforced at
     this size, which is why it is excluded (rerun at ell+1 to pin row ell).
 
-    ell is capped at ``MAX_ROWS_ELL`` = 8: ell = 8 took 0.97 s (Python
-    3.11, 2 CPUs), and each step multiplies the time by about 8.
+    ell is capped at 8: ell = 8 took 0.97 s (Python 3.11, 2 CPUs), and each
+    step multiplies the time by about 8.
     """
     if ell < 1:
         raise PreconditionViolated("need ell >= 1")
-    if ell > MAX_ROWS_ELL:
-        raise PreconditionViolated(f"ell={ell} exceeds the cap MAX_ROWS_ELL={MAX_ROWS_ELL}")
-    params = {"ell": ell}
     instances = 0
     assignments = 0
     for u in range(ell + 1):
@@ -288,29 +253,16 @@ def verify_constant_on_rows(ell: int) -> VerificationReport:
                 assignments += 1
                 for (i, j), label in f.items():
                     if i + j <= ell - 1 and label != i + j:
-                        return VerificationReport(
-                            claim="P5.constant_on_rows",
-                            params=params,
-                            status=FAIL,
-                            witness={
-                                "corner": [u, v],
-                                "path": [list(pt) for pt in path],
-                                "cell": [i, j],
-                                "label": label,
-                            },
-                        )
-    return VerificationReport(
-        claim="P5.constant_on_rows",
-        params=params,
-        status=PASS,
-        detail={"instances": instances, "assignments": assignments},
-    )
+                        witness = {"corner": [u, v], "path": [list(pt) for pt in path], "cell": [i, j], "label": label}
+                        return FAIL, witness, {}
+    return PASS, None, {"instances": instances, "assignments": assignments}
 
 
 # ------------------------------------------------------------ final counting
 
 
-def verify_final_counting(a: int) -> VerificationReport:
+@claim("P5.final_counting", a=40)
+def verify_final_counting(a: int) -> tuple:
     """The chain F = {(a+t, a, 1): t <= 2a} has 2a+1 elements, all of them
     below every (u, v, 0) with u + v >= 2a (checked for coords <= 3a), while
     the region T = {(u, v, 0): u + v <= 2a-1} has height only 2a — so no
@@ -322,14 +274,11 @@ def verify_final_counting(a: int) -> VerificationReport:
     u + v >= 2a.  So F lies below the whole cut, not only below the part
     the window checks.
 
-    a is capped at ``MAX_COUNTING_A`` = 40: T then has 3240 elements, and
-    the check took 0.94 s and 198 MB peak RSS (Python 3.11, 2 CPUs).
+    a is capped at 40: T then has 3240 elements, and the check took 0.94 s
+    and 198 MB peak RSS (Python 3.11, 2 CPUs).
     """
     if a < 1:
         raise PreconditionViolated("need a >= 1")
-    if a > MAX_COUNTING_A:
-        raise PreconditionViolated(f"a={a} exceeds the cap MAX_COUNTING_A={MAX_COUNTING_A}")
-    params = {"a": a}
     F = [(a + t, a, 1) for t in range(2 * a + 1)]
     bound = 3 * a
     cut = [(u, v, 0) for u in range(bound + 1) for v in range(bound + 1) if u + v >= 2 * a]
@@ -343,26 +292,15 @@ def verify_final_counting(a: int) -> VerificationReport:
     ]
     if failures:
         p, q, reason = failures[0]
-        return VerificationReport(
-            claim="P5.final_counting",
-            params=params,
-            status=FAIL,
-            witness=[element_id("P5", p), element_id("P5", q)],
-            detail={"reason": reason},
-        )
+        return FAIL, [element_id("P5", p), element_id("P5", q)], {"reason": reason}
 
     from .partition import height
 
     T = [(u, v, 0) for u in range(2 * a) for v in range(2 * a) if u + v <= 2 * a - 1]
     h = height(FinitePoset(T, relation_block("P5", T, T)))
     ok = len(F) == 2 * a + 1 and h == 2 * a
-    return VerificationReport(
-        claim="P5.final_counting",
-        params=params,
-        status=UP_TO_BOUND if ok else FAIL,
-        witness=None if ok else {"F_size": len(F), "T_height": h},
-        detail={"F_size": len(F), "T_height": h, "gap": len(F) - h},
-    )
+    detail = {"F_size": len(F), "T_height": h, "gap": len(F) - h}
+    return UP_TO_BOUND if ok else FAIL, None if ok else {"F_size": len(F), "T_height": h}, detail
 
 
 # ------------------------------------------------------------------- presets

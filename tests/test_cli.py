@@ -283,7 +283,7 @@ def test_family_check_rejects_unknown_parameters(capsys):
 )
 def test_family_check_rejects_negative_parameters(capsys, family, claim, params):
     code, out, err = run(capsys, "family", "check", family, "--claim", claim, "--params", params)
-    assert code == 2 and out == "" and "natural numbers" in err
+    assert code == 2 and out == "" and "is not a natural number" in err
 
 
 def test_family_window_bad_spec(capsys):
@@ -330,7 +330,7 @@ def test_verify_mindrop_rejects_negative_corners(capsys, u, v):
 @pytest.mark.parametrize("n, s", [(0, -1), (-1, 0), (-1, 3)])
 def test_verify_levels_rejects_negative_levels_and_diagonals(capsys, n, s):
     code, out, err = run(capsys, "verify", "levels", "--n", str(n), "--s", str(s), "--bound", "3")
-    assert code == 2 and out == "" and "need n, s >= 0" in err
+    assert code == 2 and out == "" and f"parameter {'n' if n < 0 else 's'}=-1 is not a natural number" in err
 
 
 def test_verify_mindrop_rejects_a_negative_bound(capsys):
@@ -363,20 +363,33 @@ def claim_argv(family, claim, **values):
 
 PAST_CLAIM_CAPS = [
     (claim_argv(family, claim, **{key: size}), f"{key}={size} exceeds its cap {cap}")
-    for (family, claim), caps in families.CLAIM_CAPS.items()
-    for key, cap in caps.items()
+    for (family, claim), check in families._CLAIMS.items()
+    for key, cap in check.caps.items()
     for size in (cap + 1, 10**20)
+]
+
+
+def verify_argv(action, **values):
+    """``verify`` argv with each flag of the action at 0, then ``values``."""
+    flags = dict.fromkeys(cli._VERIFY_ACTIONS[action][2], 0) | values
+    return ("verify", action, *(a for flag, v in flags.items() for a in (f"--{flag}", str(v))))
+
+
+# Each desk check's cap + 1 is run in-process by
+# tests/test_families.py::test_every_claim_rejects_arguments_past_its_caps.
+PAST_DESK_CAPS = [
+    (verify_argv(action, **{"bound" if key == "B" else key: 10**20}), f"{key}={10**20} exceeds its cap {cap}")
+    for action, (_, check, _) in cli._VERIFY_ACTIONS.items()
+    for key, cap in check.caps.items()
 ]
 
 
 @pytest.mark.parametrize(
     "argv, cap",
     [
-        (("verify", "rows", "--ell", str(10**20)), "MAX_ROWS_ELL=8"),
-        (("verify", "counting", "--a", str(10**20)), "MAX_COUNTING_A=40"),
-        (("verify", "mindrop", "--u", "2", "--v", "2", "--bound", str(10**20)), "MAX_MIN_DROP_BOUND=1000"),
-        (("verify", "levels", "--n", "0", "--s", "1", "--bound", "41"), "MAX_LEVELS_BOUND=40"),
-        (("verify", "levels", "--n", "0", "--s", "1", "--bound", "100000"), "MAX_LEVELS_BOUND=40"),
+        *PAST_DESK_CAPS,
+        # A coordinate past int64 would run the broadcast forms on Python ints.
+        (claim_argv("P3", "atomic_antichain", n=2, m=5 * 10**21, B=3000), f"m={5 * 10**21} is not below 2**60"),
         *PAST_CLAIM_CAPS,
         (("family", "check", "P4", "--claim", "no_domination", "--params", "n=0,m=1,B=100000"), "its cap 60"),
         (("family", "check", "P3", "--claim", "row_bound", "--params", "y=0,B=1000000000"), "its cap 3000"),
@@ -557,10 +570,10 @@ def capped(cap):
 
 
 VERIFY_OPTIONS = {
-    "levels": [("--n", SMALL_INTS), ("--s", SMALL_INTS), ("--bound", capped(verify.MAX_LEVELS_BOUND))],
-    "mindrop": [("--u", SMALL_INTS), ("--v", SMALL_INTS), ("--bound", capped(verify.MAX_MIN_DROP_BOUND))],
-    "rows": [("--ell", capped(verify.MAX_ROWS_ELL))],
-    "counting": [("--a", capped(verify.MAX_COUNTING_A))],
+    "levels": [("--n", SMALL_INTS), ("--s", SMALL_INTS), ("--bound", capped(verify.verify_level_structure.caps["B"]))],
+    "mindrop": [("--u", SMALL_INTS), ("--v", SMALL_INTS), ("--bound", capped(verify.verify_min_drop.caps["B"]))],
+    "rows": [("--ell", capped(verify.verify_constant_on_rows.caps["ell"]))],
+    "counting": [("--a", capped(verify.verify_final_counting.caps["a"]))],
     "all": [],
 }
 
@@ -571,7 +584,7 @@ def claim_params(draw, family, claim):
     sometimes, each optional one; sizes also drawn past their caps."""
     parameters = inspect.signature(families._CLAIMS[family, claim]).parameters
     keys = [k for k, p in parameters.items() if p.default is p.empty or draw(st.booleans())]
-    sizes = {k: capped(cap) for k, cap in families.CLAIM_CAPS[family, claim].items()}
+    sizes = {k: capped(cap) for k, cap in families._CLAIMS[family, claim].caps.items()}
     return draw(axis_list(keys, SMALL_INTS, sizes))
 
 

@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from fishbone import families
+from fishbone import families, verify
 from fishbone.cli import main
 from fishbone.families import (
     FAMILIES,
@@ -32,8 +32,8 @@ from fishbone.families import (
     window,
     window_payloads,
 )
-from fishbone.poset import FinitePoset
-from fishbone.report import FAIL, PASS, VerificationReport
+from fishbone.poset import FinitePoset, PosetError
+from fishbone.report import FAIL, PASS, PreconditionViolated, VerificationReport
 
 # ------------------------------------------------------ generator-move oracle
 
@@ -577,22 +577,62 @@ def test_claim_parameter_messages():
     assert str(err.value) == "claim P4.no_domination takes no parameters ['q']"
 
 
-@pytest.mark.parametrize("key", sorted(families._CLAIMS), ids="{0[0]}.{0[1]}".format)
-def test_every_claim_report_is_named_and_echoes_its_arguments(key):
+# Every check that writes its report through report.claim, by report name.
+CHECKS = {f"{family}.{claim}": check for (family, claim), check in families._CLAIMS.items()} | {
+    "P5.level_structure": verify.verify_level_structure,
+    "P5.min_drop": verify.verify_min_drop,
+    "P5.constant_on_rows": verify.verify_constant_on_rows,
+    "P5.final_counting": verify.verify_final_counting,
+}
+
+
+def run_check(name, params):
+    """The family claims through verify_claim, the P5 checks directly."""
+    family, _, claim = name.partition(".")
+    return verify_claim(family, claim, params) if (family, claim) in families._CLAIMS else CHECKS[name](**params)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_claim_report_is_named_and_echoes_its_arguments(name):
     # Each argument gets a distinct small value, so the columns of
     # P3.atomic_antichain differ.  The first call passes only the required
     # arguments, in reverse order; the second passes every argument.
-    family, claim = key
-    signature = inspect.signature(families._CLAIMS[key])
+    signature = inspect.signature(CHECKS[name])
     parameters = signature.parameters
     values = {k: 1 + i for i, k in enumerate(parameters)}
     required = {k: values[k] for k in reversed(parameters) if parameters[k].default is parameters[k].empty}
     for given in (required, values):
         bound = signature.bind(**given)
         bound.apply_defaults()
-        rep = verify_claim(family, claim, given)
-        assert rep.claim == f"{family}.{claim}"
+        rep = run_check(name, given)
+        assert rep.claim == name
         assert list(rep.params.items()) == list(bound.arguments.items())
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_claim_rejects_arguments_past_its_caps(name):
+    # Starting from the valid arguments above, each argument in turn is made
+    # negative, one past its cap, or 2**60 where it has no cap.
+    check = CHECKS[name]
+    values = {k: 1 + i for i, k in enumerate(inspect.signature(check).parameters)}
+    for key in values:
+        cases = {-1: "is not a natural number"}
+        if key in check.caps:
+            cases[check.caps[key] + 1] = f"exceeds its cap {check.caps[key]}"
+        else:
+            cases[2**60] = "is not below 2**60"
+        for value, message in cases.items():
+            with pytest.raises(PreconditionViolated) as err:
+                run_check(name, values | {key: value})
+            assert str(err.value) == f"claim {name} parameter {key}={value} {message}"
+            assert isinstance(err.value, PosetError) and isinstance(err.value, ValueError)
+
+
+def test_coordinates_below_2_to_the_60_stay_in_int64():
+    m = 2**60 - 1
+    assert families._columns("P3", [(2, m), (m, 2 * 3000)]).dtype == np.int64
+    rep = verify_claim("P3", "atomic_antichain", {"n": 2, "m": m, "B": 3})
+    assert rep.ok and rep.params == {"n": 2, "m": m, "B": 3}
 
 
 # -------------------------------------------------------- bounded cofinality

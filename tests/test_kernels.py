@@ -379,6 +379,22 @@ def test_no_matrix_product_outside_bool_matmul():
     assert not found, f"use poset._bool_matmul for a boolean matrix product: {found}"
 
 
+def test_every_claim_writes_its_report_through_the_claim_decorator():
+    """verify.py builds no VerificationReport itself, and every family claim
+    and P5 desk check carries the caps of report.claim."""
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "VerificationReport"
+    ]
+    assert not calls, f"return (status, witness, detail) from a report.claim check: verify.py lines {calls}"
+    desk = [verify.verify_level_structure, verify.verify_min_drop, verify.verify_constant_on_rows,
+            verify.verify_final_counting]
+    for check in [*families._CLAIMS.values(), *desk]:
+        assert isinstance(check.caps, dict) and check.caps, check.__name__
+
+
 # ------------------------------------------------------------ element names
 
 

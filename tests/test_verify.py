@@ -7,7 +7,7 @@ import pytest
 from fishbone import acceptance, families, verify
 from fishbone.families import WindowSpec, elem_le, element_id, named_subset_payloads
 from fishbone.poset import FinitePoset
-from fishbone.report import FAIL, UP_TO_BOUND, VerificationReport
+from fishbone.report import FAIL, UP_TO_BOUND
 from fishbone.verify import (
     PreconditionViolated,
     _monotone_paths,
@@ -47,19 +47,17 @@ def test_level_structure_on_shared_windows_matches_fresh_builds():
         two, one = level_window(n, B, levels=2), level_window(n, B)
         shared = check_level_structure(n, range(2 * B + 1), B, two, one)
         fresh = [verify_level_structure(n, s, B) for s in range(2 * B + 1)]
-        assert [r.to_dict() for r in shared] == [r.to_dict() for r in fresh]
+        assert shared == [(r.status, r.witness, r.detail) for r in fresh]
 
 
 def _level_structure_by_loops(n, s, B, two, one):
-    """Reference for check_level_structure: one scalar walk per row and
-    column through is_chain and is_contiguous_chain, on windows of payload
-    tuples; witnesses are turned into names with element_id."""
-    params = {"n": n, "s": s, "B": B}
+    """Reference for check_level_structure's ``(status, witness, detail)``:
+    one scalar walk per row and column through is_chain and
+    is_contiguous_chain, on windows of payload tuples; witnesses are turned
+    into names with element_id."""
 
     def fail(reason, witness):
-        return VerificationReport(
-            claim="P5.level_structure", params=params, status=FAIL, witness=witness, detail={"reason": reason}
-        )
+        return FAIL, witness, {"reason": reason}
 
     def names(points):
         return [element_id("P5", p) for p in points]
@@ -82,12 +80,7 @@ def _level_structure_by_loops(n, s, B, two, one):
                 return fail("row/column is not a chain", names(line))
             if not one.is_contiguous_chain(line):
                 return fail("row/column is not contiguous in its level", names(line))
-    return VerificationReport(
-        claim="P5.level_structure",
-        params=params,
-        status=UP_TO_BOUND,
-        detail={"diagonal_size": len(diagonal), "lines_checked": lines},
-    )
+    return UP_TO_BOUND, None, {"diagonal_size": len(diagonal), "lines_checked": lines}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -96,10 +89,10 @@ def test_level_structure_matches_the_loop_reference_on_real_windows(n):
         two, one = level_window(n, B, levels=2), level_window(n, B)
         assert two.induced(one.elements) == one
         reports = check_level_structure(n, range(2 * B + 1), B, two, one)
-        for s, rep in enumerate(reports):
-            want = _level_structure_by_loops(n, s, B, two, one).to_dict()
-            assert rep.to_dict() == want
-            assert want["status"] == UP_TO_BOUND
+        for s, outcome in enumerate(reports):
+            want = _level_structure_by_loops(n, s, B, two, one)
+            assert outcome == want
+            assert want[0] == UP_TO_BOUND
 
 
 def _random_level_order(points, rng, p):
@@ -163,16 +156,16 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
         }
         for kind, one in orders.items():
             s = rng.randint(0, 2 * B)
-            want = _level_structure_by_loops(n, s, B, two, one).to_dict()
-            assert check_level_structure(n, [s], B, two, one)[0].to_dict() == want
-            assert want["status"] == FAIL
-            assert want["detail"]["reason"] == expected.get(kind, want["detail"]["reason"])
+            want = status, witness, detail = _level_structure_by_loops(n, s, B, two, one)
+            assert check_level_structure(n, [s], B, two, one)[0] == want
+            assert status == FAIL
+            assert detail["reason"] == expected.get(kind, detail["reason"])
             if kind in ("dropped cover", "shortcut"):
-                assert want["witness"] == [element_id("P5", (k, z0, n)) for k in range(B + 1)]
+                assert witness == [element_id("P5", (k, z0, n)) for k in range(B + 1)]
             if kind == "rows contiguous":
-                assert want["witness"] == [element_id("P5", (0, k, n)) for k in range(B + 1)]
+                assert witness == [element_id("P5", (0, k, n)) for k in range(B + 1)]
             if kind == "columns contiguous":
-                assert want["witness"] == [element_id("P5", (k, 0, n)) for k in range(B + 1)]
+                assert witness == [element_id("P5", (k, 0, n)) for k in range(B + 1)]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -195,9 +188,9 @@ def test_level_structure_per_diagonal_reports_match_the_loop_reference_on_pertur
         for order, reasons in cases.items():
             two = FinitePoset.from_generators(order, zip(order, order[1:]))
             reports = check_level_structure(n, range(2 * B + 1), B, two, one)
-            want = [_level_structure_by_loops(n, s, B, two, one).to_dict() for s in range(2 * B + 1)]
-            assert [r.to_dict() for r in reports] == want
-            assert {r.detail.get("reason") for r in reports} == reasons
+            want = [_level_structure_by_loops(n, s, B, two, one) for s in range(2 * B + 1)]
+            assert reports == want
+            assert {detail.get("reason") for _, _, detail in reports} == reasons
 
 
 def test_convexity_witness_is_the_first_name_in_string_order():
@@ -210,10 +203,9 @@ def test_convexity_witness_is_the_first_name_in_string_order():
     rest = [p for p in level_window(n, B, levels=2).elements if p not in set(level) | set(extras)]
     order = [level[0], *extras, *level[1:], *rest]
     two = FinitePoset.from_generators(order, zip(order, order[1:]))
-    rep = check_level_structure(n, [0], B, two, level_window(n, B))[0]
-    assert rep.to_dict() == _level_structure_by_loops(n, 0, B, two, level_window(n, B)).to_dict()
-    assert rep.detail == {"reason": "level is not convex in the two-level window"}
-    assert rep.witness == "(10,0,1)"
+    outcome = check_level_structure(n, [0], B, two, level_window(n, B))[0]
+    assert outcome == _level_structure_by_loops(n, 0, B, two, level_window(n, B))
+    assert outcome == (FAIL, "(10,0,1)", {"reason": "level is not convex in the two-level window"})
 
 
 def _count_element_ids(monkeypatch):
@@ -238,9 +230,34 @@ def test_passing_desk_checks_build_no_element_names(monkeypatch):
     assert all(r.ok for r in desk_preset())
     for n in (0, 1, 2):
         two, one = level_window(n, 10, levels=2), level_window(n, 10)
-        assert all(r.ok for r in check_level_structure(n, range(9), 10, two, one))
+        assert all(status != FAIL for status, _, _ in check_level_structure(n, range(9), 10, two, one))
     assert acceptance.criterion_3().ok
     assert calls == []
+
+
+def test_criterion_3_reports_the_first_failing_diagonal(monkeypatch):
+    """Criterion 3 reads the outcomes of check_level_structure and builds
+    the report of a failing diagonal through verify_level_structure."""
+    real = check_level_structure
+
+    def broken(n, diagonals, B, two, one):
+        outcomes = real(n, diagonals, B, two, one)
+        return [(FAIL, "w", {"reason": "r"}) if (n, s) == (1, 5) else o for s, o in zip(diagonals, outcomes)]
+
+    monkeypatch.setattr(verify, "check_level_structure", broken)
+    rep = acceptance.criterion_3()
+    assert not rep.ok
+    assert rep.witness == {
+        "n": 1,
+        "s": 5,
+        "report": {
+            "claim": "P5.level_structure",
+            "params": {"n": 1, "s": 5, "B": 10},
+            "status": FAIL,
+            "witness": "w",
+            "detail": {"reason": "r"},
+        },
+    }
 
 
 def test_a_failing_line_names_only_its_witness(monkeypatch):
@@ -249,10 +266,10 @@ def test_a_failing_line_names_only_its_witness(monkeypatch):
     n, B, z0 = 1, 5, 2
     two, one = level_window(n, B, levels=2), _grid_level_order(n, B, drop=((3, z0), (4, z0)))
     calls = _count_element_ids(monkeypatch)
-    rep = check_level_structure(n, [4], B, two, one)[0]
-    assert rep.detail == {"reason": "row/column is not a chain"}
+    _, witness, detail = check_level_structure(n, [4], B, two, one)[0]
+    assert detail == {"reason": "row/column is not a chain"}
     assert calls == [(x, z0, n) for x in range(B + 1)]
-    assert rep.witness == [f"({x},{z0},{n})" for x in range(B + 1)]
+    assert witness == [f"({x},{z0},{n})" for x in range(B + 1)]
 
 
 def test_level_structure_precondition():
