@@ -72,3 +72,22 @@ def test_benchmark_claims_are_within_the_caps(monkeypatch):
     for family, claim, params in gen.CLAIMS:
         caps = families._CLAIMS[family, claim].caps
         assert all(params[k] <= cap for k, cap in caps.items() if k in params), (family, claim)
+
+
+def test_benchmark_windows_use_only_their_familys_axes(monkeypatch):
+    # A window spec must bound exactly its family's axes, and a named set
+    # must resolve; otherwise the benchmark's window and cofinality
+    # operations would turn into usage errors.
+    from fishbone import families
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "gen", raising=False)
+    gen = importlib.import_module("gen")
+    specs = [(family, spec) for family, spec in gen.WINDOWS]
+    specs += [(family, bound) for family, _, _, bound, _ in gen.COFINALITY]
+    for family, spec in specs:
+        assert sorted(spec) == sorted(families.FAMILY_AXES[family]), (family, spec)
+    for family, upper, lower, bound, slack in gen.COFINALITY:
+        spec = families.WindowSpec.make(**{a: tuple(v) if isinstance(v, list) else v for a, v in bound.items()})
+        for name in (upper, lower):
+            assert families.named_subset(family, name, spec.widened(slack)), (family, name)

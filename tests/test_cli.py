@@ -292,6 +292,23 @@ def test_family_window_bad_spec(capsys):
 
 
 @pytest.mark.parametrize(
+    "family, spec, message",
+    [
+        ("P3", "x=1,y=2,q=3", "family P3 has no axis 'q'; its axes are x, y"),
+        ("P1", "n=2,z=5", "family P1 has no axis 'z'; its axes are n"),
+        ("P5", "c=3,n=1,x=0:2", "family P5 has no axis 'x'; its axes are n, c"),
+        ("P3", "x=1", "family P3 needs a bound for axis 'y'; its axes are x, y"),
+        ("P4", "x=1,z=2", "family P4 needs a bound for axis 'y'; its axes are x, y, z"),
+        ("P2", "n=1,q=4", "family P2 has no axis 'q'; its axes are z, n"),
+    ],
+)
+def test_window_spec_axes_must_be_the_familys(capsys, family, spec, message):
+    # An axis the family lacks used to be ignored, and a missing one was
+    # reported with the quotes of a KeyError.
+    assert run(capsys, "family", "window", family, "--spec", spec) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("family", "window", "P3", "--spec", "x=2,y=1,x=3"),

@@ -1,6 +1,7 @@
 """The flat-index and ``take`` matrix kernels of ``poset`` against numpy's
 2-D index machinery, the thickness drivers against their per-outsider
-loops, and ``element_id`` against the per-coordinate join.
+loops, ``element_id`` against the per-coordinate join, and the family
+checks on coordinate columns against their payload formulations.
 
 ``poset._true_pairs`` and ``poset._block`` replace ``np.argwhere`` /
 ``np.nonzero`` and ``np.ix_`` in the package, and ``partition`` reads every
@@ -11,7 +12,9 @@ full-size family windows.
 """
 
 import ast
+import itertools
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fishbone import acceptance, families, verify
-from fishbone.families import WindowSpec, element_id, window, window_payloads
+from fishbone.families import WindowSpec, elem_le, element_id, window, window_payloads
 from fishbone.partition import (
     NoEligiblePoint,
     SpineCertificate,
@@ -33,7 +36,7 @@ from fishbone.partition import (
     width_and_dilworth,
 )
 from fishbone.poset import FinitePoset, _block, _bool_matmul, _row_lists, _true_pairs
-from fishbone.report import FAIL, PASS, VerificationReport
+from fishbone.report import FAIL, PASS, UP_TO_BOUND, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fishbone"
 
@@ -412,3 +415,252 @@ def test_element_id_is_the_coordinate_join(family, axes):
         assert [p for p in payloads if isinstance(p, str)] == ["bot", "a", "top"]
     if family == "P2":
         assert element_id("P2", (-4, 1, 0)) == "(-4,1,0)" and min(p[0] for p in payloads) == -4
+
+
+# ---------------------------------------------------------- family columns
+#
+# The parent formulations of the family checks, kept as oracles: windows
+# enumerated with itertools.product, named sets filtered one payload at a
+# time, strict comparison as one block ANDed with a transposed reverse
+# block, incomparability from two payload conversions, the shift reduction
+# with its reverse form and the 20-operation P1 form.
+
+
+def old_window_payloads(family, spec):
+    def span(axis, natural=True):
+        lo, hi = spec.bound(axis)
+        return range(max(lo, 0) if natural else lo, hi + 1)
+
+    if family == "P1":
+        return ["bot", *itertools.product(span("n"), (0, 1)), "a", "top"]
+    if family == "P2":
+        return list(itertools.product(span("z", natural=False), (0, 1), span("n")))
+    if family in ("P3", "P4"):
+        return list(itertools.product(*map(span, families.FAMILY_AXES[family])))
+    return [(x, y, n) for n, x, y in itertools.product(span("n"), span("c"), span("c"))]
+
+
+def old_named_predicate(family, name):
+    m = re.match(r"^([A-Z]+[0-9]*)(?:\(\s*(-?\d+)(?:\s*,\s*(-?\d+))?\s*\))?$", name.strip())
+    base, a, b = m.group(1), m.group(2), m.group(3)
+    a = int(a) if a is not None else None
+    b = int(b) if b is not None else None
+    if family == "P1" and base == "C1" and a is None:
+        return lambda p: p in ("bot", "top") or (isinstance(p, tuple) and p[1] == 0)
+    if family == "P1" and base == "C2" and a is None:
+        return lambda p: p in ("bot", "top", "a") or (isinstance(p, tuple) and p[1] == 1)
+    if family == "P2" and base in ("C0", "C1") and a is None:
+        return lambda p: p[1] == int(base[1])
+    if family == "P2" and base == "D" and a is not None and b is None:
+        return lambda p: p[2] == a
+    if family in ("P3", "P4") and base in ("C", "E") and a is not None and b is None:
+        return lambda p: p[0] == a
+    if family == "P5" and base == "L" and a is not None and b is None:
+        return lambda p: p[2] == a
+    if family == "P5" and base == "K" and a is not None and b is not None:
+        return lambda p: p[2] == a and p[0] + p[1] == b
+    raise families.UnknownName(family, name)
+
+
+def old_named_subset_payloads(family, name, spec):
+    pred = old_named_predicate(family, name)
+    return [p for p in old_window_payloads(family, spec) if pred(p)]
+
+
+def old_first_unreached(family, lower, upper):
+    below = families.relation_block(family, lower, upper) & ~families.relation_block(family, upper, lower).T
+    reached = below.any(axis=1)
+    return None if reached.all() else lower[int(reached.argmin())]
+
+
+def old_check_bounded_cofinally_above(family, upper, lower, bound, slack):
+    params = {"family": family, "upper": upper, "lower": lower, "bound": bound.to_dict(), "slack": slack}
+    lower_elems = [y for y in old_named_subset_payloads(family, lower, bound) if y != "top"]
+    upper_elems = old_named_subset_payloads(family, upper, bound.widened(slack))
+    y = old_first_unreached(family, lower_elems, upper_elems)
+    if y is not None:
+        detail = {"reason": "no element of the upper set lies strictly above"}
+        return VerificationReport("cofinally-above", params, FAIL, element_id(family, y), detail)
+    detail = {"lower_checked": len(lower_elems), "upper_candidates": len(upper_elems)}
+    return VerificationReport("cofinally-above", params, UP_TO_BOUND, None, detail)
+
+
+def old_incomparable(family, rows, cols):
+    return ~(families.relation_block(family, rows, cols) | families.relation_block(family, cols, rows).T)
+
+
+def old_p1_pigeonhole(m):
+    demanders = [(n, 1) for n in range(m + 1)]
+    c1 = old_named_subset_payloads("P1", "C1", WindowSpec.make(n=m))
+    eligible = {h for h, free in zip(c1, old_incomparable("P1", demanders, c1).any(axis=0)) if free}
+    reserved = (m, 0)
+    hosts = [element_id("P1", h) for h in sorted(eligible - {reserved})]
+    ok = len(hosts) < len(demanders)
+    return PASS if ok else FAIL, None if ok else hosts, {
+        "demanders": [element_id("P1", d) for d in demanders],
+        "hosts": hosts,
+        "demander_count": len(demanders),
+        "host_count": len(hosts),
+        "reserved_for_a": element_id("P1", reserved),
+    }
+
+
+def old_p3_atomic_antichain(n, m, B):
+    if n == m:
+        return FAIL, element_id("P3", (n, 0)), {"reason": "columns coincide"}
+    column = [(n, y1) for y1 in range(B + 1)]
+    counts = old_incomparable("P3", column, [(m, y2) for y2 in range(2 * B + 1)]).sum(axis=1)
+    best, count = element_id("P3", column[int(counts.argmax())]), int(counts.max())
+    ok = count >= B
+    return UP_TO_BOUND if ok else FAIL, None if ok else best, {
+        "best_element": best,
+        "incomparable_count": count,
+        "required": B,
+    }
+
+
+def old_shift_reduction(B, le):
+    z = np.arange(1 - B, B + 1).reshape(-1, 1, 1)
+    n = np.arange(B + 1)
+    lower, upper = (z - 1, 0, n[:, None]), (z, 0, n)
+    reached = (le(lower, upper) & ~le(upper, lower)).any(axis=2)
+    if not reached.all():
+        col, k = np.unravel_index(int(reached.argmin()), reached.shape)
+        return FAIL, element_id("P2", (int(col) - B, 0, int(k))), {}
+    return UP_TO_BOUND, None, {"checked": 2 * B * (B + 1)}
+
+
+def old_le_p1_cols(p, q):
+    (s, n, i), (t, m, j) = p, q
+    same = (s == t) & (n == m) & (i == j)
+    pairs = (s == 1) & (t == 1) & (((i == j) & (n <= m)) | ((i == 1) & (j == 0) & (n < m)))
+    return same | (s == 0) | (t == 3) | ((s == 1) & (t == 2) & (i == 1)) | pairs
+
+
+# Every named set of each family, with overlapping ones (P1's C1 and C2 share
+# bot and top; P2's C0 and D(n); P5's L(n) and K(n, s)), and the window at
+# each bound 0..4 on every axis.
+NAMED = {
+    "P1": ["C1", "C2"],
+    "P2": ["C0", "C1", "D(0)", "D(1)", "D(3)"],
+    "P3": ["C(0)", "C(1)", "C(2)"],
+    "P4": ["E(0)", "E(1)", "E(2)"],
+    "P5": ["L(0)", "L(1)", "L(2)", "K(0,1)", "K(1,2)"],
+}
+
+
+def bounds(family):
+    """The spec with every axis at 0..k for k = 0..4 (P2's z at -k..k), and
+    specs whose window is empty or holds only bot, a and top."""
+    axes = families.FAMILY_AXES[family]
+    specs = [WindowSpec.make(**{a: k for a in axes}) for k in range(5)]
+    return specs + [WindowSpec.make(**{a: (-3, -1) if a == axes[-1] else 2 for a in axes})]
+
+
+SLACKS = [-3, -1, 0, 1, 2, 3]
+
+
+def columns_payload(family, p):
+    """The coordinate column entries of one payload: P1's (kind, n, i)."""
+    if family == "P1":
+        return (1, *p) if isinstance(p, tuple) else ({"bot": 0, "a": 2, "top": 3}[p], 0, 0)
+    return p
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_window_payloads_are_the_tuples_of_the_window_columns(family):
+    for spec in [*bounds(family), *(s.widened(k) for s in bounds(family) for k in SLACKS)]:
+        payloads = window_payloads(family, spec)
+        assert payloads == old_window_payloads(family, spec)
+        a = families._window_columns(family, spec)
+        assert [columns_payload(family, p) for p in payloads] == list(zip(*a.tolist()))
+        assert all(type(c) is int for p in payloads if isinstance(p, tuple) for c in p)
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_named_sets_and_cofinality_match_the_payload_filters(family):
+    for spec in bounds(family):
+        for name in NAMED[family]:
+            for k in SLACKS:
+                widened = spec.widened(k)
+                assert families.named_subset_payloads(family, name, widened) == old_named_subset_payloads(
+                    family, name, widened
+                )
+        for upper, lower in itertools.product(NAMED[family], repeat=2):
+            for slack in SLACKS:
+                rep = families.check_bounded_cofinally_above(family, upper, lower, spec, slack)
+                assert rep == old_check_bounded_cofinally_above(family, upper, lower, spec, slack)
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_one_block_strict_comparison_and_incomparability_match_the_two_block_forms(family):
+    for spec in bounds(family):
+        for first, second in itertools.product(NAMED[family], repeat=2):
+            for slack in SLACKS:
+                lower = families._named_columns(family, first, spec)
+                upper = families._named_columns(family, second, spec.widened(slack))
+                lo, up = families._payloads(family, lower), families._payloads(family, upper)
+                k = families._first_unreached(family, lower, upper)
+                assert (None if k is None else lo[k]) == old_first_unreached(family, lo, up)
+                new = families._incomparable(family, lower[:, :, None], upper[:, None, :])
+                assert new.shape == (len(lo), len(up))
+                assert np.array_equal(new, old_incomparable(family, lo, up))
+
+
+def test_claims_on_columns_match_their_payload_formulations():
+    for m in range(13):
+        assert families.verify_claim("P1", "pigeonhole", {"m": m}) == VerificationReport(
+            "P1.pigeonhole", {"m": m}, *old_p1_pigeonhole(m)
+        )
+    for n, m, B in itertools.product(range(4), range(4), range(5)):
+        want = VerificationReport("P3.atomic_antichain", {"n": n, "m": m, "B": B}, *old_p3_atomic_antichain(n, m, B))
+        assert families.verify_claim("P3", "atomic_antichain", {"n": n, "m": m, "B": B}) == want
+    for n, m in [(2, 2**60 - 1), (2**60 - 1, 2), (2**60 - 1, 2**60 - 2)]:
+        want = VerificationReport("P3.atomic_antichain", {"n": n, "m": m, "B": 6}, *old_p3_atomic_antichain(n, m, 6))
+        assert families.verify_claim("P3", "atomic_antichain", {"n": n, "m": m, "B": 6}) == want
+    for B in range(9):
+        want = VerificationReport("P2.shift_reduction", {"B": B}, *old_shift_reduction(B, families._le_p2_cols))
+        assert families.verify_claim("P2", "shift_reduction", {"B": B}) == want
+
+
+def test_shift_reduction_matches_its_two_form_scan_on_a_broken_form(monkeypatch):
+    # Holes in the form at drawn points (z, 0, n) make those lower points
+    # unreached; the one-form scan names the same first one.
+    le = families._le_p2_cols
+    rng = random.Random(5)
+    for _ in range(20):
+        holes = {(rng.randint(-4, 4), rng.randint(0, 4)) for _ in range(rng.randint(1, 6))}
+
+        def broken(p, q, holes=holes):
+            z, i, n = p
+            out = le(p, q)
+            for hz, hn in holes:
+                out = out & ((z != hz) | (i != 0) | (n != hn))
+            return out
+
+        monkeypatch.setattr(families, "_le_p2_cols", broken)
+        want = VerificationReport("P2.shift_reduction", {"B": 4}, *old_shift_reduction(4, broken))
+        assert families.verify_claim("P2", "shift_reduction", {"B": 4}) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 31, 32, 2**13, 2**60 - 1, 2**61, 10**20])
+def test_p1_pair_form_matches_the_twenty_operation_form(n):
+    spec = WindowSpec.make(n=(max(n - 3, 0), n))
+    a = families._window_columns("P1", spec)
+    y, x = a[:, :, None], a[:, None, :]
+    assert np.array_equal(families._le_p1_cols(y, x), old_le_p1_cols(y, x))
+    payloads = window_payloads("P1", spec)
+    assert np.array_equal(families._le_p1_cols(y, x), [[elem_le("P1", p, q) for q in payloads] for p in payloads])
+
+
+def test_no_transposed_comparison_block_in_families():
+    """families.py evaluates each form in the layout its caller needs, so
+    it has no ``.T``, np.transpose, swapaxes or moveaxis: a reverse form is
+    broadcast with its arguments swapped instead."""
+    tree = ast.parse((SRC / "families.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("T", "transpose", "swapaxes", "moveaxis")
+    ]
+    assert not found, f"broadcast the form with its arguments swapped instead of transposing: lines {found}"
