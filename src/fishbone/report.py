@@ -63,24 +63,39 @@ class PreconditionViolated(PosetError, ValueError):
 # fits the int64 coordinate columns of ``families.relation_block``.
 PARAM_LIMIT = 2**60
 
+# Every check decorated with :func:`claim`, by its report name.
+CLAIMS: dict[str, Any] = {}
+
 
 def claim(name: str, **caps: int):
-    """Decorate a check that returns ``(status, witness, detail)``.
+    """Decorate a check that returns ``(status, witness, detail)`` and
+    register it in :data:`CLAIMS` as ``name``, which must be new.
 
-    The decorated check binds its arguments to its signature (defaults
-    included) and raises :class:`PreconditionViolated` unless each is a
-    natural number below :data:`PARAM_LIMIT` and each capped one is at most
-    its cap; it then returns the :class:`VerificationReport` named ``name``
-    whose params are the arguments in signature order.  Each cap is about a
-    second of work, timed in the check's docstring; the decorated check
-    exposes them as ``.caps``.
+    The decorated check raises :class:`PreconditionViolated` when a required
+    argument is missing or a keyword unknown, and unless each argument
+    (defaults included) is a natural number below :data:`PARAM_LIMIT` and
+    each capped one is at most its cap; it then returns the
+    :class:`VerificationReport` named ``name`` whose params are the
+    arguments in signature order.  Each cap is about a second of work,
+    timed in the check's docstring; the decorated check exposes them as
+    ``.caps``.
     """
 
     def decorate(check):
+        if name in CLAIMS:
+            raise ValueError(f"claim {name} is already registered")
         signature = inspect.signature(check)
+        parameters = signature.parameters
 
         @functools.wraps(check)
         def run(*args, **kwargs):
+            given = dict(zip(parameters, args)) | kwargs
+            missing = [k for k, p in parameters.items() if p.default is p.empty and k not in given]
+            if missing:
+                raise PreconditionViolated(f"claim {name} needs parameters {missing}")
+            unknown = [k for k in kwargs if k not in parameters]
+            if unknown:
+                raise PreconditionViolated(f"claim {name} takes no parameters {unknown}")
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             params = dict(bound.arguments)
@@ -93,8 +108,8 @@ def claim(name: str, **caps: int):
                     raise PreconditionViolated(f"claim {name} parameter {key}={value} is not below 2**60")
             return VerificationReport(name, params, *check(**params))
 
-        run.__signature__ = signature
         run.caps = caps
+        CLAIMS[name] = run
         return run
 
     return decorate

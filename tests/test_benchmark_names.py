@@ -62,16 +62,20 @@ def test_the_lazy_imports_are_seen():
 
 
 def test_benchmark_claims_are_within_the_caps(monkeypatch):
-    # A cap below a size the benchmark runs would turn its operations into
-    # usage errors.
-    from fishbone import families
+    # A claim or desk check the registry does not hold, or a cap below a
+    # size the benchmark runs, would turn its operations into usage errors.
+    from fishbone.report import CLAIMS
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delitem(sys.modules, "gen", raising=False)
-    gen = importlib.import_module("gen")
+    for name in ("probe", "gen", "oracles", "worker"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    gen, worker = importlib.import_module("gen"), importlib.import_module("worker")
     for family, claim, params in gen.CLAIMS:
-        caps = families._CLAIMS[family, claim].caps
+        assert f"{family}.{claim}" in CLAIMS, (family, claim)
+        caps = CLAIMS[f"{family}.{claim}"].caps
         assert all(params[k] <= cap for k, cap in caps.items() if k in params), (family, claim)
+    registered = list(CLAIMS.values())
+    assert all(check in registered for _, check, _ in worker.DESK)
 
 
 def test_benchmark_windows_use_only_their_familys_axes(monkeypatch):

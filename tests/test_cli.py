@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishbone import acceptance, cli, families, verify
+from fishbone import acceptance, cli, families, report, verify
 from fishbone.cli import main
 from fishbone.ordertype import MAX_NESTING
 
@@ -373,14 +374,18 @@ def test_integers_too_large_for_a_size_are_usage_errors(capsys, argv):
 def claim_argv(family, claim, **values):
     """``family check`` argv with each required parameter of the claim at 0,
     then ``values``."""
-    parameters = inspect.signature(families._CLAIMS[family, claim]).parameters
+    parameters = inspect.signature(report.CLAIMS[f"{family}.{claim}"]).parameters
     params = {k: 0 for k, p in parameters.items() if p.default is p.empty} | values
     return ("family", "check", family, "--claim", claim, "--params", ",".join(f"{k}={v}" for k, v in params.items()))
 
 
+# P5's checks are capped through `family check` in
+# test_p5_claims_match_their_verify_actions.
 PAST_CLAIM_CAPS = [
     (claim_argv(family, claim, **{key: size}), f"{key}={size} exceeds its cap {cap}")
-    for (family, claim), check in families._CLAIMS.items()
+    for name, check in report.CLAIMS.items()
+    for family, claim in [name.split(".")]
+    if family != "P5"
     for key, cap in check.caps.items()
     for size in (cap + 1, 10**20)
 ]
@@ -418,6 +423,41 @@ def test_sizes_past_an_exhaustive_checks_cap_are_usage_errors(capsys, argv, cap)
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == "" and err.startswith("error:") and cap in err
+
+
+# P5 claims with their verify actions: the battery of `verify all`, then
+# sizes past each cap, negative sizes and the checks' own preconditions.
+P5_ROUTES = {
+    "level_structure": "levels", "min_drop": "mindrop", "constant_on_rows": "rows", "final_counting": "counting"
+}
+
+
+@pytest.mark.parametrize(
+    "claim, params",
+    [
+        *(("level_structure", {"n": n, "s": 4, "B": 8}) for n in (0, 1, 2)),
+        ("min_drop", {"u": 2, "v": 2, "B": 12}),
+        ("min_drop", {"u": 1, "v": 3, "B": 15}),
+        *(("constant_on_rows", {"ell": ell}) for ell in (1, 2, 3)),
+        *(("final_counting", {"a": a}) for a in (1, 2, 3)),
+        ("level_structure", {"n": 0, "s": 0, "B": 41}),
+        ("min_drop", {"u": 0, "v": 0, "B": 10**20}),
+        ("constant_on_rows", {"ell": 9}),
+        ("final_counting", {"a": 41}),
+        ("min_drop", {"u": -1, "v": 0, "B": 3}),
+        ("level_structure", {"n": 0, "s": 9, "B": 4}),
+        ("constant_on_rows", {"ell": 0}),
+        ("final_counting", {"a": 0}),
+    ],
+)
+def test_p5_claims_match_their_verify_actions(capsys, claim, params):
+    # The same stdout, exit code and stderr (timing aside) both ways.
+    via_family = run(capsys, "family", "check", "P5", "--claim", claim,
+                     "--params", ",".join(f"{k}={v}" for k, v in params.items()))
+    flags = {"bound" if k == "B" else k: v for k, v in params.items()}
+    via_verify = run(capsys, *verify_argv(P5_ROUTES[claim], **flags))
+    untimed = [re.sub(r" \[\d+\.\d+s\]\n$", "", err) for _, _, err in (via_family, via_verify)]
+    assert via_family[:2] == via_verify[:2] and untimed[0] == untimed[1]
 
 
 def test_verify_all_desk(capsys):
@@ -599,9 +639,9 @@ VERIFY_OPTIONS = {
 def claim_params(draw, family, claim):
     """`--params` of a registered claim: its required parameters and,
     sometimes, each optional one; sizes also drawn past their caps."""
-    parameters = inspect.signature(families._CLAIMS[family, claim]).parameters
+    parameters = inspect.signature(report.CLAIMS[f"{family}.{claim}"]).parameters
     keys = [k for k, p in parameters.items() if p.default is p.empty or draw(st.booleans())]
-    sizes = {k: capped(cap) for k, cap in families._CLAIMS[family, claim].caps.items()}
+    sizes = {k: capped(cap) for k, cap in report.CLAIMS[f"{family}.{claim}"].caps.items()}
     return draw(axis_list(keys, SMALL_INTS, sizes))
 
 
@@ -618,7 +658,7 @@ def command_lines(draw):
         argv += [family, *draw(options([("--spec", axis_list(families.FAMILY_AXES.get(family, ("n",))))]))]
     elif command == "family check":
         claim = draw(st.sampled_from([*families.claim_names(family) * 3, "nope"]))
-        registered = (family, claim) in families._CLAIMS
+        registered = f"{family}.{claim}" in report.CLAIMS
         params = claim_params(family, claim) if registered else axis_list(("B",), SMALL_INTS)
         argv += [family, *draw(options([("--claim", st.just(claim)), ("--params", params)]))]
     elif command == "ot check":
@@ -647,8 +687,8 @@ def test_verify_command_lines_never_escape_the_exit_codes(action, data):
 
 # The same for the claims, each of whose size parameters is capped.
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(key=st.sampled_from(sorted(families._CLAIMS)), data=st.data())
+@given(key=st.sampled_from(sorted(report.CLAIMS)), data=st.data())
 def test_claim_command_lines_never_escape_the_exit_codes(key, data):
-    family, claim = key
+    family, claim = key.split(".")
     params = claim_params(family, claim)
     assert_clean_exit(["family", "check", family, *data.draw(options([("--claim", st.just(claim)), ("--params", params)]))])

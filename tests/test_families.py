@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from fishbone import families, verify
+from fishbone import families, report, verify
 from fishbone.cli import main
 from fishbone.families import (
     FAMILIES,
@@ -27,7 +27,6 @@ from fishbone.families import (
     element_id,
     named_subset,
     relation_block,
-    relation_poset,
     verify_claim,
     window,
     window_payloads,
@@ -168,16 +167,17 @@ def test_window_matrix_matches_elem_le(family, axes):
 
 @pytest.mark.parametrize("a", [1, 2, 3, 5])
 def test_final_counting_region_matches_elem_le(a):
+    # Construction runs the partial-order axiom checks on the block.
     T = [(u, v, 0) for u in range(2 * a) for v in range(2 * a) if u + v <= 2 * a - 1]
-    assert (relation_poset("P5", T).leq_matrix == oracle_matrix("P5", T, T)).all()
+    assert (FinitePoset(T, relation_block("P5", T, T)).leq_matrix == oracle_matrix("P5", T, T)).all()
 
 
-def test_relation_poset_keeps_the_payload_order():
+def test_relation_block_keeps_the_payload_order():
     payloads = [(3, 0, 1), (0, 0, 0), (9, 9, 3), (1, 2, 1)]
-    P = relation_poset("P5", payloads)
+    P = FinitePoset([element_id("P5", p) for p in payloads], relation_block("P5", payloads, payloads))
     assert P.elements == ("(3,0,1)", "(0,0,0)", "(9,9,3)", "(1,2,1)")
     assert (P.leq_matrix == oracle_matrix("P5", payloads, payloads)).all()
-    assert len(relation_poset("P3", [])) == 0
+    assert len(FinitePoset([], relation_block("P3", [], []))) == 0
 
 
 # Small windows next to points with coordinates at or past the int64 limit;
@@ -288,6 +288,28 @@ def test_element_parsing_rejects_mismatches():
         elem_le("P1", (0, 2), (1, 1))
     with pytest.raises(FamilyMismatch):
         elem_le("P5", (0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "family, p, q",
+    [
+        ("P3", (0.5, 0), (1, 0)),
+        ("P3", (1, 0), (2, 0.0)),
+        ("P1", (1.5, 1), (2, 0)),
+        ("P1", (1, True), (2, 0)),
+        ("P3", (True, 0), (1, 0)),
+        ("P2", ("x", 0, 0), (1, 0, 0)),
+        ("P2", (0, False, 0), (1, 0, 0)),
+        ("P4", (0, 0, 0), (1, 0, 2.0)),
+        ("P5", (0, 0, 0), (0, 1.0, 0)),
+    ],
+)
+def test_elem_le_rejects_coordinates_that_are_not_ints(family, p, q):
+    # Floats, bools and strings used to compare (or raise TypeError) by
+    # whatever the closed form made of them.
+    for args in ((p, q), (q, p)):
+        with pytest.raises(FamilyMismatch):
+            elem_le(family, *args)
 
 
 # ------------------------------------------------------------ P1 relations
@@ -447,11 +469,27 @@ def test_unknown_names():
 
 
 def test_claim_registry():
+    assert sorted(report.CLAIMS) == [
+        "P1.pigeonhole", "P1.spine_partition", "P2.partitions", "P2.shift_reduction", "P3.atomic_antichain",
+        "P3.row_bound", "P4.no_domination", "P5.constant_on_rows", "P5.final_counting", "P5.level_structure",
+        "P5.min_drop",
+    ]
     assert claim_names("P1") == ["pigeonhole", "spine_partition"]
+    assert claim_names("P5") == ["constant_on_rows", "final_counting", "level_structure", "min_drop"]
+    assert report.CLAIMS["P5.min_drop"] is verify.verify_min_drop
     with pytest.raises(UnknownClaim):
         verify_claim("P1", "no_such_claim", {})
+    with pytest.raises(UnknownClaim):
+        verify_claim("P6", "pigeonhole", {"m": 1})
     with pytest.raises(ValueError, match="needs parameters"):
         verify_claim("P1", "pigeonhole", {})
+
+
+def test_a_claim_name_is_registered_once():
+    before = dict(report.CLAIMS)
+    with pytest.raises(ValueError, match="P5.min_drop is already registered"):
+        report.claim("P5.min_drop", B=1)(lambda B: (PASS, None, {}))
+    assert report.CLAIMS == before
 
 
 def test_p1_spine_partition_claim():
@@ -577,43 +615,61 @@ def test_claim_parameter_messages():
     assert str(err.value) == "claim P4.no_domination takes no parameters ['q']"
 
 
-# Every check that writes its report through report.claim, by report name.
-CHECKS = {f"{family}.{claim}": check for (family, claim), check in families._CLAIMS.items()} | {
-    "P5.level_structure": verify.verify_level_structure,
-    "P5.min_drop": verify.verify_min_drop,
-    "P5.constant_on_rows": verify.verify_constant_on_rows,
-    "P5.final_counting": verify.verify_final_counting,
-}
+@pytest.mark.parametrize(
+    "name, args, kwargs, message",
+    [
+        ("P5.final_counting", (), {}, "needs parameters ['a']"),
+        ("P5.final_counting", (), {"b": 1}, "needs parameters ['a']"),
+        ("P5.final_counting", (), {"a": 1, "b": 1}, "takes no parameters ['b']"),
+        ("P5.min_drop", (), {"B": 12, "v": 2}, "needs parameters ['u']"),
+        ("P5.min_drop", (2,), {"B": 12}, "needs parameters ['v']"),
+        ("P5.min_drop", (2, 2), {"B": 12, "w": 0}, "takes no parameters ['w']"),
+        ("P4.no_domination", (1,), {"B": 2}, "needs parameters ['m']"),
+    ],
+)
+def test_a_direct_call_fails_as_verify_claim_does(name, args, kwargs, message):
+    # A check validates its own arguments, positional ones included, so a
+    # direct call raises what verify_claim and the command line report.
+    with pytest.raises(PreconditionViolated) as err:
+        report.CLAIMS[name](*args, **kwargs)
+    assert str(err.value) == f"claim {name} {message}"
+    if not args:
+        with pytest.raises(PreconditionViolated) as via_registry:
+            verify_claim(*name.split("."), kwargs)
+        assert str(via_registry.value) == str(err.value)
 
 
-def run_check(name, params):
-    """The family claims through verify_claim, the P5 checks directly."""
-    family, _, claim = name.partition(".")
-    return verify_claim(family, claim, params) if (family, claim) in families._CLAIMS else CHECKS[name](**params)
+def test_positional_calls_still_run():
+    assert verify.verify_min_drop(2, 2, B=12) == verify_claim("P5", "min_drop", {"u": 2, "v": 2, "B": 12})
+    assert verify.verify_final_counting(2) == verify_claim("P5", "final_counting", {"a": 2})
+    with pytest.raises(TypeError):
+        verify.verify_final_counting(2, 3)
+    with pytest.raises(TypeError):
+        verify.verify_final_counting(2, a=2)
 
 
-@pytest.mark.parametrize("name", sorted(CHECKS))
+@pytest.mark.parametrize("name", sorted(report.CLAIMS))
 def test_every_claim_report_is_named_and_echoes_its_arguments(name):
     # Each argument gets a distinct small value, so the columns of
     # P3.atomic_antichain differ.  The first call passes only the required
     # arguments, in reverse order; the second passes every argument.
-    signature = inspect.signature(CHECKS[name])
+    signature = inspect.signature(report.CLAIMS[name])
     parameters = signature.parameters
     values = {k: 1 + i for i, k in enumerate(parameters)}
     required = {k: values[k] for k in reversed(parameters) if parameters[k].default is parameters[k].empty}
     for given in (required, values):
         bound = signature.bind(**given)
         bound.apply_defaults()
-        rep = run_check(name, given)
+        rep = verify_claim(*name.split("."), given)
         assert rep.claim == name
         assert list(rep.params.items()) == list(bound.arguments.items())
 
 
-@pytest.mark.parametrize("name", sorted(CHECKS))
+@pytest.mark.parametrize("name", sorted(report.CLAIMS))
 def test_every_claim_rejects_arguments_past_its_caps(name):
     # Starting from the valid arguments above, each argument in turn is made
     # negative, one past its cap, or 2**60 where it has no cap.
-    check = CHECKS[name]
+    check = report.CLAIMS[name]
     values = {k: 1 + i for i, k in enumerate(inspect.signature(check).parameters)}
     for key in values:
         cases = {-1: "is not a natural number"}
@@ -623,7 +679,7 @@ def test_every_claim_rejects_arguments_past_its_caps(name):
             cases[2**60] = "is not below 2**60"
         for value, message in cases.items():
             with pytest.raises(PreconditionViolated) as err:
-                run_check(name, values | {key: value})
+                verify_claim(*name.split("."), values | {key: value})
             assert str(err.value) == f"claim {name} parameter {key}={value} {message}"
             assert isinstance(err.value, PosetError) and isinstance(err.value, ValueError)
 

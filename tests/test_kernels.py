@@ -36,7 +36,7 @@ from fishbone.partition import (
     width_and_dilworth,
 )
 from fishbone.poset import FinitePoset, _block, _bool_matmul, _row_lists, _true_pairs
-from fishbone.report import FAIL, PASS, UP_TO_BOUND, VerificationReport
+from fishbone.report import CLAIMS, FAIL, PASS, UP_TO_BOUND, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fishbone"
 
@@ -383,8 +383,8 @@ def test_no_matrix_product_outside_bool_matmul():
 
 
 def test_every_claim_writes_its_report_through_the_claim_decorator():
-    """verify.py builds no VerificationReport itself, and every family claim
-    and P5 desk check carries the caps of report.claim."""
+    """verify.py builds no VerificationReport itself, and every registered
+    claim, the P5 desk checks among them, has caps."""
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     calls = [
         node.lineno
@@ -392,9 +392,7 @@ def test_every_claim_writes_its_report_through_the_claim_decorator():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "VerificationReport"
     ]
     assert not calls, f"return (status, witness, detail) from a report.claim check: verify.py lines {calls}"
-    desk = [verify.verify_level_structure, verify.verify_min_drop, verify.verify_constant_on_rows,
-            verify.verify_final_counting]
-    for check in [*families._CLAIMS.values(), *desk]:
+    for check in CLAIMS.values():
         assert isinstance(check.caps, dict) and check.caps, check.__name__
 
 
