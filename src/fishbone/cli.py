@@ -4,8 +4,8 @@ One executable, five subcommands::
 
     fishbone poset   {spine,canon,check}   # finite poset files
     fishbone ot      check TERM            # order-type term reports
-    fishbone family  {window,check}        # the five decidable families
-    fishbone verify  {levels,mindrop,rows,counting,all}
+    fishbone family  {window,check}        # the five families and every claim
+    fishbone verify  all                   # the P5 desk battery
     fishbone sweep                         # the full acceptance battery
 
 Results are JSON on standard output (byte-deterministic: stable ordering and
@@ -20,12 +20,11 @@ import argparse
 import json
 import sys
 import time
-from functools import cache, partial
+from functools import cache
 
 from . import acceptance, families, ordertype, verify
 from .partition import check_spine, find_spine, load_certificate
 from .poset import PosetError, load_poset
-from .report import VerificationReport
 
 
 def _parse_axes(text: str) -> dict:
@@ -94,27 +93,10 @@ def _cmd_family_window(args) -> tuple[int, object, str]:
     return 0, P.to_json_dict(), f"{args.family} window with {len(P)} element(s)"
 
 
-def _one_report(rep: VerificationReport) -> tuple[int, object, str]:
-    return (0 if rep.ok else 1), rep.to_dict(), f"{rep.claim} {rep.status}"
-
-
 def _cmd_family_check(args) -> tuple[int, object, str]:
     params = _parse_params(args.params) if args.params else {}
-    return _one_report(families.verify_claim(args.family, args.claim, params))
-
-
-# Each single ``verify`` action: its help, its check and its integer flags;
-# ``--bound`` is the check's ``B``.
-_VERIFY_ACTIONS = {
-    "levels": ("diagonal antichains and row/column chains", verify.verify_level_structure, ("n", "s", "bound")),
-    "mindrop": ("minimum-coordinate drop across one level", verify.verify_min_drop, ("u", "v", "bound")),
-    "rows": ("forced diagonal-constancy of antichain labellings", verify.verify_constant_on_rows, ("ell",)),
-    "counting": ("chain-length vs region-height counting gap", verify.verify_final_counting, ("a",)),
-}
-
-
-def _cmd_verify(check, flags, args) -> tuple[int, object, str]:
-    return _one_report(check(**{"B" if flag == "bound" else flag: getattr(args, flag) for flag in flags}))
+    rep = families.verify_claim(args.family, args.claim, params)
+    return (0 if rep.ok else 1), rep.to_dict(), f"{rep.claim} {rep.status}"
 
 
 def _cmd_verify_all(args) -> tuple[int, object, str]:
@@ -180,11 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="finite sub-lemmas of the fifth example order")
     ps = p.add_subparsers(dest="action", required=True)
-    for action, (text, check, flags) in _VERIFY_ACTIONS.items():
-        q = ps.add_parser(action, help=text)
-        for flag in flags:
-            q.add_argument(f"--{flag}", type=int, required=True)
-        q.set_defaults(func=partial(_cmd_verify, check, flags))
     q = ps.add_parser("all", help="run the standard battery")
     q.set_defaults(func=_cmd_verify_all)
 

@@ -1,9 +1,11 @@
-"""The benchmark in perfbench/ still finds every package name it uses.
+"""The benchmark in perfbench/ still finds every package name it uses, and
+the CLI still parses every command line it runs.
 
 perfbench/worker.py builds its list of desk checks from ``verify.*`` when
 it is imported, and perfbench/oracles.py and run.py import some names only
 inside the functions that use them.  Deleting or renaming one of those
-names would otherwise surface only in a benchmark run, not in these tests.
+names, or a subcommand the benchmark runs, would otherwise surface only in
+a benchmark run, not in these tests.
 """
 
 import ast
@@ -95,3 +97,31 @@ def test_benchmark_windows_use_only_their_familys_axes(monkeypatch):
         spec = families.WindowSpec.make(**{a: tuple(v) if isinstance(v, list) else v for a, v in bound.items()})
         for name in (upper, lower):
             assert families.named_subset(family, name, spec.widened(slack)), (family, name)
+
+
+# The argument that holds the command line in the benchmark's CLI calls:
+# worker.py's ``command(name, argv)`` and make_digests.py's ``digest(argv)``.
+ARGV_ARGUMENT = {"command": 1, "digest": 0}
+
+
+def command_lines(path: Path) -> list[list[str]]:
+    """Every argv list literal the script passes to the CLI, with each item
+    that is not a string constant (a seed, a term) replaced by "0"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ARGV_ARGUMENT:
+            argv = node.args[ARGV_ARGUMENT[node.func.id]]
+            assert isinstance(argv, ast.List), f"{path.name}:{node.lineno}"
+            found.append([e.value if isinstance(e, ast.Constant) and isinstance(e.value, str) else "0" for e in argv.elts])
+    return found
+
+
+def test_every_command_line_the_benchmark_runs_parses():
+    # A deleted subcommand or option would otherwise fail only in a
+    # benchmark run.
+    from fishbone import cli
+
+    argvs = [argv for path in SCRIPTS for argv in command_lines(path)]
+    assert ["verify", "all"] in argvs and ["--seed", "0", "sweep"] in argvs and ["ot", "check", "0"] in argvs
+    for argv in argvs:
+        cli._build_parser().parse_args(argv)

@@ -5,7 +5,6 @@ import inspect
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishbone import acceptance, cli, families, report, verify
+from fishbone import acceptance, cli, families, report
 from fishbone.cli import main
 from fishbone.ordertype import MAX_NESTING
 
@@ -292,6 +291,35 @@ def test_family_window_bad_spec(capsys):
     assert run(capsys, "family", "window", "P3", "--spec", "")[0] == 2
 
 
+CAP = families.WINDOW_CAP
+
+
+# The smallest windows past the cap (P2's sizes are even), and one whose
+# numbers would ask for 148 TiB.
+@pytest.mark.parametrize(
+    "family, spec, size",
+    [
+        ("P1", f"n={(CAP - 4) // 2}", CAP + 1),
+        ("P2", f"z=0,n={CAP // 2}", CAP + 2),
+        ("P3", f"x={CAP},y=0", CAP + 1),
+        ("P4", f"x=0,y=0,z={CAP}", CAP + 1),
+        ("P5", f"n=0:{CAP},c=0", CAP + 1),
+        ("P3", "x=3000,y=3000", 3001**2),
+    ],
+)
+def test_windows_past_the_cap_are_usage_errors(capsys, family, spec, size):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "family", "window", family, "--spec", spec)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "") and err == f"error: family {family} window of {size} elements exceeds its cap {CAP}\n"
+
+
+def test_the_window_cap_counts_natural_axes_from_zero():
+    # x=-100000:3 is x=0..3, as in the window itself.
+    code, out, _ = quiet_main(["family", "window", "P3", "--spec", "x=-100000:3,y=0:9"])
+    assert code == 0 and len(json.loads(out)["elements"]) == 40
+
+
 @pytest.mark.parametrize(
     "family, spec, message",
     [
@@ -322,53 +350,8 @@ def test_repeated_axis_keys_are_usage_errors(capsys, argv):
 
 
 # ------------------------------------------------------------------- verify
-
-
-def test_verify_counting(capsys):
-    code, out, _ = run(capsys, "verify", "counting", "--a", "2")
-    assert code == 0
-    assert json.loads(out)["detail"]["F_size"] == 5
-
-
-def test_verify_rows_and_levels(capsys):
-    assert run(capsys, "verify", "rows", "--ell", "2")[0] == 0
-    assert run(capsys, "verify", "levels", "--n", "0", "--s", "3", "--bound", "6")[0] == 0
-    assert run(capsys, "verify", "mindrop", "--u", "2", "--v", "2", "--bound", "10")[0] == 0
-    # Precondition violations are usage errors.
-    assert run(capsys, "verify", "rows", "--ell", "0")[0] == 2
-    assert run(capsys, "verify", "levels", "--n", "0", "--s", "99", "--bound", "6")[0] == 2
-
-
-@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (-1, 5)])
-def test_verify_mindrop_rejects_negative_corners(capsys, u, v):
-    code, out, err = run(capsys, "verify", "mindrop", "--u", str(u), "--v", str(v), "--bound", "3")
-    assert code == 2 and out == "" and err.startswith("error:")
-
-
-@pytest.mark.parametrize("n, s", [(0, -1), (-1, 0), (-1, 3)])
-def test_verify_levels_rejects_negative_levels_and_diagonals(capsys, n, s):
-    code, out, err = run(capsys, "verify", "levels", "--n", str(n), "--s", str(s), "--bound", "3")
-    assert code == 2 and out == "" and f"parameter {'n' if n < 0 else 's'}=-1 is not a natural number" in err
-
-
-def test_verify_mindrop_rejects_a_negative_bound(capsys):
-    # B = -1 leaves an empty grid, which would certify nothing.
-    code, out, err = run(capsys, "verify", "mindrop", "--u", "2", "--v", "2", "--bound", "-1")
-    assert code == 2 and out == "" and err.startswith("error:")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("family", "window", "P1", "--spec", "n=99999999999999999999"),
-        ("family", "check", "P2", "--claim", "partitions", "--params", "B=99999999999999999999"),
-        ("verify", "levels", "--n", "0", "--s", "1", "--bound", "99999999999999999999"),
-    ],
-)
-def test_integers_too_large_for_a_size_are_usage_errors(capsys, argv):
-    # Each raises OverflowError before it allocates anything.
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and err.startswith("error:")
+#
+# The desk checks of the verify module run through `family check P5`.
 
 
 def claim_argv(family, claim, **values):
@@ -379,31 +362,77 @@ def claim_argv(family, claim, **values):
     return ("family", "check", family, "--claim", claim, "--params", ",".join(f"{k}={v}" for k, v in params.items()))
 
 
-# P5's checks are capped through `family check` in
-# test_p5_claims_match_their_verify_actions.
+def test_verify_counting(capsys):
+    code, out, _ = run(capsys, *claim_argv("P5", "final_counting", a=2))
+    assert code == 0
+    assert json.loads(out)["detail"]["F_size"] == 5
+
+
+def test_verify_rows_and_levels(capsys):
+    assert run(capsys, *claim_argv("P5", "constant_on_rows", ell=2))[0] == 0
+    assert run(capsys, *claim_argv("P5", "level_structure", n=0, s=3, B=6))[0] == 0
+    assert run(capsys, *claim_argv("P5", "min_drop", u=2, v=2, B=10))[0] == 0
+    # Precondition violations are usage errors.
+    assert run(capsys, *claim_argv("P5", "constant_on_rows", ell=0))[0] == 2
+    assert run(capsys, *claim_argv("P5", "level_structure", n=0, s=99, B=6))[0] == 2
+
+
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (-1, 5)])
+def test_verify_mindrop_rejects_negative_corners(capsys, u, v):
+    code, out, err = run(capsys, *claim_argv("P5", "min_drop", u=u, v=v, B=3))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("n, s", [(0, -1), (-1, 0), (-1, 3)])
+def test_verify_levels_rejects_negative_levels_and_diagonals(capsys, n, s):
+    code, out, err = run(capsys, *claim_argv("P5", "level_structure", n=n, s=s, B=3))
+    assert code == 2 and out == "" and f"parameter {'n' if n < 0 else 's'}=-1 is not a natural number" in err
+
+
+def test_verify_mindrop_rejects_a_negative_bound(capsys):
+    # B = -1 leaves an empty grid, which would certify nothing.
+    code, out, err = run(capsys, *claim_argv("P5", "min_drop", u=2, v=2, B=-1))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("levels", "--n", "0", "--s", "4", "--bound", "8"), ("mindrop", "--u", "2", "--v", "2", "--bound", "12"),
+     ("rows", "--ell", "2"), ("counting", "--a", "3")],
+)
+def test_verify_runs_only_the_battery(capsys, argv):
+    # Each single desk check has one route, `family check P5`.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "invalid choice" in err
+    assert main(["verify", "--help"]) == 0 and "{all}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "window", "P1", "--spec", "n=99999999999999999999"),
+        ("family", "check", "P2", "--claim", "partitions", "--params", "B=99999999999999999999"),
+        claim_argv("P5", "level_structure", n=0, s=1, B=99999999999999999999),
+    ],
+)
+def test_integers_too_large_for_a_size_are_usage_errors(capsys, argv):
+    # Each is rejected before anything is allocated.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+# Each capped parameter of every claim one past its cap and at 10**20; the
+# P5 desk checks' cases one past the cap are in
+# test_p5_claims_match_their_verify_actions.  The P5 cases come first, so
+# that every case keeps the parametrize id (argv<index>) it was added with.
 PAST_CLAIM_CAPS = [
     (claim_argv(family, claim, **{key: size}), f"{key}={size} exceeds its cap {cap}")
     for name, check in report.CLAIMS.items()
     for family, claim in [name.split(".")]
-    if family != "P5"
     for key, cap in check.caps.items()
-    for size in (cap + 1, 10**20)
+    for size in ((10**20,) if family == "P5" else (cap + 1, 10**20))
 ]
-
-
-def verify_argv(action, **values):
-    """``verify`` argv with each flag of the action at 0, then ``values``."""
-    flags = dict.fromkeys(cli._VERIFY_ACTIONS[action][2], 0) | values
-    return ("verify", action, *(a for flag, v in flags.items() for a in (f"--{flag}", str(v))))
-
-
-# Each desk check's cap + 1 is run in-process by
-# tests/test_families.py::test_every_claim_rejects_arguments_past_its_caps.
-PAST_DESK_CAPS = [
-    (verify_argv(action, **{"bound" if key == "B" else key: 10**20}), f"{key}={10**20} exceeds its cap {cap}")
-    for action, (_, check, _) in cli._VERIFY_ACTIONS.items()
-    for key, cap in check.caps.items()
-]
+PAST_DESK_CAPS = [case for case in PAST_CLAIM_CAPS if case[0][2] == "P5"]
 
 
 @pytest.mark.parametrize(
@@ -412,7 +441,7 @@ PAST_DESK_CAPS = [
         *PAST_DESK_CAPS,
         # A coordinate past int64 would run the broadcast forms on Python ints.
         (claim_argv("P3", "atomic_antichain", n=2, m=5 * 10**21, B=3000), f"m={5 * 10**21} is not below 2**60"),
-        *PAST_CLAIM_CAPS,
+        *(case for case in PAST_CLAIM_CAPS if case not in PAST_DESK_CAPS),
         (("family", "check", "P4", "--claim", "no_domination", "--params", "n=0,m=1,B=100000"), "its cap 60"),
         (("family", "check", "P3", "--claim", "row_bound", "--params", "y=0,B=1000000000"), "its cap 3000"),
     ],
@@ -425,13 +454,9 @@ def test_sizes_past_an_exhaustive_checks_cap_are_usage_errors(capsys, argv, cap)
     assert code == 2 and out == "" and err.startswith("error:") and cap in err
 
 
-# P5 claims with their verify actions: the battery of `verify all`, then
-# sizes past each cap, negative sizes and the checks' own preconditions.
-P5_ROUTES = {
-    "level_structure": "levels", "min_drop": "mindrop", "constant_on_rows": "rows", "final_counting": "counting"
-}
-
-
+# P5's claims against their checks in the verify module, called directly:
+# the battery of `verify all`, then sizes past each cap, negative sizes and
+# the checks' own preconditions.
 @pytest.mark.parametrize(
     "claim, params",
     [
@@ -451,13 +476,13 @@ P5_ROUTES = {
     ],
 )
 def test_p5_claims_match_their_verify_actions(capsys, claim, params):
-    # The same stdout, exit code and stderr (timing aside) both ways.
-    via_family = run(capsys, "family", "check", "P5", "--claim", claim,
-                     "--params", ",".join(f"{k}={v}" for k, v in params.items()))
-    flags = {"bound" if k == "B" else k: v for k, v in params.items()}
-    via_verify = run(capsys, *verify_argv(P5_ROUTES[claim], **flags))
-    untimed = [re.sub(r" \[\d+\.\d+s\]\n$", "", err) for _, _, err in (via_family, via_verify)]
-    assert via_family[:2] == via_verify[:2] and untimed[0] == untimed[1]
+    code, out, err = run(capsys, *claim_argv("P5", claim, **params))
+    try:
+        rep = report.CLAIMS[f"P5.{claim}"](**params)
+    except report.PreconditionViolated as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    else:
+        assert code == (0 if rep.ok else 1) and out == json.dumps(rep.to_dict(), indent=2) + "\n"
 
 
 def test_verify_all_desk(capsys):
@@ -553,9 +578,8 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 #
 # Every command line ends in exit code 0, 1 or 2 with no traceback, and
 # every failing report names a witness.  Integers stay at desk scale,
-# except the capped sizes (`verify rows --ell`, `counting --a`, `mindrop
-# --bound`, `levels --bound` and the size parameters of every family claim),
-# which are also drawn past their caps, so no drawn command runs uncapped.
+# except the capped size parameters of every claim, which are also drawn
+# past their caps, so no drawn command runs uncapped.
 
 
 def assert_clean_exit(argv):
@@ -626,15 +650,6 @@ def capped(cap):
     return SMALL_INTS | st.integers(cap + 1, 10**30).map(str)
 
 
-VERIFY_OPTIONS = {
-    "levels": [("--n", SMALL_INTS), ("--s", SMALL_INTS), ("--bound", capped(verify.verify_level_structure.caps["B"]))],
-    "mindrop": [("--u", SMALL_INTS), ("--v", SMALL_INTS), ("--bound", capped(verify.verify_min_drop.caps["B"]))],
-    "rows": [("--ell", capped(verify.verify_constant_on_rows.caps["ell"]))],
-    "counting": [("--a", capped(verify.verify_final_counting.caps["a"]))],
-    "all": [],
-}
-
-
 @st.composite
 def claim_params(draw, family, claim):
     """`--params` of a registered claim: its required parameters and,
@@ -652,8 +667,7 @@ def command_lines(draw):
     argv += command.split()
     family = draw(st.sampled_from([*families.FAMILIES, *families.FAMILIES, "P6"]))
     if command == "verify":
-        action = draw(st.sampled_from([*VERIFY_OPTIONS, "nope"]))
-        argv += [action, *draw(options(VERIFY_OPTIONS.get(action, [])))]
+        argv += [draw(st.sampled_from(["all", "counting", "nope"])), *draw(options([]))]
     elif command == "family window":
         argv += [family, *draw(options([("--spec", axis_list(families.FAMILY_AXES.get(family, ("n",))))]))]
     elif command == "family check":
@@ -677,15 +691,8 @@ def test_command_lines_never_escape_the_exit_codes(argv):
     assert_clean_exit(argv)
 
 
-# The whole-CLI fuzz above reaches each verify action only a few times, so
-# the verify options get a run of their own.
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(action=st.sampled_from(sorted(VERIFY_OPTIONS)), data=st.data())
-def test_verify_command_lines_never_escape_the_exit_codes(action, data):
-    assert_clean_exit(["verify", action, *data.draw(options(VERIFY_OPTIONS[action]))])
-
-
-# The same for the claims, each of whose size parameters is capped.
+# The whole-CLI fuzz above reaches each claim only a few times, so the
+# claims, each of whose size parameters is capped, get a run of their own.
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(key=st.sampled_from(sorted(report.CLAIMS)), data=st.data())
 def test_claim_command_lines_never_escape_the_exit_codes(key, data):

@@ -684,6 +684,14 @@ def test_every_claim_rejects_arguments_past_its_caps(name):
             assert isinstance(err.value, PosetError) and isinstance(err.value, ValueError)
 
 
+def test_the_capped_claims_windows_fit_under_the_window_cap():
+    # P1.spine_partition and P3.row_bound build their windows with window().
+    N, B = report.CLAIMS["P1.spine_partition"].caps["N"], report.CLAIMS["P3.row_bound"].caps["B"]
+    assert len(window_payloads("P1", WindowSpec.make(n=N))) == 3005
+    assert len(window_payloads("P3", WindowSpec.make(x=B, y=(B, B)))) == 3001
+    assert families.WINDOW_CAP >= 3005
+
+
 def test_coordinates_below_2_to_the_60_stay_in_int64():
     m = 2**60 - 1
     assert families._columns("P3", [(2, m), (m, 2 * 3000)]).dtype == np.int64
