@@ -183,12 +183,12 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         code, payload, summary = args.func(args)
+        elapsed = time.perf_counter() - t0
+        if payload is not None:
+            print(json.dumps(payload, indent=2), flush=True)
     except (OSError, OverflowError, ValueError, KeyError, PosetError, ordertype.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - t0
-    if payload is not None:
-        print(json.dumps(payload, indent=2))
     print(f"{summary} [{elapsed:.3f}s]", file=sys.stderr)
     return code
 

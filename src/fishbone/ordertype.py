@@ -171,12 +171,9 @@ class _Parser:
     def pos(self) -> int:
         return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+    def take(self) -> None:
+        """Consume the token that :meth:`peek` has just returned."""
         self.i += 1
-        return tok
 
     def expect(self, tok: str) -> None:
         if self.peek() != tok:
@@ -511,62 +508,7 @@ def _facts(t: OrderTerm) -> _Facts:
     raise TypeError(f"not an order term: {t!r}")
 
 
-# ----------------------------------------------------------------- predicates
-
-
-@dataclass(frozen=True)
-class TermPredicates:
-    """The five primitive predicates, plus the derived names used elsewhere:
-    ``iwf`` (no ζ suborder), ``owf`` (no ω+ω* suborder), and
-    ``atomic_increasing`` (no ω+1 suborder, so all ω-chains are cofinal)."""
-
-    wellfounded: bool
-    """No ω*-chain."""
-    cowellfounded: bool
-    """No ω-chain; the mirror image of ``wellfounded``."""
-    embeds_omega_plus_one: bool
-    """Contains an ω-chain together with an element above all of it."""
-    embeds_zeta: bool
-    """Contains a suborder of type ζ = ω* + ω (an unbounded-below ω*-chain
-    with an unbounded-above ω-chain entirely above it)."""
-    embeds_omega_plus_omegastar: bool
-    """Contains a suborder of type ω + ω* (an ω-chain with an ω*-chain
-    entirely above it)."""
-
-    @property
-    def iwf(self) -> bool:
-        return not self.embeds_zeta
-
-    @property
-    def owf(self) -> bool:
-        return not self.embeds_omega_plus_omegastar
-
-    @property
-    def atomic_increasing(self) -> bool:
-        return not self.embeds_omega_plus_one
-
-    def to_dict(self) -> dict:
-        return {
-            "wellfounded": self.wellfounded,
-            "cowellfounded": self.cowellfounded,
-            "embeds_omega_plus_one": self.embeds_omega_plus_one,
-            "embeds_zeta": self.embeds_zeta,
-            "embeds_omega_plus_omegastar": self.embeds_omega_plus_omegastar,
-            "iwf": self.iwf,
-            "owf": self.owf,
-            "atomic_increasing": self.atomic_increasing,
-        }
-
-
-def _predicates(f: _Facts) -> TermPredicates:
-    return TermPredicates(f.wf, f.cowf, f.wp1, f.zeta, f.owv)
-
-
-def predicates(t: OrderTerm) -> TermPredicates:
-    return _predicates(_facts(t))
-
-
-# ----------------------------------------------------------- limit structure
+# ----------------------------------------------------------------- endpoints
 
 
 def has_maximum(t: OrderTerm) -> bool:
@@ -577,46 +519,46 @@ def has_minimum(t: OrderTerm) -> bool:
     return _facts(t).has_min
 
 
-def limit_point_counts(t: OrderTerm) -> tuple[Count, Count]:
-    """(increasing classes, decreasing classes); ``math.inf`` = countably many."""
-    f = _facts(t)
-    return f.plus, f.minus
-
-
-def alternation_number(t: OrderTerm) -> Count:
-    """Max number of disjoint intervals each containing an ω*-chain with an
-    ω-chain above it; ``math.inf`` when no finite bound exists."""
-    return _facts(t).profile[0]
-
-
-# -------------------------------------------------------------------- ranks
-
-
-def hausdorff_rank(t: OrderTerm) -> int:
-    """0 for finite chains, 1 for ω/ω*, max over sum parts, and +1 for each
-    repetition of an infinite body."""
-    return _facts(t).rank
-
-
-# -------------------------------------------------------------- vacillation
-
-
-def is_vacillating_chain(t: OrderTerm) -> bool:
-    """True when neither t nor its reverse is an ω-indexed sum of infinite
-    co-wellfounded blocks."""
-    f = _facts(t)
-    return not (f.dec or f.codec)
-
-
 # ------------------------------------------------------------------ reports
 
 
 def term_report(t: OrderTerm) -> dict:
-    """The JSON-ready summary used by the command-line ``ot check``."""
+    """The invariants of ``t`` as a JSON-ready dict, the one printed by the
+    command-line ``ot check`` (the endpoints have their own calls,
+    :func:`has_maximum` and :func:`has_minimum`):
+
+    - ``term``: the canonical text;
+    - ``predicates``: ``wellfounded`` (no ω*-chain), ``cowellfounded`` (no
+      ω-chain), ``embeds_omega_plus_one`` (an ω-chain with an element above
+      all of it), ``embeds_zeta`` (a suborder of type ζ = ω*+ω: an ω*-chain
+      with an ω-chain entirely above it), ``embeds_omega_plus_omegastar`` (a
+      suborder of type ω+ω*), and the derived ``iwf`` (no ζ suborder),
+      ``owf`` (no ω+ω* suborder) and ``atomic_increasing`` (no ω+1
+      suborder, so every ω-chain is cofinal);
+    - ``alt``: the alternation number, the most disjoint intervals each
+      holding an ω*-chain with an ω-chain above it, or ``"inf"`` when no
+      finite bound exists;
+    - ``rank``: the Hausdorff rank, 0 for finite chains, 1 for ω and ω*,
+      the max over sum parts, and +1 for each repetition of an infinite
+      body;
+    - ``limits``: ``plus`` and ``minus``, the classes of increasing and of
+      decreasing chains, ``"w"`` for countably many;
+    - ``vacillating``: neither ``t`` nor its reverse is an ω-indexed sum of
+      infinite co-wellfounded blocks.
+    """
     f = _facts(t)
     return {
         "term": render(t),
-        "predicates": _predicates(f).to_dict(),
+        "predicates": {
+            "wellfounded": f.wf,
+            "cowellfounded": f.cowf,
+            "embeds_omega_plus_one": f.wp1,
+            "embeds_zeta": f.zeta,
+            "embeds_omega_plus_omegastar": f.owv,
+            "iwf": not f.zeta,
+            "owf": not f.owv,
+            "atomic_increasing": not f.wp1,
+        },
         "alt": "inf" if f.profile[0] == inf else int(f.profile[0]),
         "rank": f.rank,
         "limits": {

@@ -58,6 +58,41 @@ def test_criterion_07_truth_table_and_expansion_oracle():
     _check(acceptance.criterion_7(), table_rows=7, regression_terms=30)
 
 
+def _criterion_7_witness():
+    rep = acceptance.criterion_7()
+    assert rep.status == "fail"
+    json.dumps(rep.to_dict())
+    return rep.witness
+
+
+def test_criterion_07_reports_a_wrong_truth_table_row(monkeypatch):
+    row = acceptance.TRUTH_TABLE["w*+w"]
+    monkeypatch.setitem(acceptance.TRUTH_TABLE, "w*+w", row[:5] + (2,) + row[6:])
+    assert _criterion_7_witness() == {"term": "w*+w", "got": repr(row)}
+
+
+def test_criterion_07_reports_a_broken_reverse_law(monkeypatch):
+    # With reverse as the identity the laws hold on finite chains and first
+    # break on ω, which is wellfounded but not co-wellfounded.
+    monkeypatch.setattr(acceptance, "reverse", lambda t: t)
+    w = _criterion_7_witness()
+    assert list(w) == ["term", "laws"] and w["term"] == "w"
+    assert not w["laws"][0] and w["laws"][-1]
+
+
+def test_criterion_07_reports_an_oracle_disagreement(monkeypatch):
+    oracle = acceptance.oracle_predicates
+
+    def flipped(t):
+        want = oracle(t)
+        return {**want, "embeds_zeta": not want["embeds_zeta"]}
+
+    monkeypatch.setattr(acceptance, "oracle_predicates", flipped)
+    w = _criterion_7_witness()
+    assert list(w) == ["term", "oracle", "got"] and w["term"] == "0"
+    assert w["oracle"]["embeds_zeta"] is True and w["got"]["embeds_zeta"] is False
+
+
 def test_criterion_08_p1_spine_and_pigeonhole():
     _check(acceptance.criterion_8(), spine_cases=21, pigeonhole_cases=11)
 

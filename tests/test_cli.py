@@ -205,7 +205,7 @@ def test_ot_check_parse_error(capsys):
 
 
 # Sums around repetitions take the most stack per bracket in every later
-# recursion (normalize, predicates, reverse, term_report).
+# recursion (normalize, reverse, render and the invariants' fold).
 def deepest(depth):
     return "w+w*[" * depth + "w" + "]" * depth
 
@@ -502,6 +502,22 @@ def test_python_dash_m_runs_the_same_command_line(capsys):
     )
     assert proc.returncode == 0
     assert proc.stdout == run(capsys, "verify", "all")[1]
+
+
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback():
+    # The pipe closes while the child is still starting up, so its JSON
+    # write fails.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fishbone", "family", "window", "P1", "--spec", "n=1500"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 # -------------------------------------------------------------------- sweep

@@ -18,15 +18,10 @@ from fishbone.ordertype import (
     OmegaStarRep,
     ParseError,
     Sum,
-    alternation_number,
     has_maximum,
     has_minimum,
-    hausdorff_rank,
-    is_vacillating_chain,
-    limit_point_counts,
     normalize,
     parse_term,
-    predicates,
     render,
     reverse,
     term_report,
@@ -46,20 +41,31 @@ TABLE = {
 }
 
 
+def _count(value):
+    """A count from a term report as a number: ``"inf"`` (alternation) and
+    ``"w"`` (limit classes) are ``math.inf``."""
+    return inf if value in ("inf", "w") else value
+
+
+def _limits(report):
+    """(increasing classes, decreasing classes) of a term report."""
+    return _count(report["limits"]["plus"]), _count(report["limits"]["minus"])
+
+
 @pytest.mark.parametrize("text", sorted(TABLE))
 def test_reference_invariants(text):
-    t = parse_term(text)
+    report = term_report(parse_term(text))
     wf, cowf, wp1, zeta, owv, alt, rank, limits, vac = TABLE[text]
-    p = predicates(t)
-    assert p.wellfounded == wf
-    assert p.cowellfounded == cowf
-    assert p.embeds_omega_plus_one == wp1
-    assert p.embeds_zeta == zeta
-    assert p.embeds_omega_plus_omegastar == owv
-    assert alternation_number(t) == alt
-    assert hausdorff_rank(t) == rank
-    assert limit_point_counts(t) == limits
-    assert is_vacillating_chain(t) == vac
+    p = report["predicates"]
+    assert p["wellfounded"] == wf
+    assert p["cowellfounded"] == cowf
+    assert p["embeds_omega_plus_one"] == wp1
+    assert p["embeds_zeta"] == zeta
+    assert p["embeds_omega_plus_omegastar"] == owv
+    assert _count(report["alt"]) == alt
+    assert report["rank"] == rank
+    assert _limits(report) == limits
+    assert report["vacillating"] == vac
 
 
 def test_more_alternation_numbers():
@@ -73,22 +79,25 @@ def test_more_alternation_numbers():
         "5": 0,
         "1+w+1": 0,
     }.items():
-        assert alternation_number(parse_term(text)) == alt, text
+        assert _count(term_report(parse_term(text))["alt"]) == alt, text
 
 
 def test_more_vacillation():
-    assert is_vacillating_chain(parse_term("w+w*[w]"))
-    assert is_vacillating_chain(parse_term("w[w*]+5"))
-    assert not is_vacillating_chain(parse_term("w*[w]"))
-    assert not is_vacillating_chain(parse_term("w*[w]+w"))
-    assert is_vacillating_chain(parse_term("0"))
-    assert is_vacillating_chain(parse_term("w[w*]+w[w]"))
+    for text, vac in {
+        "w+w*[w]": True,
+        "w[w*]+5": True,
+        "w*[w]": False,
+        "w*[w]+w": False,
+        "0": True,
+        "w[w*]+w[w]": True,
+    }.items():
+        assert term_report(parse_term(text))["vacillating"] == vac, text
 
 
 def test_hausdorff_ranks():
     for text, rank in {"0": 0, "7": 0, "w+w*": 1, "w[w]": 2, "w[w[w]]": 3,
                        "w*[1+w*]": 2, "w[w*]+w": 2}.items():
-        assert hausdorff_rank(parse_term(text)) == rank, text
+        assert term_report(parse_term(text))["rank"] == rank, text
 
 
 def test_endpoints():
@@ -189,10 +198,10 @@ def test_term_report_shape():
 
 
 def test_predicate_shorthands():
-    p = predicates(parse_term("w"))
-    assert p.iwf and p.owf and p.atomic_increasing
-    q = predicates(parse_term("w+1"))
-    assert q.iwf and q.owf and not q.atomic_increasing
+    p = term_report(parse_term("w"))["predicates"]
+    assert p["iwf"] and p["owf"] and p["atomic_increasing"]
+    q = term_report(parse_term("w+1"))["predicates"]
+    assert q["iwf"] and q["owf"] and not q["atomic_increasing"]
 
 
 # ------------------------------------------------------------- random terms
@@ -232,30 +241,32 @@ def test_reverse_is_an_involution(t):
 @settings(max_examples=200)
 def test_reverse_mirrors_the_invariants(t):
     r = reverse(t)
-    p, q = predicates(t), predicates(r)
-    assert p.wellfounded == q.cowellfounded
-    assert p.embeds_zeta == q.embeds_zeta
-    assert p.embeds_omega_plus_omegastar == q.embeds_omega_plus_omegastar
-    assert alternation_number(t) == alternation_number(r)
-    assert hausdorff_rank(t) == hausdorff_rank(r)
-    assert is_vacillating_chain(t) == is_vacillating_chain(r)
-    assert limit_point_counts(t) == limit_point_counts(r)[::-1]
+    a, b = term_report(t), term_report(r)
+    p, q = a["predicates"], b["predicates"]
+    assert p["wellfounded"] == q["cowellfounded"]
+    assert p["embeds_zeta"] == q["embeds_zeta"]
+    assert p["embeds_omega_plus_omegastar"] == q["embeds_omega_plus_omegastar"]
+    assert a["alt"] == b["alt"]
+    assert a["rank"] == b["rank"]
+    assert a["vacillating"] == b["vacillating"]
+    assert _limits(a) == _limits(b)[::-1]
     assert has_maximum(t) == has_minimum(r)
 
 
 @given(terms)
 @settings(max_examples=200)
 def test_predicate_implications(t):
-    p = predicates(t)
-    wf = p.wellfounded
-    cowf = p.cowellfounded
+    report = term_report(t)
+    p = report["predicates"]
+    wf = p["wellfounded"]
+    cowf = p["cowellfounded"]
     assert isinstance(t, Fin) == (wf and cowf)
-    if p.embeds_zeta or p.embeds_omega_plus_omegastar:
+    if p["embeds_zeta"] or p["embeds_omega_plus_omegastar"]:
         assert not wf and not cowf
-    if p.embeds_omega_plus_one:
+    if p["embeds_omega_plus_one"]:
         assert not cowf
-    if alternation_number(t) == 0:
-        assert not p.embeds_zeta
+    if report["alt"] == 0:
+        assert not p["embeds_zeta"]
 
 
 # ----------------------------------------------------------------- golden

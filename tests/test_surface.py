@@ -9,15 +9,15 @@ PUBLIC_NAMES = [
     "OmegaStar", "OmegaStarRep", "OrderTerm", "PASS", "ParseError", "PosetError",
     "PreconditionViolated", "SpineCertificate", "Sum", "ThresholdTooSmall",
     "UP_TO_BOUND", "UnknownClaim", "UnknownElement", "UnknownName",
-    "VerificationReport", "WindowSpec", "__version__", "alternation_number",
+    "VerificationReport", "WindowSpec", "__version__",
     "check_bounded_bicomparable", "check_bounded_cofinally_above", "check_spine",
     "claim_names", "desk_preset", "elem_le", "element_id", "extend_spine_partition",
     "find_spine", "greedy_antichain_from_chains", "has_maximum", "has_minimum",
-    "hausdorff_rank", "height", "height_and_max_chain", "interpolate_chain",
-    "is_spine", "is_strongly_maximal", "is_vacillating_chain", "level_window",
-    "limit_point_counts", "load_certificate", "load_poset", "loads_certificate",
+    "height", "height_and_max_chain", "interpolate_chain",
+    "is_spine", "is_strongly_maximal", "level_window",
+    "load_certificate", "load_poset", "loads_certificate",
     "loads_poset", "mirsky_partition", "named_subset", "normalize", "parse_term",
-    "poset_from_json_dict", "predicates", "render", "reverse", "smc_gap_witness",
+    "poset_from_json_dict", "render", "reverse", "smc_gap_witness",
     "strong_thick_check", "term_report", "thick_degree", "verify_claim",
     "verify_constant_on_rows", "verify_final_counting", "verify_level_structure",
     "verify_min_drop", "width", "width_and_dilworth", "window",

@@ -1,10 +1,13 @@
 """Desk checks of the finite sub-lemmas about the fifth example order."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from fishbone import acceptance, families, verify
+from fishbone.cli import main
 from fishbone.families import WindowSpec, elem_le, element_id, named_subset_payloads
 from fishbone.poset import FinitePoset
 from fishbone.report import FAIL, UP_TO_BOUND
@@ -321,6 +324,18 @@ def test_min_drop_count_matches_direct_enumeration():
     assert direct == 18
 
 
+def test_min_drop_names_the_first_qualifying_point_that_breaks_the_drop(monkeypatch, capsys):
+    # Under an all-true order every grid point lies below (0, 0, 0); the first
+    # with x + y > 0 in grid order is (0, 1, 1), and min(0, 1) + 1 > 0.
+    monkeypatch.setitem(
+        families._LE_COLS, "P5", lambda p, q: np.ones(np.broadcast_shapes(p[0].shape, q[0].shape), dtype=bool)
+    )
+    code = main(["family", "check", "P5", "--claim", "min_drop", "--params", "u=0,v=0,B=2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["status"] == FAIL and out["witness"] == "(0,1,1)"
+
+
 # ------------------------------------------------ constant-on-rows rectangle
 
 
@@ -348,6 +363,17 @@ def _assignment_chain_bijections(ell):
 def test_each_instance_forces_exactly_one_assignment():
     for ell in (1, 2, 3):
         assert _assignment_chain_bijections(ell)
+
+
+def test_constant_on_rows_reports_a_wrong_label_below_the_top_diagonal(monkeypatch):
+    # The first instance of ell = 2 is the column from (0,0) to (0,2); its
+    # middle cell lies on diagonal 1 but is labelled 2.
+    labelling = {(0, 0): 0, (0, 1): 2, (0, 2): 2}
+    monkeypatch.setattr(verify, "_valid_assignments", lambda u, v, path, ell: iter([labelling]))
+    rep = verify_constant_on_rows(2)
+    assert rep.status == FAIL
+    assert rep.witness == {"corner": [0, 2], "path": [[0, 0], [0, 1], [0, 2]], "cell": [0, 1], "label": 2}
+    json.dumps(rep.to_dict())
 
 
 def test_constant_on_rows_precondition():
