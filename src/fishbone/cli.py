@@ -107,7 +107,7 @@ def _cmd_verify_all(args) -> tuple[int, object, str]:
 
 
 def _cmd_sweep(args) -> tuple[int, object, str]:
-    reports = acceptance.run_acceptance(seed=args.seed, budget_seconds=args.budget_seconds)
+    reports = acceptance.run_acceptance(seed=args.seed)
     bad = sum(not r.ok for r in reports)
     lines = ", ".join(f"{r.claim}={r.status}" for r in reports)
     code = 0 if bad == 0 else 1
@@ -166,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_verify_all)
 
     p = sub.add_parser("sweep", help="run the acceptance criteria")
-    p.add_argument("--budget-seconds", type=float, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

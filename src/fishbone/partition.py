@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poset import FinitePoset, NotAChain, PosetError, UnknownElement, _block, _bool_matmul, _is_element_id
+from .poset import (
+    FinitePoset, NotAChain, PosetError, UnknownElement, _block, _bool_matmul, _decode_json, _is_element_id
+)
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -85,11 +87,11 @@ def certificate_from_json_dict(data: dict) -> SpineCertificate:
 
 def load_certificate(path: str) -> SpineCertificate:
     with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_json_dict(json.load(fh))
+        return certificate_from_json_dict(_decode_json(json.load, fh, "certificate"))
 
 
 def loads_certificate(text: str) -> SpineCertificate:
-    return certificate_from_json_dict(json.loads(text))
+    return certificate_from_json_dict(_decode_json(json.loads, text, "certificate"))
 
 
 # --------------------------------------------------------------------- height

@@ -495,10 +495,18 @@ def poset_from_json_dict(data: dict) -> FinitePoset:
     return FinitePoset.from_generators(elements, le)
 
 
+def _decode_json(load, source, what: str):
+    """``load(source)``, with a RecursionError reported as ValueError."""
+    try:
+        return load(source)
+    except RecursionError:
+        raise ValueError(f"{what} JSON nested too deeply") from None
+
+
 def load_poset(path: str) -> FinitePoset:
     with open(path, "r", encoding="utf-8") as fh:
-        return poset_from_json_dict(json.load(fh))
+        return poset_from_json_dict(_decode_json(json.load, fh, "poset"))
 
 
 def loads_poset(text: str) -> FinitePoset:
-    return poset_from_json_dict(json.loads(text))
+    return poset_from_json_dict(_decode_json(json.loads, text, "poset"))

@@ -12,8 +12,10 @@ import random
 import numpy as np
 import pytest
 
-from fishbone import acceptance, families
+from fishbone import acceptance, families, verify
 from fishbone.families import FAMILIES, elem_le
+from fishbone.partition import ThresholdTooSmall
+from fishbone.report import FAIL, PASS, VerificationReport
 
 
 def _check(rep, **expected_detail):
@@ -114,6 +116,68 @@ def test_criterion_11_greedy_drivers():
     rep = acceptance.criterion_11(seed=0)
     _check(rep, ladders=6)
     assert rep.detail["extensions"] == 50
+
+
+PLANTED = VerificationReport(claim="planted", params={}, status=FAIL, witness="w")
+PLANTED_KEYS = ["claim", "params", "status", "witness"]
+
+
+def _fail_on(claim, real):
+    """verify_claim with the given claim's report replaced by PLANTED."""
+    return lambda family, name, params: PLANTED if name == claim else real(family, name, params)
+
+
+def _raise_threshold(*args):
+    raise ThresholdTooSmall("x", "planted")
+
+
+# Each case replaces one call a criterion reads so that one of its checks
+# fails: (criterion, module, attribute, replacement given the real one,
+# witness keys).  Criteria 3, 7 and 12 have tests of their own.
+FAILURE_CASES = {
+    "1-not-a-spine": (1, acceptance, "is_spine", lambda real: lambda P, cert: False, ["trial"]),
+    "1-wrong-part-count": (1, acceptance, "height_and_max_chain", lambda real: lambda P: (-1, []), ["trial", "parts"]),
+    "2-width": (2, acceptance, "_min_cover_size", lambda real: lambda n, good: -1, ["trial", "width"]),
+    "2-height": (2, acceptance, "height_and_max_chain", lambda real: lambda P: (-1, []), ["trial", "height"]),
+    "2-antichain-size": (
+        2, acceptance, "width_and_dilworth", lambda real: lambda P: (lambda w, c, a: (w, c, [*a, None]))(*real(P)),
+        ["trial"],
+    ),
+    "3-interpolation": (3, verify, "interpolate_chain", lambda real: lambda *args: [], ["trial", "triple"]),
+    "4": (4, verify, "verify_final_counting", lambda real: lambda a: PLANTED, ["a", "report"]),
+    "5": (5, verify, "verify_constant_on_rows", lambda real: lambda ell: PLANTED, PLANTED_KEYS),
+    "6": (6, acceptance, "width_and_dilworth", lambda real: lambda P: (0, [], []), ["B", "width"]),
+    "8-spine": (8, families, "verify_claim", lambda real: _fail_on("spine_partition", real), ["N", "report"]),
+    "8-pigeonhole-counts": (
+        8, families, "verify_claim",
+        lambda real: lambda family, name, params: (
+            VerificationReport("planted", {}, PASS, detail={"demander_count": 0, "host_count": 0})
+            if name == "pigeonhole" else real(family, name, params)
+        ),
+        ["m", "report"],
+    ),
+    "9-partitions": (9, families, "verify_claim", lambda real: _fail_on("partitions", real), ["B", "report"]),
+    "9-bicomparable": (9, families, "check_bounded_bicomparable", lambda real: lambda *a, **k: PLANTED, PLANTED_KEYS),
+    "9-shift": (9, families, "verify_claim", lambda real: _fail_on("shift_reduction", real), PLANTED_KEYS),
+    "10-rows": (10, families, "verify_claim", lambda real: _fail_on("row_bound", real), ["y", "report"]),
+    "10-cofinal": (
+        10, families, "check_bounded_cofinally_above", lambda real: lambda *a, **k: PLANTED, ["n", "report"]
+    ),
+    "10-domination": (10, families, "verify_claim", lambda real: _fail_on("no_domination", real), ["n", "m", "report"]),
+    "11-ladder": (11, acceptance, "greedy_antichain_from_chains", lambda real: lambda P, chains: [], ["k", "picks"]),
+    "11-attempts": (11, acceptance, "extend_spine_partition", lambda real: _raise_threshold, ["successes", "attempts"]),
+    "11-not-a-spine": (11, acceptance, "is_spine", lambda real: lambda P, cert: False, ["attempt"]),
+}
+
+
+@pytest.mark.parametrize("case", FAILURE_CASES)
+def test_a_failing_check_gives_a_failing_criterion_report(monkeypatch, case):
+    k, module, name, replacement, keys = FAILURE_CASES[case]
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
+    rep = getattr(acceptance, f"criterion_{k}")()
+    assert rep.claim == f"acceptance-{k}" and rep.status == "fail"
+    assert list(rep.witness) == keys
+    json.dumps(rep.to_dict())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -47,17 +47,16 @@ def test_level_structure_other_levels():
 def test_level_structure_on_shared_windows_matches_fresh_builds():
     B = 6
     for n in (0, 1):
-        two, one = level_window(n, B, levels=2), level_window(n, B)
-        shared = check_level_structure(n, range(2 * B + 1), B, two, one)
+        shared = check_level_structure(n, range(2 * B + 1), B, level_window(n, B, levels=2))
         fresh = [verify_level_structure(n, s, B) for s in range(2 * B + 1)]
         assert shared == [(r.status, r.witness, r.detail) for r in fresh]
 
 
-def _level_structure_by_loops(n, s, B, two, one):
+def _level_structure_by_loops(n, s, B, two):
     """Reference for check_level_structure's ``(status, witness, detail)``:
     one scalar walk per row and column through is_chain and
-    is_contiguous_chain, on windows of payload tuples; witnesses are turned
-    into names with element_id."""
+    is_contiguous_chain on the level's induced subposet, on windows of
+    payload tuples; witnesses are turned into names with element_id."""
 
     def fail(reason, witness):
         return FAIL, witness, {"reason": reason}
@@ -73,6 +72,7 @@ def _level_structure_by_loops(n, s, B, two, one):
     diagonal = named_subset_payloads("P5", f"K({n},{s})", spec2)
     if not two.is_antichain(diagonal):
         return fail("diagonal is not an antichain", names(diagonal))
+    one = two.induced(level_n)
     lines = 0
     for z0 in range(B + 1):
         row = [(x, z0, n) for x in range(B + 1)]
@@ -91,49 +91,58 @@ def test_level_structure_matches_the_loop_reference_on_real_windows(n):
     for B in range(7):
         two, one = level_window(n, B, levels=2), level_window(n, B)
         assert two.induced(one.elements) == one
-        reports = check_level_structure(n, range(2 * B + 1), B, two, one)
+        reports = check_level_structure(n, range(2 * B + 1), B, two)
         for s, outcome in enumerate(reports):
-            want = _level_structure_by_loops(n, s, B, two, one)
+            want = _level_structure_by_loops(n, s, B, two)
             assert outcome == want
             assert want[0] == UP_TO_BOUND
 
 
+def _with_level_order(n, B, pairs):
+    """The payloads of ``level_window(n, B, levels=2)`` ordered by the
+    closure of ``pairs`` alone: pairs on level n give it another order, and
+    the points of level n+1 are left isolated."""
+    return FinitePoset.from_generators(level_window(n, B, levels=2).elements, pairs)
+
+
 def _random_level_order(points, rng, p):
-    """A random poset on ``points``: pairs follow a hidden permutation and
-    each is kept with probability p (p = 1 gives a linear order)."""
+    """Pairs of a random order on ``points``: they follow a hidden
+    permutation and each is kept with probability p (p = 1 gives a linear
+    order)."""
     perm = list(points)
     rng.shuffle(perm)
-    pairs = [(a, b) for i, a in enumerate(perm) for b in perm[i + 1 :] if rng.random() < p]
-    return FinitePoset.from_generators(points, pairs)
+    return [(a, b) for i, a in enumerate(perm) for b in perm[i + 1 :] if rng.random() < p]
 
 
 def _lexicographic_level_order(n, B, major):
-    """The level's payloads in a linear order with coordinate ``major`` most
-    significant: its lines along the other coordinate are contiguous, the
-    others are not."""
+    """The covers of the level's payloads in a linear order with coordinate
+    ``major`` most significant: its lines along the other coordinate are
+    contiguous, the others are not."""
     points = sorted(
         ((x, y, n) for x in range(B + 1) for y in range(B + 1)), key=lambda q: (q[major], q[1 - major])
     )
-    return FinitePoset.from_generators(points, zip(points, points[1:]))
+    return list(zip(points, points[1:]))
 
 
 def _grid_level_order(n, B, drop=None, extra=()):
-    """P5's order on level n (the product order, from its covers), with
-    the cover ``drop`` left out and the pairs ``extra`` added."""
+    """The covers of P5's order on level n (the product order), with the
+    cover ``drop`` left out and the pairs ``extra`` added."""
     points = [(x, y) for x in range(B + 1) for y in range(B + 1)]
     covers = [((x, y), q) for x, y in points for q in ((x + 1, y), (x, y + 1)) if max(q) <= B]
     pairs = [(a, b) for a, b in covers if (a, b) != drop] + list(extra)
-    return FinitePoset.from_generators([(*p, n) for p in points], [((*a, n), (*b, n)) for a, b in pairs])
+    return [((*a, n), (*b, n)) for a, b in pairs]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
-    """``one`` replaced by other orders on the level's payloads: sparse random
+    """The level's order in ``two`` replaced by other orders: sparse random
     posets (lines that are not chains), random linear orders and two
     lexicographic orders (chains that are not contiguous), denser random
     posets, and the level's own order with one row cover dropped (row z0
     stops being a chain) or with (0, z0+1) <= (1, z0) added (row z0 stops
-    being contiguous), so that the first bad line lies further in."""
+    being contiguous), so that the first bad line lies further in.  Every
+    diagonal matches the reference; the one-point diagonal s = 0 is an
+    antichain in every order, so its report is the line check's."""
     expected = {
         "dropped cover": "row/column is not a chain",
         "shortcut": "row/column is not contiguous in its level",
@@ -145,7 +154,6 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
     rng = random.Random(seed)
     for n in (0, 1, 2):
         B = rng.randint(2, 5)
-        two = level_window(n, B, levels=2)
         points = list(level_window(n, B).elements)
         z0, x = rng.randint(0, B - 1), rng.randint(0, B - 1)
         orders = {
@@ -157,10 +165,11 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
             "columns contiguous": _lexicographic_level_order(n, B, major=0),
             "dense": _random_level_order(points, rng, 0.95),
         }
-        for kind, one in orders.items():
-            s = rng.randint(0, 2 * B)
-            want = status, witness, detail = _level_structure_by_loops(n, s, B, two, one)
-            assert check_level_structure(n, [s], B, two, one)[0] == want
+        for kind, pairs in orders.items():
+            two = _with_level_order(n, B, pairs)
+            reports = check_level_structure(n, range(2 * B + 1), B, two)
+            assert reports == [_level_structure_by_loops(n, s, B, two) for s in range(2 * B + 1)]
+            status, witness, detail = reports[0]
             assert status == FAIL
             assert detail["reason"] == expected.get(kind, detail["reason"])
             if kind in ("dropped cover", "shortcut"):
@@ -175,23 +184,24 @@ def test_level_structure_matches_the_loop_reference_on_perturbed_levels(seed):
 def test_level_structure_per_diagonal_reports_match_the_loop_reference_on_perturbed_windows(seed):
     """``two`` replaced by linear orders on its payloads: a random one, where
     the level is not convex, and one with the level's payloads first, where
-    the level is convex and only the one-point diagonal is an antichain, so
-    one call mixes diagonal failures with the line check's pass."""
+    the level is convex, only the two one-point diagonals are antichains,
+    and the level's lines are chains that are not all contiguous, so one
+    call mixes diagonal failures with a line failure."""
     rng = random.Random(seed)
     for n in (0, 1):
         B = rng.randint(1, 4)
-        one = level_window(n, B)
+        level = set(level_window(n, B).elements)
         points = list(level_window(n, B, levels=2).elements)
         rng.shuffle(points)
-        level_first = sorted(points, key=lambda e: e not in set(one.elements))
+        level_first = sorted(points, key=lambda e: e not in level)
         cases = {
             tuple(points): {"level is not convex in the two-level window"},
-            tuple(level_first): {None, "diagonal is not an antichain"},
+            tuple(level_first): {"row/column is not contiguous in its level", "diagonal is not an antichain"},
         }
         for order, reasons in cases.items():
             two = FinitePoset.from_generators(order, zip(order, order[1:]))
-            reports = check_level_structure(n, range(2 * B + 1), B, two, one)
-            want = [_level_structure_by_loops(n, s, B, two, one) for s in range(2 * B + 1)]
+            reports = check_level_structure(n, range(2 * B + 1), B, two)
+            want = [_level_structure_by_loops(n, s, B, two) for s in range(2 * B + 1)]
             assert reports == want
             assert {detail.get("reason") for _, _, detail in reports} == reasons
 
@@ -206,9 +216,27 @@ def test_convexity_witness_is_the_first_name_in_string_order():
     rest = [p for p in level_window(n, B, levels=2).elements if p not in set(level) | set(extras)]
     order = [level[0], *extras, *level[1:], *rest]
     two = FinitePoset.from_generators(order, zip(order, order[1:]))
-    outcome = check_level_structure(n, [0], B, two, level_window(n, B))[0]
-    assert outcome == _level_structure_by_loops(n, 0, B, two, level_window(n, B))
+    outcome = check_level_structure(n, [0], B, two)[0]
+    assert outcome == _level_structure_by_loops(n, 0, B, two)
     assert outcome == (FAIL, "(10,0,1)", {"reason": "level is not convex in the two-level window"})
+
+
+def test_a_level_check_builds_only_its_two_level_window(monkeypatch):
+    """verify_level_structure builds one poset, its two-level window, and
+    criterion 3 one per level; both construction routes end in _set."""
+    built = []
+    real = FinitePoset._set
+
+    def counted(self, *matrices):
+        built.append(len(self.elements))
+        real(self, *matrices)
+
+    monkeypatch.setattr(FinitePoset, "_set", counted)
+    assert verify_level_structure(1, 4, 8).ok
+    assert built == [2 * 9**2]
+    built.clear()
+    assert acceptance.criterion_3().ok
+    assert built == [2 * 11**2] * 3
 
 
 def _count_element_ids(monkeypatch):
@@ -232,8 +260,8 @@ def test_passing_desk_checks_build_no_element_names(monkeypatch):
     calls = _count_element_ids(monkeypatch)
     assert all(r.ok for r in desk_preset())
     for n in (0, 1, 2):
-        two, one = level_window(n, 10, levels=2), level_window(n, 10)
-        assert all(status != FAIL for status, _, _ in check_level_structure(n, range(9), 10, two, one))
+        outcomes = check_level_structure(n, range(9), 10, level_window(n, 10, levels=2))
+        assert all(status != FAIL for status, _, _ in outcomes)
     assert acceptance.criterion_3().ok
     assert calls == []
 
@@ -243,8 +271,8 @@ def test_criterion_3_reports_the_first_failing_diagonal(monkeypatch):
     the report of a failing diagonal through verify_level_structure."""
     real = check_level_structure
 
-    def broken(n, diagonals, B, two, one):
-        outcomes = real(n, diagonals, B, two, one)
+    def broken(n, diagonals, B, two):
+        outcomes = real(n, diagonals, B, two)
         return [(FAIL, "w", {"reason": "r"}) if (n, s) == (1, 5) else o for s, o in zip(diagonals, outcomes)]
 
     monkeypatch.setattr(verify, "check_level_structure", broken)
@@ -267,9 +295,9 @@ def test_a_failing_line_names_only_its_witness(monkeypatch):
     """With one row cover dropped, the report names the B+1 points of that
     row and nothing else."""
     n, B, z0 = 1, 5, 2
-    two, one = level_window(n, B, levels=2), _grid_level_order(n, B, drop=((3, z0), (4, z0)))
+    two = _with_level_order(n, B, _grid_level_order(n, B, drop=((3, z0), (4, z0))))
     calls = _count_element_ids(monkeypatch)
-    _, witness, detail = check_level_structure(n, [4], B, two, one)[0]
+    _, witness, detail = check_level_structure(n, [4], B, two)[0]
     assert detail == {"reason": "row/column is not a chain"}
     assert calls == [(x, z0, n) for x in range(B + 1)]
     assert witness == [f"({x},{z0},{n})" for x in range(B + 1)]
