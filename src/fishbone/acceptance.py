@@ -27,10 +27,10 @@ from .partition import (
     greedy_antichain_from_chains,
     height_and_max_chain,
     is_spine,
-    thick_degree,
+    strong_thick_check,
     width_and_dilworth,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, _true_pairs
 from .random_posets import random_poset
 from .report import FAIL, PASS, VerificationReport
 
@@ -496,14 +496,20 @@ def _ladder(k: int, ymax: int = 5) -> tuple[FinitePoset, list[list]]:
 
 def _transversal_antichains(P: FinitePoset, chains: list[list]) -> list[tuple]:
     """Every antichain with one element per chain, in ``itertools.product``
-    order, grown chain by chain from the pairwise incomparable prefixes."""
-    free = (~P.comparability_matrix).tolist()
-    selections: list[tuple] = [()]
+    order, grown chain by chain from the pairwise incomparable prefixes:
+    each prefix carries the bitmask of the elements comparable to one of
+    its members, the members included."""
+    comp = _comparability_masks(P)
+    selections: list[tuple[int, tuple]] = [(0, ())]
     for chain in chains:
+        steps = [(x, 1 << i, comp[i] | 1 << i) for x, i in zip(chain, map(P.index, chain))]
         selections = [
-            sel + (i,) for sel in selections for i in map(P.index, chain) if all(free[i][j] for j in sel)
+            (blocked | reach, sel + (x,))
+            for blocked, sel in selections
+            for x, bit, reach in steps
+            if not blocked & bit
         ]
-    return [tuple(P.elements[i] for i in sel) for sel in selections]
+    return [sel for _, sel in selections]
 
 
 def _extension_instance(rng: random.Random):
@@ -514,40 +520,32 @@ def _extension_instance(rng: random.Random):
     twin's inside element counts toward its degree."""
     F_poset = random_poset(rng, max_size=7, min_size=3)
     cert = find_spine(F_poset)
-    part_of = {}
-    for k, part in enumerate(cert.antichains):
-        for x in part:
-            part_of[x] = k
-    n_f = len(F_poset)
-    n_out = rng.randint(1, min(3, len(cert.antichains)))
+    part_of = {x: k for k, part in enumerate(cert.antichains) for x in part}
+    e = F_poset.elements
+    names = range(len(e), len(e) + rng.randint(1, min(3, len(cert.antichains))))
     twin_parts: set[int] = set()
-    pairs = [
-        (a, b)
-        for a in F_poset.elements
-        for b in F_poset.elements
-        if a != b and F_poset.leq(a, b)
-    ]
-    outsiders = []
-    for j in range(n_out):
-        name = n_f + j
+    # The comparable pairs of F in row-major order, then each twin's, read
+    # from the rows of the strict matrix.
+    strict = F_poset.strict_matrix
+    pairs = [(e[a], e[b]) for a, b in zip(*(k.tolist() for k in _true_pairs(strict)))]
+    rows = strict.tolist()
+    for name in names:
         if rng.random() < 0.5:
-            outsiders.append((name, None))  # isolated
-            continue
-        # At most n_out - 1 < len(cert.antichains) parts are taken, and no
+            continue  # isolated
+        # At most len(names) - 1 < len(cert.antichains) parts are taken, and no
         # part is empty, so a candidate always remains.
-        candidates = [x for x in F_poset.elements if part_of[x] not in twin_parts]
+        candidates = [x for x in e if part_of[x] not in twin_parts]
         twin = rng.choice(candidates)
         twin_parts.add(part_of[twin])
-        outsiders.append((name, twin))
-        for z in F_poset.elements:
-            if F_poset.lt(twin, z):
+        t = F_poset.index(twin)
+        for z, above, below in zip(e, rows[t], (row[t] for row in rows)):
+            if above:
                 pairs.append((name, z))
-            elif F_poset.lt(z, twin):
+            elif below:
                 pairs.append((z, name))
-    elements = list(F_poset.elements) + [name for name, _ in outsiders]
-    P = FinitePoset.from_generators(elements, pairs)
-    F = set(F_poset.elements)
-    tau = min(thick_degree(P, F, name) for name, _ in outsiders)
+    P = FinitePoset.from_generators([*e, *names], pairs)
+    F = set(e)
+    tau = strong_thick_check(P, F, 0).detail["min_degree"]
     return P, F, cert, tau
 
 

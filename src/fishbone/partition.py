@@ -105,20 +105,23 @@ def height_and_max_chain(P: FinitePoset) -> tuple[int, list]:
     """
     if not len(P):
         return 0, []
-    up, down = P.chain_lengths
-    h = int(up.max())
+    up, down = (a.tolist() for a in P.chain_lengths)
+    h = max(up)
     # up[i] + down[i] - 1 <= h, with equality exactly when i lies on some
-    # maximum chain.  Each level takes the first such element in declared
-    # order that lies strictly above the previous pick.
-    on_max = up + down == h + 1
+    # maximum chain; such an i at level k has a chain of h - k elements
+    # above it.  So each level takes the first such element in declared
+    # order that lies strictly above the previous pick, and one exists.
+    candidates: list[list[int]] = [[] for _ in range(h)]
+    for i, (k, d) in enumerate(zip(up, down)):
+        if k + d > h:
+            candidates[k - 1].append(i)
     strict = P.strict_matrix
-    chain: list[int] = []
-    for level in range(1, h + 1):
-        pick = on_max & (up == level)
-        if chain:
-            pick &= strict[chain[-1]]
-        chain.append(int(np.argmax(pick)))
-        assert pick[chain[-1]]
+    chain = [candidates[0][0]]
+    for at_level in candidates[1:]:
+        below = chain[-1]
+        pick = next((i for i in at_level if strict[below, i]), None)
+        assert pick is not None, "a maximum chain element has no successor on the next level"
+        chain.append(pick)
     return h, [P.elements[i] for i in chain]
 
 
@@ -132,11 +135,10 @@ def mirsky_partition(P: FinitePoset) -> list[list]:
     Part k (0-based) holds the elements whose longest chain from below has
     size k+1; there are exactly height(P) parts and each is an antichain.
     """
-    up = P.chain_lengths[0]
-    h = int(up.max()) if len(P) else 0
-    parts: list[list] = [[] for _ in range(h)]
-    for i, e in enumerate(P.elements):
-        parts[int(up[i]) - 1].append(e)
+    level = P.chain_lengths[0].tolist()
+    parts: list[list] = [[] for _ in range(max(level, default=0))]
+    for e, k in zip(P.elements, level):
+        parts[k - 1].append(e)
     return parts
 
 
@@ -325,44 +327,49 @@ def check_spine(P: FinitePoset, cert: SpineCertificate) -> VerificationReport:
         )
 
     try:
-        chain = np.array([P.index(x) for x in cert.chain], dtype=np.intp)
+        chain = [P.index(x) for x in cert.chain]
     except UnknownElement as err:
         return fail("chain element not in poset", err.element)
+    # One pass over the parts labels each element with the part that holds
+    # it, up to the first member listed again (``repeat``: its part and the
+    # member).  Before that member the parts are disjoint, so one comparison
+    # of labels tests all their pairs at once.
+    label, repeat = [-1] * len(P), None
     try:
-        members = np.array([P.index(x) for part in cert.antichains for x in part], dtype=np.intp)
+        for k, part in enumerate(cert.antichains):
+            for x in part:
+                i = P.index(x)
+                if repeat is None:
+                    if label[i] < 0:
+                        label[i] = k
+                    else:
+                        repeat = k, x
     except UnknownElement as err:
         return fail("antichain element not in poset", err.element)
-    rises = P.strict_matrix[chain[:-1], chain[1:]]
+    at = np.array(chain, dtype=np.intp)
+    rises = P.strict_matrix[at[:-1], at[1:]]
     if not rises.all():
         k = int(rises.argmin())
         return fail("chain not strictly increasing", [cert.chain[k], cert.chain[k + 1]])
-    # The parts are read in order up to the first one that lists an element
-    # again.  Before it they are disjoint, so a label per element says which
-    # part holds it, and one comparison of labels tests all their pairs.
-    sizes = [len(part) for part in cert.antichains]
-    part_of = np.repeat(np.arange(len(sizes)), sizes)
-    firsts = np.unique(members, return_index=True)[1]
-    again = np.ones(len(members), dtype=bool)
-    again[firsts] = False
-    repeat = int(again.argmax()) if again.any() else len(members)
-    label = np.full(len(P), -1)
-    label[members[:repeat]] = part_of[:repeat]
-    clash = P.comparability_matrix & (label[:, None] == label) & (label >= 0)[:, None]
+    labels = np.array(label, dtype=np.intp)
+    clash = P.comparability_matrix & (labels[:, None] == labels) & (labels >= 0)[:, None]
     np.fill_diagonal(clash, False)
     if clash.any():
-        k = int(label[clash.any(axis=1)].min())
+        k = int(labels[clash.any(axis=1)].min())
         return fail("part is not an antichain", list(cert.antichains[k]))
-    if repeat < len(members):
-        k = int(part_of[repeat])
-        part = cert.antichains[k]
-        if not P.is_antichain(part):
-            return fail("part is not an antichain", list(part))
-        return fail("element in two parts", part[repeat - sum(sizes[:k])])
-    if (label < 0).any():
-        return fail("element in no part", P.elements[int(label.argmin())])
-    off = np.bincount(label[chain], minlength=len(sizes)) != 1
-    if off.any():
-        k, on_chain = int(off.argmax()), set(cert.chain)
+    if repeat is not None:
+        k, x = repeat
+        if not P.is_antichain(cert.antichains[k]):
+            return fail("part is not an antichain", list(cert.antichains[k]))
+        return fail("element in two parts", x)
+    if -1 in label:
+        return fail("element in no part", P.elements[label.index(-1)])
+    meets = [0] * len(cert.antichains)
+    for i in chain:
+        meets[label[i]] += 1
+    k = next((k for k, count in enumerate(meets) if count != 1), None)
+    if k is not None:
+        on_chain = set(cert.chain)
         hits = [x for x in cert.antichains[k] if x in on_chain]
         return fail("part must meet the chain exactly once", {"part": k, "hits": hits})
     return VerificationReport(claim="spine", params=params, status=PASS)
@@ -445,23 +452,32 @@ def thick_degree(P: FinitePoset, F: Iterable, y) -> int:
     return int(_thick_partners(P, list(F), [y]).sum())
 
 
-def strong_thick_check(P: FinitePoset, F: Iterable, tau: int) -> VerificationReport:
-    """Check every element outside F has thickness degree at least tau in F."""
-    members = set(F)
+def _thickness(P: FinitePoset, members: list, tau: int) -> tuple[VerificationReport, list, np.ndarray]:
+    """The thickness report of ``members`` at tau, with the elements outside
+    them in declared order and their partner matrix (one product)."""
     params = {"subset": len(members), "tau": tau}
-    outsiders = [y for y in P.elements if y not in members]
-    degrees = _thick_partners(P, list(members), outsiders).sum(axis=1)
+    inside = set(members)
+    outsiders = [y for y in P.elements if y not in inside]
+    partners = _thick_partners(P, members, outsiders)
+    degrees = partners.sum(axis=1)
     low = np.flatnonzero(degrees < tau)
     if low.size:
-        return VerificationReport(
+        rep = VerificationReport(
             claim="thickness",
             params=params,
             status=FAIL,
             witness=outsiders[low[0]],
             detail={"degree": int(degrees[low[0]])},
         )
-    detail = {"min_degree": int(degrees.min())} if outsiders else {}
-    return VerificationReport(claim="thickness", params=params, status=PASS, detail=detail)
+    else:
+        detail = {"min_degree": int(degrees.min())} if outsiders else {}
+        rep = VerificationReport(claim="thickness", params=params, status=PASS, detail=detail)
+    return rep, outsiders, partners
+
+
+def strong_thick_check(P: FinitePoset, F: Iterable, tau: int) -> VerificationReport:
+    """Check every element outside F has thickness degree at least tau in F."""
+    return _thickness(P, list(set(F)), tau)[0]
 
 
 def extend_spine_partition(
@@ -474,29 +490,26 @@ def extend_spine_partition(
     :class:`ThresholdTooSmall` otherwise).  Outside elements are then placed
     greedily in declared order: each goes to the lowest-indexed unused part
     containing one of its thick partners, so each part absorbs at most one
-    new element.
+    new element.  The check and the placement read one partner matrix.
 
     The part stays an antichain with no further check.  An unused part holds
     only members of F, one of them y's partner x.  A member w of the part
     comparable to y would, by the partner condition, be comparable to x;
     in an antichain that makes w = x, which is incomparable to y.
     """
-    members = set(F)
-    sub = P.induced(members)
-    rep = check_spine(sub, cert)
+    members = list(set(F))
+    rep = check_spine(P.induced(members), cert)
     if not rep.ok:
         raise ValueError(f"invalid certificate for subset: {rep.detail.get('reason')}")
-    rep = strong_thick_check(P, members, tau)
+    rep, outsiders, partners = _thickness(P, members, tau)
     if not rep.ok:
         raise ThresholdTooSmall(rep.witness, f"thickness degree {rep.detail['degree']} < {tau}")
 
     part_of = {x: k for k, part in enumerate(cert.antichains) for x in part}
     new_parts = [list(part) for part in cert.antichains]
     used: set[int] = set()
-    outsiders = [y for y in P.elements if y not in members]
-    member_list = list(members)
-    for y, row in zip(outsiders, _thick_partners(P, member_list, outsiders)):
-        free = {part_of[member_list[k]] for k in np.flatnonzero(row)} - used
+    for y, row in zip(outsiders, partners):
+        free = {part_of[members[k]] for k in np.flatnonzero(row)} - used
         if not free:
             raise ThresholdTooSmall(y, "no unused antichain can absorb it")
         k = min(free)

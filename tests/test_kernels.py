@@ -1,14 +1,17 @@
 """The flat-index and ``take`` matrix kernels of ``poset`` against numpy's
-2-D index machinery, the thickness drivers against their per-outsider
-loops, ``element_id`` against the per-coordinate join, and the family
-checks on coordinate columns against their payload formulations.
+2-D index machinery, the thickness drivers and criterion 11's instance
+builder against their per-outsider and per-pair loops, ``element_id``
+against the per-coordinate join, and the family checks on coordinate
+columns against their payload formulations.
 
 ``poset._true_pairs`` and ``poset._block`` replace ``np.argwhere`` /
-``np.nonzero`` and ``np.ix_`` in the package, and ``partition`` reads every
+``np.nonzero`` and ``np.ix_`` in the package.  ``partition`` answers a
 thickness question from one partner matrix (one ``poset._bool_matmul``
-product).  Each public result built on them is compared here with the old
-formulation, kept below as the oracle, on hypothesis posets and on
-full-size family windows.
+product): ``extend_spine_partition`` reads its precondition check and its
+placement from the same one, so a criterion 11 attempt builds two, one
+for tau and one for the extension.  Each public result built on them is
+compared here with the old formulation, kept below as the oracle, on
+hypothesis posets and on full-size family windows.
 """
 
 import ast
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fishbone import acceptance, families, verify
+from fishbone import acceptance, families, partition, verify
 from fishbone.families import WindowSpec, elem_le, element_id, window, window_payloads
 from fishbone.partition import (
     NoEligiblePoint,
@@ -36,6 +39,7 @@ from fishbone.partition import (
     width_and_dilworth,
 )
 from fishbone.poset import FinitePoset, _block, _bool_matmul, _row_lists, _true_pairs
+from fishbone.random_posets import random_poset
 from fishbone.report import CLAIMS, FAIL, PASS, UP_TO_BOUND, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fishbone"
@@ -148,6 +152,41 @@ def old_greedy_antichain_from_chains(P, chains):
     return picked
 
 
+def old_extension_instance(rng):
+    """Criterion 11's instance builder with a ``leq`` call per ordered pair
+    of F, an ``lt`` pair per twin and one degree per outsider."""
+    F_poset = random_poset(rng, max_size=7, min_size=3)
+    cert = find_spine(F_poset)
+    part_of = {}
+    for k, part in enumerate(cert.antichains):
+        for x in part:
+            part_of[x] = k
+    n_f = len(F_poset)
+    n_out = rng.randint(1, min(3, len(cert.antichains)))
+    twin_parts = set()
+    pairs = [(a, b) for a in F_poset.elements for b in F_poset.elements if a != b and F_poset.leq(a, b)]
+    outsiders = []
+    for j in range(n_out):
+        name = n_f + j
+        if rng.random() < 0.5:
+            outsiders.append((name, None))
+            continue
+        candidates = [x for x in F_poset.elements if part_of[x] not in twin_parts]
+        twin = rng.choice(candidates)
+        twin_parts.add(part_of[twin])
+        outsiders.append((name, twin))
+        for z in F_poset.elements:
+            if F_poset.lt(twin, z):
+                pairs.append((name, z))
+            elif F_poset.lt(z, twin):
+                pairs.append((z, name))
+    elements = list(F_poset.elements) + [name for name, _ in outsiders]
+    P = FinitePoset.from_generators(elements, pairs)
+    F = set(F_poset.elements)
+    tau = min(old_thick_degree(P, F, name) for name, _ in outsiders)
+    return P, F, cert, tau
+
+
 def outcome(f, *args):
     """What ``f(*args)`` gives: its value, or its error's type, message and
     the element or chain index the error names."""
@@ -247,6 +286,35 @@ def test_extension_matches_its_per_outsider_loop_on_criterion_11_instances(seed)
         P, F, cert, tau = acceptance._extension_instance(rng)
         for t in (tau, tau + 1):
             assert_thickness_matches_the_oracles(P, F, cert, t)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_extension_instances_match_the_pairwise_builder(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        P, F, cert, tau = acceptance._extension_instance(new)
+        Q, G, want_cert, want_tau = old_extension_instance(old)
+        assert P.elements == Q.elements and np.array_equal(P.leq_matrix, Q.leq_matrix)
+        assert (F, cert, tau) == (G, want_cert, want_tau)
+
+
+def test_one_partner_matrix_per_extension(monkeypatch):
+    """The precondition check and the placement read one partner matrix,
+    and a criterion 11 attempt builds at most two: tau's and the
+    extension's."""
+    built = []
+    real = partition._thick_partners
+    monkeypatch.setattr(partition, "_thick_partners", lambda *args: built.append(args) or real(*args))
+    rng = random.Random(11)
+    for _ in range(40):
+        built.clear()
+        P, F, cert, tau = acceptance._extension_instance(rng)
+        outcome(extend_spine_partition, P, F, cert, tau)
+        assert len(built) <= 2
+        for t in (tau, tau + 1):
+            built.clear()
+            outcome(extend_spine_partition, P, F, cert, t)
+            assert len(built) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -588,6 +656,22 @@ def test_named_sets_and_cofinality_match_the_payload_filters(family):
             for slack in SLACKS:
                 rep = families.check_bounded_cofinally_above(family, upper, lower, spec, slack)
                 assert rep == old_check_bounded_cofinally_above(family, upper, lower, spec, slack)
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_bicomparability_matches_both_payload_filter_scans(family):
+    for spec in bounds(family)[:3]:
+        for first, second in itertools.product(NAMED[family], repeat=2):
+            for slack in (0, 2):
+                params = {"family": family, "first": first, "second": second, "bound": spec.to_dict(), "slack": slack}
+                want = VerificationReport("bicomparable", params, UP_TO_BOUND)
+                for upper, lower in ((first, second), (second, first)):
+                    rep = old_check_bounded_cofinally_above(family, upper, lower, spec, slack)
+                    if not rep.ok:
+                        detail = {"direction": f"{upper} over {lower}"}
+                        want = VerificationReport("bicomparable", params, FAIL, rep.witness, detail)
+                        break
+                assert families.check_bounded_bicomparable(family, first, second, spec, slack) == want
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)

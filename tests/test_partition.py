@@ -77,6 +77,68 @@ def test_empty_and_singleton():
     assert width(S) == 1
 
 
+def maximum_chains_by_brute_force(P: FinitePoset) -> list[tuple[int, ...]]:
+    """Every chain of maximum size, as declared indices read bottom-up.
+
+    A maximum chain is saturated from a minimal to a maximal element, so
+    every path along the covers from a minimal element is walked; the
+    covers come from the table by the triple loop."""
+    n = len(P)
+    lt = [[a and i != j for j, a in enumerate(row)] for i, row in enumerate(P.leq_matrix.tolist())]
+    covers = [[j for j in range(n) if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))] for i in range(n)]
+    stack = [(i,) for i in range(n) if not any(lt[j][i] for j in range(n))]
+    chains = []
+    while stack:
+        chain = stack.pop()
+        stack += [chain + (j,) for j in covers[chain[-1]]]
+        if not covers[chain[-1]]:
+            chains.append(chain)
+    h = max(map(len, chains), default=0)
+    return [c for c in chains if len(c) == h]
+
+
+def tall_poset(seed: int, height: int = 55) -> FinitePoset:
+    """Levels 0..height-1 of one element each, two on six of them, every
+    element above a drawn nonempty part of the level below; four side
+    elements each skip one level, and a separate short chain and an
+    isolated element lie off every maximum chain.  Declared order shuffled."""
+    rng = random.Random(seed)
+    wide = set(rng.sample(range(1, height), 6))
+    levels = [[(k, 0), (k, 1)] if k in wide else [(k, 0)] for k in range(height)]
+    pairs = [
+        (x, y)
+        for lower, upper in zip(levels, levels[1:])
+        for y in upper
+        for x in rng.sample(lower, rng.randint(1, len(lower)))
+    ]
+    side = [("s", k) for k in range(7)]
+    for s in side[:4]:
+        k = rng.randrange(height - 2)
+        pairs += [(rng.choice(levels[k]), s), (s, rng.choice(levels[k + 2]))]
+    pairs += [(side[4], side[5])]
+    elements = [x for level in levels for x in level] + side
+    rng.shuffle(elements)
+    return FinitePoset.from_generators(elements, pairs)
+
+
+@given(posets(max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_max_chain_is_the_least_maximum_chain_by_brute_force(P):
+    chains = maximum_chains_by_brute_force(P)
+    h, chain = height_and_max_chain(P)
+    assert h == len(chains[0])
+    assert tuple(P.index(x) for x in chain) == min(chains)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_max_chain_of_a_tall_poset_is_the_least_by_brute_force(seed):
+    P = tall_poset(seed)
+    chains = maximum_chains_by_brute_force(P)
+    h, chain = height_and_max_chain(P)
+    assert h == len(chains[0]) >= 50 and len(chains) > 1
+    assert tuple(P.index(x) for x in chain) == min(chains)
+
+
 def test_mirsky_levels_of_grid_are_antidiagonals():
     P = grid()
     parts = mirsky_partition(P)
