@@ -581,20 +581,17 @@ def criterion_11(seed: int = 0) -> VerificationReport:
 
 
 def _random_members(family: str, rng: random.Random, B: int, k: int) -> list:
-    """k members of the family with coordinates up to B (z from -B for P2),
-    each coordinate uniform, drawn one coordinate column at a time; a tenth
-    of P1's members are bot, top or a, uniformly."""
-    span, bit = range(B + 1), range(2)
-    axes = {
-        "P1": (span, bit),
-        "P2": (range(-B, B + 1), bit, span),
-        "P3": (span, span),
-        "P4": (span, span, span),
-        "P5": (span, span, span),
-    }[family]
-    members = list(zip(*(rng.choices(axis, k=k) for axis in axes)))
-    if family == "P1":
-        extremes = rng.choices(("bot", "top", "a", *[None] * 27), k=k)
+    """k members of the family with coordinates up to B (from -B on a signed
+    axis, P2's z), each coordinate uniform over its range in the family's
+    record, drawn one coordinate column at a time; then a tenth of the
+    members become named points (P1's bot, a and top), uniformly."""
+    fam = families.RECORDS[family]
+    spans = fam.spans(families.WindowSpec.make(**dict.fromkeys(fam.axes, B)))
+    columns = (spans[fam.factors[j]] for j in fam.order)
+    members = list(zip(*(rng.choices(range(lo, hi + 1), k=k) for lo, hi in columns)))
+    named = [p for p in fam.points if p is not None]
+    if named:
+        extremes = rng.choices((*named, *[None] * 9 * len(named)), k=k)
         members = [e or m for e, m in zip(extremes, members)]
     return members
 

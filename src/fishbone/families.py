@@ -24,6 +24,13 @@ given by generators only; each is compared by an O(1) closed form for
 reachability over its generator moves, whose docstring argues why the moves
 reach exactly those points.  No comparison depends on a window.
 
+A family is one frozen :class:`Family` record in :data:`RECORDS`, keyed by
+its name: window axes and product factors, the factor-to-column
+permutation, named points (P1's bot, a and top) in kind order, name format,
+payload check, scalar and broadcast forms, named sets, and greatest element.
+The functions read the record and never test the name, so a new family is
+one new record.
+
 Windows and named sets are enumerated as integer coordinate columns
 straight from their :class:`WindowSpec`, in the narrowest exact integer
 type (Python ints past int64); payloads and names are made only where a
@@ -42,6 +49,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -68,19 +76,6 @@ class UnknownClaim(PosetError):
         self.claim = claim
 
 
-FAMILIES = ("P1", "P2", "P3", "P4", "P5")
-
-# Window axes per family.  "n" for P1 bounds the pair index; "z" for P2 is
-# an integer axis windowed symmetrically; "c" for P5 bounds both x and y.
-FAMILY_AXES = {
-    "P1": ("n",),
-    "P2": ("z", "n"),
-    "P3": ("x", "y"),
-    "P4": ("x", "y", "z"),
-    "P5": ("n", "c"),
-}
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Inclusive per-axis bounds, e.g. ``WindowSpec((("n", 0, 3),))``."""
@@ -93,12 +88,7 @@ class WindowSpec:
         ``make(x=(1, 5))`` is 1..5."""
         out = []
         for axis, value in axes.items():
-            if isinstance(value, tuple):
-                lo, hi = value
-            elif axis == "z":
-                lo, hi = -value, value
-            else:
-                lo, hi = 0, value
+            lo, hi = value if isinstance(value, tuple) else (-value if axis == "z" else 0, value)
             if lo > hi:
                 raise ValueError(f"empty range for axis {axis!r}")
             out.append((axis, int(lo), int(hi)))
@@ -113,64 +103,10 @@ class WindowSpec:
     def widened(self, slack: int) -> "WindowSpec":
         """Grow every axis upward by ``slack`` (and downward too for the
         integer axis ``z``)."""
-        out = []
-        for name, lo, hi in self.bounds:
-            if name == "z":
-                out.append((name, lo - slack, hi + slack))
-            else:
-                out.append((name, lo, hi + slack))
-        return WindowSpec(tuple(out))
+        return WindowSpec(tuple((name, lo - slack if name == "z" else lo, hi + slack) for name, lo, hi in self.bounds))
 
     def to_dict(self) -> dict:
         return {name: [lo, hi] for name, lo, hi in self.bounds}
-
-
-# ------------------------------------------------------------- element names
-
-
-# One format per family: the name of a payload tuple is its coordinates,
-# comma-separated in parentheses, as in "(-1,0,2)".
-_ID_FORMAT = {"P1": "(%s,%s)", "P2": "(%s,%s,%s)", "P3": "(%s,%s)", "P4": "(%s,%s,%s)", "P5": "(%s,%s,%s)"}
-
-
-def element_id(family: str, payload) -> str:
-    """The element's name: P1's ``"bot"``, ``"a"`` and ``"top"`` as they
-    are, and every payload tuple by its family's format."""
-    if family == "P1" and isinstance(payload, str):
-        return payload
-    return _ID_FORMAT[family] % payload
-
-
-def _check_payload(family: str, payload) -> None:
-    """Raise FamilyMismatch unless ``payload`` is P1's "bot", "a" or "top", or
-    a tuple of ints (not bools) in the family's ranges.  Every elem_le call
-    runs it twice, so it is unrolled per family and unpacks into locals."""
-    if family == "P1":
-        if payload in ("bot", "top", "a"):
-            return
-        ok = isinstance(payload, tuple) and len(payload) == 2
-        if ok:
-            n, i = payload
-            ok = type(n) is type(i) is int and n >= 0 and 0 <= i <= 1
-    elif family == "P2":
-        ok = isinstance(payload, tuple) and len(payload) == 3
-        if ok:
-            z, i, n = payload
-            ok = type(z) is type(i) is type(n) is int and 0 <= i <= 1 and n >= 0
-    elif family == "P3":
-        ok = isinstance(payload, tuple) and len(payload) == 2
-        if ok:
-            x, y = payload
-            ok = type(x) is type(y) is int and x >= 0 and y >= 0
-    elif family in ("P4", "P5"):
-        ok = isinstance(payload, tuple) and len(payload) == 3
-        if ok:
-            x, y, z = payload
-            ok = type(x) is type(y) is type(z) is int and x >= 0 and y >= 0 and z >= 0
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if not ok:
-        raise FamilyMismatch(family, payload)
 
 
 # ------------------------------------------------------------ comparability
@@ -196,7 +132,7 @@ def _le_p1(p, q) -> bool:
 
 
 def _le_p1_cols(p, q):
-    """:func:`_le_p1` on coordinate columns (kind, n, i); see ``_P1_KIND``.
+    """:func:`_le_p1` on coordinate columns (kind, n, i); see P1's record.
 
     bot (kind 0) is below and top (kind 3) above everything; below a (kind
     2) are a and the pairs (n, 1), the points with kind + i == 2 since bot,
@@ -302,23 +238,118 @@ def _le_p4_cols(p, q):
     return (v >= y + 2) | ((y <= v) & (u <= x) & ((w >= z) | (x - u >= y + 1)))
 
 
-_LE = {"P1": _le_p1, "P2": _le_p2, "P3": _le_p3, "P4": _le_p4, "P5": _le_p5}
-_LE_COLS = {"P1": _le_p1_cols, "P2": _le_p2_cols, "P3": _le_p3_cols, "P4": _le_p4_cols, "P5": _le_p5_cols}
+# Payload checks: P1's "bot", "a" or "top", or a tuple of ints (not bools) in
+# the family's ranges.  elem_le runs one twice per call, so each is unrolled
+# per family; anything but a tuple of the right length unpacks to Nones.
+
+
+def _is_p1(p) -> bool:
+    n, i = p if isinstance(p, tuple) and len(p) == 2 else (None, None)
+    return p in ("bot", "top", "a") or type(n) is type(i) is int and n >= 0 and 0 <= i <= 1
+
+
+def _is_p2(p) -> bool:
+    z, i, n = p if isinstance(p, tuple) and len(p) == 3 else (None, None, None)
+    return type(z) is type(i) is type(n) is int and 0 <= i <= 1 and n >= 0
+
+
+def _is_natural_pair(p) -> bool:
+    x, y = p if isinstance(p, tuple) and len(p) == 2 else (None, None)
+    return type(x) is type(y) is int and x >= 0 and y >= 0
+
+
+def _is_natural_triple(p) -> bool:
+    x, y, z = p if isinstance(p, tuple) and len(p) == 3 else (None, None, None)
+    return type(x) is type(y) is type(z) is int and x >= 0 and y >= 0 and z >= 0
+
+
+# --------------------------------------------------------------- the records
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family's facts, read by every function of the module.
+
+    A window is the product of the ``factors`` ranges, slowest first, named
+    by axis ("i" is 0..1; only an axis in ``signed`` goes below 0), and
+    coordinate column k is factor ``order[k]``.  ``points`` are the named
+    points in kind order, None at the kind of the coordinate tuples: they
+    add a kind column first, are 0 in the others, and flank a window's
+    product.  ``named`` maps each named chain or antichain's base name to
+    its number of integer indices and its mask on coordinate columns c."""
+
+    name: str
+    axes: tuple  # the axes a WindowSpec must bound, exactly
+    factors: tuple
+    order: tuple
+    fmt: str  # the name of a coordinate tuple
+    member: Callable  # the payload check
+    le: Callable  # the scalar form
+    le_cols: Callable  # the broadcast form on coordinate columns
+    named: dict
+    signed: tuple = ()
+    points: tuple = ()
+    greatest: str | None = None  # the named point above the whole family
+
+    def spans(self, spec: WindowSpec) -> dict:
+        """Each factor's inclusive range in the window ``spec``, which must
+        bound exactly the family's axes."""
+        given = [name for name, _, _ in spec.bounds]
+        for axis in [*given, *self.axes]:
+            if (axis in self.axes) != (axis in given):
+                problem = "has no axis" if axis in given else "needs a bound for axis"
+                raise ValueError(f"family {self.name} {problem} {axis!r}; its axes are {', '.join(self.axes)}")
+        spans = {a: (lo if a in self.signed else max(lo, 0), hi) for a in self.axes for lo, hi in [spec.bound(a)]}
+        return {**spans, "i": (0, 1)}
+
+
+class _Records(dict):
+    """The records by family name; an unknown name raises ValueError."""
+
+    def __missing__(self, family):
+        raise ValueError(f"unknown family {family!r}")
+
+
+# "n" for P1 bounds the pair index, and its kind 2 is a; "z" for P2 is an
+# integer axis windowed symmetrically; "c" for P5 bounds both x and y, and
+# its columns are x, y, n.
+RECORDS = _Records({f.name: f for f in (
+    Family("P1", ("n",), ("n", "i"), (0, 1), "(%s,%s)", _is_p1, _le_p1, _le_p1_cols,
+           {"C1": (0, lambda c: (c[0] != 2) & (c[2] == 0)), "C2": (0, lambda c: (c[0] != 1) | (c[2] == 1))},
+           points=("bot", None, "a", "top"), greatest="top"),
+    Family("P2", ("z", "n"), ("z", "i", "n"), (0, 1, 2), "(%s,%s,%s)", _is_p2, _le_p2, _le_p2_cols,
+           {"C0": (0, lambda c: c[1] == 0), "C1": (0, lambda c: c[1] == 1), "D": (1, lambda c, n: c[2] == n)},
+           signed=("z",)),
+    Family("P3", ("x", "y"), ("x", "y"), (0, 1), "(%s,%s)", _is_natural_pair, _le_p3, _le_p3_cols,
+           {"C": (1, lambda c, x: c[0] == x)}),
+    Family("P4", ("x", "y", "z"), ("x", "y", "z"), (0, 1, 2), "(%s,%s,%s)", _is_natural_triple, _le_p4, _le_p4_cols,
+           {"E": (1, lambda c, x: c[0] == x)}),
+    Family("P5", ("n", "c"), ("n", "c", "c"), (1, 2, 0), "(%s,%s,%s)", _is_natural_triple, _le_p5, _le_p5_cols,
+           {"L": (1, lambda c, n: c[2] == n), "K": (2, lambda c, n, s: (c[2] == n) & (c[0] + c[1] == s))}),
+)})
+
+FAMILIES = tuple(RECORDS)
+
+
+def element_id(family: str, payload) -> str:
+    """The element's name: a named point (P1's ``"bot"``, ``"a"`` and
+    ``"top"``) as it is, and every payload tuple by its family's format."""
+    fam = RECORDS[family]
+    return payload if fam.points and isinstance(payload, str) else fam.fmt % payload
 
 
 def elem_le(family: str, p, q) -> bool:
     """Decide p <= q in the named family; raises FamilyMismatch."""
-    _check_payload(family, p)
-    _check_payload(family, q)
-    return _LE[family](p, q)
+    fam = RECORDS[family]
+    if not fam.member(p):
+        raise FamilyMismatch(family, p)
+    if not fam.member(q):
+        raise FamilyMismatch(family, q)
+    return fam.le(p, q)
 
 
 # ------------------------------------------------------------------ windows
 
-
-# A P1 element's coordinates are (kind, n, i): bot, a and top are kinds 0, 2
-# and 3 with n = i = 0, and every pair (n, i) is kind 1.
-_P1_KIND = {"bot": 0, "a": 2, "top": 3}
 
 # No intermediate of a broadcast form exceeds four times the largest
 # |coordinate| plus two (P5's 2*(u+v) is the largest), so the columns take
@@ -328,47 +359,38 @@ _P1_KIND = {"bot": 0, "a": 2, "top": 3}
 # the type is object and the same expression runs on Python ints.
 
 
-# Each window is the product of these ranges, slowest first ("i" is 0..1).
-_FACTORS = {"P1": ("n", "i"), "P2": ("z", "i", "n"), "P3": ("x", "y"), "P4": ("x", "y", "z"), "P5": ("n", "c", "c")}
-
-
 def _exact_type(size: int) -> np.dtype:
     return np.min_scalar_type(-(4 * size + 2))
 
 
 def _window_columns(family: str, spec: WindowSpec, cap: float = math.inf) -> np.ndarray:
     """``a[k, i]`` is coordinate k of the window's element i, in the order
-    of :func:`window_payloads`: the product of ``_FACTORS`` (P1's bot first,
-    a and top last; P5's columns are x, y, n).  Every axis but P2's z is
-    natural.  The spec must bound exactly the family's axes, and a window of
-    more than ``cap`` elements raises ValueError before it is enumerated."""
-    axes = FAMILY_AXES.get(family)
-    if axes is None:
-        raise ValueError(f"unknown family {family!r}")
-    given = [name for name, _, _ in spec.bounds]
-    for axis in [*given, *axes]:
-        if (axis in axes) != (axis in given):
-            problem = "has no axis" if axis in given else "needs a bound for axis"
-            raise ValueError(f"family {family} {problem} {axis!r}; its axes are {', '.join(axes)}")
-    spans = {a: (lo if (family, a) == ("P2", "z") else max(lo, 0), hi) for a in axes for lo, hi in [spec.bound(a)]}
-    spans["i"] = (0, 1)
-    size = math.prod(max(hi - lo + 1, 0) for lo, hi in map(spans.get, _FACTORS[family])) + 3 * (family == "P1")
+    of :func:`window_payloads`: the product of the record's factors, with
+    its named points around it.  The spec must bound exactly the family's
+    axes, and a window of more than ``cap`` elements raises ValueError
+    before it is enumerated."""
+    fam = RECORDS[family]
+    spans = fam.spans(spec)
+    size = math.prod(max(hi - lo + 1, 0) for lo, hi in map(spans.get, fam.factors))
+    size += len(fam.points) - bool(fam.points)
     if size > cap:
         raise ValueError(f"family {family} window of {size} elements exceeds its cap {cap}")
     dtype = _exact_type(max(abs(v) for span in spans.values() for v in span))
-    ranges = {a: np.arange(lo, hi + 1, dtype=dtype) for a, (lo, hi) in spans.items()}
-    g = [c.ravel() for c in np.meshgrid(*(ranges[f] for f in _FACTORS[family]), indexing="ij")]
-    if family == "P1":
-        ends = np.array([[0, 2, 3], [0, 0, 0], [0, 0, 0]], dtype=dtype)
-        return np.concatenate((ends[:, :1], [np.ones_like(g[0]), *g], ends[:, 1:]), axis=1, dtype=dtype)
-    return np.stack(g[1:] + g[:1] if family == "P5" else g)
+    factors = (np.arange(lo, hi + 1, dtype=dtype) for lo, hi in map(spans.get, fam.factors))
+    g = [c.ravel() for c in np.meshgrid(*factors, indexing="ij")]
+    columns = [g[k] for k in fam.order]
+    if not fam.points:
+        return np.stack(columns)
+    t = fam.points.index(None)
+    ends = np.zeros((1 + len(columns), len(fam.points)), dtype=dtype)
+    ends[0] = range(len(fam.points))
+    return np.concatenate((ends[:, :t], [np.full_like(g[0], t), *columns], ends[:, t + 1 :]), axis=1, dtype=dtype)
 
 
 def _payloads(family: str, a: np.ndarray) -> list:
     """The payloads whose coordinate columns are ``a``, as Python ints."""
-    if family == "P1":
-        return [(n, i) if s == 1 else ("bot", None, "a", "top")[s] for s, n, i in zip(*a.tolist())]
-    return list(zip(*a.tolist()))
+    points = RECORDS[family].points
+    return [points[s] or tuple(c) for s, *c in zip(*a.tolist())] if points else list(zip(*a.tolist()))
 
 
 def window_payloads(family: str, spec: WindowSpec) -> list:
@@ -379,8 +401,10 @@ def window_payloads(family: str, spec: WindowSpec) -> list:
 def _columns(family: str, points: list) -> np.ndarray:
     """``a[k, i]`` is coordinate k of points[i], in the type chosen above;
     ``points`` is non-empty."""
-    if family == "P1":
-        points = [(1, *p) if isinstance(p, tuple) else (_P1_KIND[p], 0, 0) for p in points]
+    fam = RECORDS[family]
+    if fam.points:
+        t, zeros = fam.points.index(None), (0,) * len(fam.order)
+        points = [(t, *p) if isinstance(p, tuple) else (fam.points.index(p), *zeros) for p in points]
     coords = list(zip(*points))
     return np.array(coords, dtype=_exact_type(max(-min(map(min, coords)), max(map(max, coords)))))
 
@@ -398,7 +422,7 @@ def relation_block(family: str, rows: list, cols: list) -> np.ndarray:
         return np.zeros((len(rows), len(cols)), dtype=bool)
     points = rows if cols is rows else [*rows, *cols]
     a = _columns(family, points)
-    return _LE_COLS[family](a[:, : len(rows), None], a[:, None, len(points) - len(cols) :])
+    return RECORDS[family].le_cols(a[:, : len(rows), None], a[:, None, len(points) - len(cols) :])
 
 
 def relation_pairs(family: str, points: list, left, right) -> np.ndarray:
@@ -409,13 +433,14 @@ def relation_pairs(family: str, points: list, left, right) -> np.ndarray:
     by the index arrays ``left`` and ``right``.
     """
     a = _columns(family, points)
-    return _LE_COLS[family](a[:, left], a[:, right])
+    return RECORDS[family].le_cols(a[:, left], a[:, right])
 
 
 def _incomparable(family: str, rows, cols) -> np.ndarray:
     """rows[i] and cols[j] are incomparable, for coordinate columns shaped
     to broadcast as a rows × cols block; both directions keep that layout."""
-    return ~(_LE_COLS[family](rows, cols) | _LE_COLS[family](cols, rows))
+    le = RECORDS[family].le_cols
+    return ~(le(rows, cols) | le(cols, rows))
 
 
 WINDOW_CAP = 4000
@@ -431,7 +456,7 @@ def window(family: str, spec: WindowSpec) -> FinitePoset:
     """
     a = _window_columns(family, spec, WINDOW_CAP)
     names = [element_id(family, p) for p in _payloads(family, a)]
-    return FinitePoset(names, _LE_COLS[family](a[:, :, None], a[:, None, :]))
+    return FinitePoset(names, RECORDS[family].le_cols(a[:, :, None], a[:, None, :]))
 
 
 # -------------------------------------------------------------- named sets
@@ -440,27 +465,12 @@ def window(family: str, spec: WindowSpec) -> FinitePoset:
 _NAME = re.compile(r"^([A-Z]+[0-9]*)(?:\(\s*(-?\d+)(?:\s*,\s*(-?\d+))?\s*\))?$")
 
 
-# Each named chain or antichain by family and base name: the number of
-# integer indices its name takes, and its membership mask on coordinate
-# columns c (P1's are (kind, n, i)).
-_NAMED = {
-    ("P1", "C1"): (0, lambda c: (c[0] != _P1_KIND["a"]) & (c[2] == 0)),
-    ("P1", "C2"): (0, lambda c: (c[0] != 1) | (c[2] == 1)),
-    ("P2", "C0"): (0, lambda c: c[1] == 0),
-    ("P2", "C1"): (0, lambda c: c[1] == 1),
-    ("P2", "D"): (1, lambda c, n: c[2] == n),
-    ("P3", "C"): (1, lambda c, x: c[0] == x),
-    ("P4", "E"): (1, lambda c, x: c[0] == x),
-    ("P5", "L"): (1, lambda c, n: c[2] == n),
-    ("P5", "K"): (2, lambda c, n, s: (c[2] == n) & (c[0] + c[1] == s)),
-}
-
-
 def _named_predicate(family: str, name: str):
     """The membership mask of a named set on coordinate columns, or
     UnknownName."""
     m = _NAME.match(name.strip())
-    arity, mask = _NAMED.get((family, m.group(1)) if m else None, (None, None))
+    named = RECORDS[family].named if family in RECORDS else {}
+    arity, mask = named.get(m.group(1) if m else None, (None, None))
     indices = [int(g) for g in m.groups()[1:] if g is not None] if m else []
     if arity != len(indices):
         raise UnknownName(family, name)
@@ -476,16 +486,11 @@ def named_subset_payloads(family: str, name: str, spec: WindowSpec) -> list:
     return _payloads(family, _named_columns(family, name, spec))
 
 
-def named_subset(family: str, name: str, spec: WindowSpec) -> list[str]:
-    """The named set intersected with the window, as element names."""
-    return [element_id(family, p) for p in named_subset_payloads(family, name, spec)]
-
-
 def _first_unreached(family: str, lower: np.ndarray, upper: np.ndarray):
     """The index of the first column of ``lower`` with no column of
     ``upper`` strictly above it, or None.  y < x is y <= x and y != x: one
     block of the form, with each lower point's equal in upper cleared."""
-    below = _LE_COLS[family](lower[:, :, None], upper[:, None, :])
+    below = RECORDS[family].le_cols(lower[:, :, None], upper[:, None, :])
     at = {p: k for k, p in enumerate(zip(*upper.tolist()))}
     np.put(below, [r * below.shape[1] + at[p] for r, p in enumerate(zip(*lower.tolist())) if p in at], False)
     reached = below.any(axis=1)
@@ -498,16 +503,17 @@ def check_bounded_cofinally_above(
     """Bounded check that ``upper`` reaches above every point of ``lower``.
 
     For each y of the lower set inside ``bound``, searches the upper set in
-    the window widened by ``slack`` for an x strictly above y.  A pass is
-    reported as verified-up-to-bound: it is evidence about the infinite
+    the window widened by ``slack`` for an x strictly above y.  The family's
+    greatest element (P1's top) needs nothing strictly above it, since
+    chains through it are cofinal there, so it is not searched for.  A pass
+    is reported as verified-up-to-bound: it is evidence about the infinite
     sets, not a proof.
     """
     params = {"family": family, "upper": upper, "lower": lower, "bound": bound.to_dict(), "slack": slack}
     lower_cols = _named_columns(family, lower, bound)
-    if family == "P1":
-        # top is the maximum of the whole (infinite) family, so it needs
-        # nothing strictly above: chains through it are cofinal there.
-        lower_cols = lower_cols[:, lower_cols[0] != _P1_KIND["top"]]
+    fam = RECORDS[family]
+    if fam.greatest is not None:
+        lower_cols = lower_cols[:, lower_cols[0] != fam.points.index(fam.greatest)]
     upper_cols = _named_columns(family, upper, bound.widened(slack))
     k = _first_unreached(family, lower_cols, upper_cols)
     if k is not None:
@@ -683,11 +689,6 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> tuple:
     if dominating.any():
         return FAIL, element_id("P4", candidates[int(dominating.argmax())]), {}
     return UP_TO_BOUND, None, {"candidates": len(candidates), "targets": len(targets)}
-
-
-def claim_names(family: str) -> list[str]:
-    """The family's claims in :data:`report.CLAIMS` (P5's are in ``verify``)."""
-    return sorted(name[len(family) + 1 :] for name in CLAIMS if name.startswith(f"{family}."))
 
 
 def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:

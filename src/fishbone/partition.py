@@ -6,10 +6,9 @@ exactly one element.  Every finite poset has one: take a maximum chain and
 partition by longest-chain-from-below ("level") — each level is an antichain
 and contains exactly one element of any maximum chain.
 
-The module also provides maximum-antichain / minimum-chain-cover duals,
-strong maximality of chains with explicit failure witnesses, a thickness
-measure counting well-insulated incomparable partners, and the greedy
-procedures that extend a spine partition to a larger poset or pick an
+The module also provides maximum-antichain / minimum-chain-cover duals, a
+thickness measure counting well-insulated incomparable partners, and the
+greedy procedures that extend a spine partition to a larger poset or pick an
 antichain transversal through a list of chains.
 """
 
@@ -17,13 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .poset import (
-    FinitePoset, NotAChain, PosetError, UnknownElement, _block, _bool_matmul, _decode_json, _is_element_id
+    FinitePoset, PosetError, UnknownElement, _block, _bool_matmul, _decode_json, _is_element_id
 )
 from .report import FAIL, PASS, VerificationReport
 
@@ -88,10 +86,6 @@ def certificate_from_json_dict(data: dict) -> SpineCertificate:
 def load_certificate(path: str) -> SpineCertificate:
     with open(path, "r", encoding="utf-8") as fh:
         return certificate_from_json_dict(_decode_json(json.load, fh, "certificate"))
-
-
-def loads_certificate(text: str) -> SpineCertificate:
-    return certificate_from_json_dict(_decode_json(json.loads, text, "certificate"))
 
 
 # --------------------------------------------------------------------- height
@@ -379,55 +373,6 @@ def is_spine(P: FinitePoset, cert: SpineCertificate) -> bool:
     return check_spine(P, cert).ok
 
 
-# ---------------------------------------------------- strongly maximal chains
-
-
-def is_strongly_maximal(P: FinitePoset, chain: Iterable) -> bool:
-    """No trade improves the chain: removing a finite piece never allows
-    inserting a strictly larger finite piece.
-
-    In a finite poset this is equivalent to being a maximum chain, which is
-    what is checked; :func:`smc_gap_witness` produces the improving trade
-    whenever the check fails.
-    """
-    members = list(chain)
-    if not P.is_chain(members):
-        raise NotAChain(*_first_incomparable(P, members))
-    return len(set(members)) == height(P)
-
-
-def _first_incomparable(P: FinitePoset, members: Sequence) -> tuple:
-    return next((x, y) for x, y in combinations(members, 2) if not P.comparable(x, y))
-
-
-def smc_gap_witness(P: FinitePoset, chain: Iterable) -> tuple[list, list] | None:
-    """An improving trade (E, D) for a chain that is not strongly maximal.
-
-    E is a contiguous segment of the chain and D a strictly larger chain that
-    fits in its place: every element of D lies strictly between the chain
-    elements bordering E (when they exist).  Returns None when the chain is
-    strongly maximal.  The segment is found scanning gap positions (i, j)
-    with i <= j in lexicographic order over the sorted chain.
-    """
-    members = P.chain_sorted(set(chain))
-    idx = [P.index(x) for x in members]
-    strict = P.strict_matrix
-    outside = np.ones(len(P), dtype=bool)
-    outside[idx] = False
-    for i in range(len(idx) + 1):
-        above = outside & strict[idx[i - 1], :] if i > 0 else outside
-        for j in range(i, len(idx) + 1):
-            between = above & strict[:, idx[j]] if j < len(idx) else above
-            if not between.any():
-                continue
-            region = [P.elements[k] for k in np.flatnonzero(between)]
-            sub = P.induced(region)
-            h, repl = height_and_max_chain(sub)
-            if h > j - i:
-                return members[i:j], repl
-    return None
-
-
 # ------------------------------------------------------------------ thickness
 
 
@@ -440,16 +385,6 @@ def _thick_partners(P: FinitePoset, members: Sequence, ys: Sequence) -> np.ndarr
     comp = P.comparability_matrix
     with_y = _block(comp, [P.index(y) for y in ys], idx)
     return ~with_y & ~_bool_matmul(with_y, ~_block(comp, idx))
-
-
-def thick_degree(P: FinitePoset, F: Iterable, y) -> int:
-    """Number of x in F incomparable to y whose F-comparabilities cover y's.
-
-    Counts x in F with x incomparable to y such that every z in F comparable
-    to y is also comparable to x.  Such x can absorb y into any antichain
-    built inside F without new comparabilities appearing.
-    """
-    return int(_thick_partners(P, list(F), [y]).sum())
 
 
 def _thickness(P: FinitePoset, members: list, tau: int) -> tuple[VerificationReport, list, np.ndarray]:

@@ -5,6 +5,7 @@ and prints a single summary line; the assertion enforces the stated scale
 and tolerance of the criterion.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -214,8 +215,9 @@ def test_relation_pairs_match_elem_le_on_criterion_12_draws(family):
 def _first_failure(monkeypatch, family, broken):
     """Criterion 12's report with ``family``'s broadcast form replaced by
     ``broken(form, p, q)``, plus that family's drawn members."""
-    form = families._LE_COLS[family]
-    monkeypatch.setitem(families._LE_COLS, family, lambda p, q: broken(form, p, q))
+    real = families.RECORDS[family]
+    wrong = dataclasses.replace(real, le_cols=lambda p, q: broken(real.le_cols, p, q))
+    monkeypatch.setitem(families.RECORDS, family, wrong)
     rep = acceptance.criterion_12(seed=0)
     rng = random.Random(12)
     for earlier in FAMILIES[: FAMILIES.index(family)]:

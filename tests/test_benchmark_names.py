@@ -92,11 +92,11 @@ def test_benchmark_windows_use_only_their_familys_axes(monkeypatch):
     specs = [(family, spec) for family, spec in gen.WINDOWS]
     specs += [(family, bound) for family, _, _, bound, _ in gen.COFINALITY]
     for family, spec in specs:
-        assert sorted(spec) == sorted(families.FAMILY_AXES[family]), (family, spec)
+        assert sorted(spec) == sorted(families.RECORDS[family].axes), (family, spec)
     for family, upper, lower, bound, slack in gen.COFINALITY:
         spec = families.WindowSpec.make(**{a: tuple(v) if isinstance(v, list) else v for a, v in bound.items()})
         for name in (upper, lower):
-            assert families.named_subset(family, name, spec.widened(slack)), (family, name)
+            assert families.named_subset_payloads(family, name, spec.widened(slack)), (family, name)
 
 
 # The argument that holds the command line in the benchmark's CLI calls:

@@ -685,9 +685,10 @@ def command_lines(draw):
     if command == "verify":
         argv += [draw(st.sampled_from(["all", "counting", "nope"])), *draw(options([]))]
     elif command == "family window":
-        argv += [family, *draw(options([("--spec", axis_list(families.FAMILY_AXES.get(family, ("n",))))]))]
+        argv += [family, *draw(options([("--spec", axis_list(families.RECORDS[family].axes if family in families.RECORDS else ("n",)))]))]
     elif command == "family check":
-        claim = draw(st.sampled_from([*families.claim_names(family) * 3, "nope"]))
+        registry = sorted(name.split(".")[1] for name in report.CLAIMS if name.startswith(f"{family}."))
+        claim = draw(st.sampled_from([*registry * 3, "nope"]))
         registered = f"{family}.{claim}" in report.CLAIMS
         params = claim_params(family, claim) if registered else axis_list(("B",), SMALL_INTS)
         argv += [family, *draw(options([("--claim", st.just(claim)), ("--params", params)]))]

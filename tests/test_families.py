@@ -7,12 +7,13 @@ rectangular ``relation_block``."""
 import inspect
 import itertools
 import json
+import random
 from collections import deque
 
 import numpy as np
 import pytest
 
-from fishbone import families, report, verify
+from fishbone import acceptance, families, report, verify
 from fishbone.cli import main
 from fishbone.families import (
     FAMILIES,
@@ -22,10 +23,9 @@ from fishbone.families import (
     WindowSpec,
     check_bounded_bicomparable,
     check_bounded_cofinally_above,
-    claim_names,
     elem_le,
     element_id,
-    named_subset,
+    named_subset_payloads,
     relation_block,
     verify_claim,
     window,
@@ -33,6 +33,12 @@ from fishbone.families import (
 )
 from fishbone.poset import FinitePoset, PosetError
 from fishbone.report import FAIL, PASS, PreconditionViolated, VerificationReport
+
+
+def named_ids(family, name, spec):
+    """The named set intersected with the window, as element names."""
+    return [element_id(family, p) for p in named_subset_payloads(family, name, spec)]
+
 
 # ------------------------------------------------------ generator-move oracle
 
@@ -334,8 +340,8 @@ def test_p1_window_enumeration_and_named_chains():
     spec = WindowSpec.make(n=2)
     ids = [element_id("P1", p) for p in window_payloads("P1", spec)]
     assert ids == ["bot", "(0,0)", "(0,1)", "(1,0)", "(1,1)", "(2,0)", "(2,1)", "a", "top"]
-    assert named_subset("P1", "C1", spec) == ["bot", "(0,0)", "(1,0)", "(2,0)", "top"]
-    assert named_subset("P1", "C2", spec) == ["bot", "(0,1)", "(1,1)", "(2,1)", "a", "top"]
+    assert named_ids("P1", "C1", spec) == ["bot", "(0,0)", "(1,0)", "(2,0)", "top"]
+    assert named_ids("P1", "C2", spec) == ["bot", "(0,1)", "(1,1)", "(2,1)", "a", "top"]
 
 
 def test_p1_window_poset_has_global_bounds():
@@ -363,10 +369,10 @@ def test_p2_far_out():
 
 def test_p2_named_sets():
     spec = WindowSpec.make(z=1, n=1)
-    assert named_subset("P2", "C0", spec) == [
+    assert named_ids("P2", "C0", spec) == [
         "(-1,0,0)", "(-1,0,1)", "(0,0,0)", "(0,0,1)", "(1,0,0)", "(1,0,1)"
     ]
-    assert named_subset("P2", "D(1)", spec) == [
+    assert named_ids("P2", "D(1)", spec) == [
         "(-1,0,1)", "(-1,1,1)", "(0,0,1)", "(0,1,1)", "(1,0,1)", "(1,1,1)"
     ]
 
@@ -439,9 +445,9 @@ def test_p5_frozen_rules():
 
 def test_p5_named_sets():
     spec = WindowSpec.make(n=(0, 0), c=3)
-    assert named_subset("P5", "K(0,2)", spec) == ["(0,2,0)", "(1,1,0)", "(2,0,0)"]
+    assert named_ids("P5", "K(0,2)", spec) == ["(0,2,0)", "(1,1,0)", "(2,0,0)"]
     spec2 = WindowSpec.make(n=(0, 1), c=1)
-    assert named_subset("P5", "L(1)", spec2) == [
+    assert named_ids("P5", "L(1)", spec2) == [
         "(0,0,1)", "(0,1,1)", "(1,0,1)", "(1,1,1)"
     ]
 
@@ -458,11 +464,11 @@ def test_window_sizes():
 def test_unknown_names():
     spec = WindowSpec.make(n=2)
     with pytest.raises(UnknownName):
-        named_subset("P1", "C9", spec)
+        named_ids("P1", "C9", spec)
     with pytest.raises(UnknownName):
-        named_subset("P5", "K(1)", WindowSpec.make(n=1, c=2))
+        named_ids("P5", "K(1)", WindowSpec.make(n=1, c=2))
     with pytest.raises(UnknownName):
-        named_subset("P3", "C", WindowSpec.make(x=2, y=2))
+        named_ids("P3", "C", WindowSpec.make(x=2, y=2))
 
 
 # ------------------------------------------------------------------- claims
@@ -474,8 +480,6 @@ def test_claim_registry():
         "P3.row_bound", "P4.no_domination", "P5.constant_on_rows", "P5.final_counting", "P5.level_structure",
         "P5.min_drop",
     ]
-    assert claim_names("P1") == ["pigeonhole", "spine_partition"]
-    assert claim_names("P5") == ["constant_on_rows", "final_counting", "level_structure", "min_drop"]
     assert report.CLAIMS["P5.min_drop"] is verify.verify_min_drop
     with pytest.raises(UnknownClaim):
         verify_claim("P1", "no_such_claim", {})
@@ -697,6 +701,28 @@ def test_coordinates_below_2_to_the_60_stay_in_int64():
     assert families._columns("P3", [(2, m), (m, 2 * 3000)]).dtype == np.int64
     rep = verify_claim("P3", "atomic_antichain", {"n": 2, "m": m, "B": 3})
     assert rep.ok and rep.params == {"n": 2, "m": m, "B": 3}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("far", [0, 2**70])
+def test_coordinate_columns_and_payloads_round_trip(family, far):
+    # Criterion 12's draws (P1's bot, a and top among them, P2's z down to
+    # -12) and every named point; ``far`` moves each coordinate but i away
+    # from 0 (downward on P2's z), which at 2**70 makes the columns object.
+    fam = families.RECORDS[family]
+    shift = [0 if fam.factors[j] == "i" else -far if fam.factors[j] in fam.signed else far for j in fam.order]
+    members = acceptance._random_members(family, random.Random(12), 12, 300)
+    members += [p for p in fam.points if p is not None]
+    members = [tuple(c + d for c, d in zip(p, shift)) if isinstance(p, tuple) else p for p in members]
+    a = families._columns(family, members)
+    assert a.dtype == (object if far else np.int8)
+    back = families._payloads(family, a)
+    assert back == members
+    assert all(type(c) is int for p in back if isinstance(p, tuple) for c in p)
+    if family == "P1":
+        assert {"bot", "a", "top"} <= set(members) and any(isinstance(p, tuple) for p in members)
+    if family == "P2":
+        assert min(z for z, _, _ in members) < 0
 
 
 # -------------------------------------------------------- bounded cofinality

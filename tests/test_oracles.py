@@ -11,6 +11,7 @@ no other module holds are below the table.
 """
 
 import ast
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -150,8 +151,9 @@ def test_p4_no_domination_matches_a_scalar_scan(monkeypatch, planted):
     def extra(p, q):
         return (q[1] == planted[0]) & (q[2] == planted[1]) if planted else False
 
-    real = families._LE_COLS["P4"]
-    monkeypatch.setitem(families._LE_COLS, "P4", lambda p, q: real(p, q) | extra(p, q))
+    real = families.RECORDS["P4"]
+    planted_form = dataclasses.replace(real, le_cols=lambda p, q: real.le_cols(p, q) | extra(p, q))
+    monkeypatch.setitem(families.RECORDS, "P4", planted_form)
     statuses, planted_found = set(), False
     for n, m, B, slack in itertools.product(range(3), range(3), range(4), range(3)):
         want = _no_domination_by_scan(n, m, B, slack, lambda p, q: elem_le("P4", p, q) or bool(extra(p, q)))

@@ -1,6 +1,7 @@
 """Spine certificates, the two min-max partitions, and the greedy drivers."""
 
 import functools
+import json
 import random
 import tracemalloc
 
@@ -13,6 +14,8 @@ from fishbone.partition import (
     SpineCertificate,
     ThresholdTooSmall,
     _successor_rows,
+    _thick_partners,
+    certificate_from_json_dict,
     check_spine,
     extend_spine_partition,
     find_spine,
@@ -20,16 +23,12 @@ from fishbone.partition import (
     height,
     height_and_max_chain,
     is_spine,
-    is_strongly_maximal,
-    loads_certificate,
     mirsky_partition,
-    smc_gap_witness,
     strong_thick_check,
-    thick_degree,
     width,
     width_and_dilworth,
 )
-from fishbone.poset import FinitePoset, NotAChain
+from fishbone.poset import FinitePoset
 from fishbone.report import FAIL, PASS, VerificationReport
 from fishbone.random_posets import random_poset
 
@@ -403,41 +402,6 @@ def test_table_built_chain_lengths_match_the_longest_path_dp(P):
     assert down.tolist() == _longest_paths(R, nx.topological_sort(R))
 
 
-def _gap_witness_by_loops(P: FinitePoset, chain):
-    """Reference for smc_gap_witness: every region scanned element by element."""
-    members = P.chain_sorted(set(chain))
-    strict = P.strict_matrix
-    outside = [k for k in range(len(P)) if P.elements[k] not in members]
-    for i in range(len(members) + 1):
-        for j in range(i, len(members) + 1):
-            region = [
-                P.elements[k]
-                for k in outside
-                if (i == 0 or strict[P.index(members[i - 1]), k])
-                and (j == len(members) or strict[k, P.index(members[j])])
-            ]
-            if region:
-                h, repl = height_and_max_chain(P.induced(region))
-                if h > j - i:
-                    return members[i:j], repl
-    return None
-
-
-def test_gap_witness_matches_the_loop_reference():
-    for seed in range(200):
-        rng = random.Random(seed)
-        P = random_poset(rng, max_size=14)
-        order = list(P.elements)
-        rng.shuffle(order)
-        chain: list = []
-        for x in order:
-            if all(P.comparable(x, y) for y in chain):
-                chain.append(x)
-            if rng.random() < 0.15:
-                break
-        assert smc_gap_witness(P, chain) == _gap_witness_by_loops(P, chain)
-
-
 # ------------------------------------------------------- spine certificates
 
 
@@ -582,40 +546,9 @@ def test_check_spine_matches_the_loop_reference(case):
 
 def test_certificate_json_round_trip():
     cert = find_spine(diamond())
-    again = loads_certificate(cert.dumps())
+    again = certificate_from_json_dict(json.loads(cert.dumps()))
     assert tuple(again.chain) == cert.chain
     assert tuple(tuple(p) for p in again.antichains) == cert.antichains
-
-
-# ------------------------------------------------- strongly maximal chains
-
-
-def test_strongly_maximal_iff_maximum():
-    P = grid()
-    h, chain = height_and_max_chain(P)
-    assert is_strongly_maximal(P, chain)
-    assert not is_strongly_maximal(P, [(0, 0), (0, 1)])
-
-
-def test_strongly_maximal_rejects_non_chain():
-    with pytest.raises(NotAChain):
-        is_strongly_maximal(diamond(), ["b", "c"])
-
-
-def test_gap_witness_inserts_into_a_gap():
-    P = FinitePoset.from_generators("abd", [("a", "b"), ("b", "d")])
-    assert smc_gap_witness(P, ["a", "d"]) == ([], ["b"])
-    assert smc_gap_witness(P, ["a", "b", "d"]) is None
-
-
-def test_gap_witness_swaps_out_a_blocker():
-    P = FinitePoset.from_generators(
-        "abcdx",
-        [("a", "b"), ("b", "c"), ("c", "d"), ("a", "x"), ("x", "d")],
-    )
-    # [a, x, d] is maximal but trades x for the longer interior chain [b, c].
-    assert smc_gap_witness(P, ["a", "x", "d"]) == (["x"], ["b", "c"])
-    assert smc_gap_witness(P, ["a", "b", "c", "d"]) is None
 
 
 # ----------------------------------------------------- thickness + extension
@@ -623,7 +556,7 @@ def test_gap_witness_swaps_out_a_blocker():
 
 def test_thick_degree_on_diamond():
     P = diamond()
-    assert thick_degree(P, {"a", "b", "d"}, "c") == 1
+    assert _thick_partners(P, ["a", "b", "d"], ["c"]).sum() == 1
     rep = strong_thick_check(P, {"a", "b", "d"}, 1)
     assert rep.ok and rep.detail["min_degree"] == 1
     rep = strong_thick_check(P, {"a", "b", "d"}, 2)
@@ -633,14 +566,15 @@ def test_thick_degree_on_diamond():
 @given(posets(), st.data())
 def test_thick_degree_matches_its_definition(P, data):
     F = data.draw(st.lists(st.sampled_from(P.elements), unique=True))
-    for y in P.elements:
+    degrees = _thick_partners(P, F, P.elements).sum(axis=1)
+    for y, degree in zip(P.elements, degrees):
         want = sum(
             1
             for x in F
             if not P.comparable(x, y)
             and all(not P.comparable(z, y) or P.comparable(z, x) for z in F)
         )
-        assert thick_degree(P, F, y) == want
+        assert degree == want
 
 
 def test_extend_spine_partition_absorbs_outsider():
@@ -764,29 +698,6 @@ def test_minmax_inequalities(P):
     assert len(anti) == w and P.is_antichain(anti)
     assert sorted(map(P.index, (x for c in chains for x in c))) == list(range(n))
     assert len(chains) == w
-
-
-@given(posets())
-@settings(max_examples=60)
-def test_gap_witness_trades_are_improving(P):
-    h, chain = height_and_max_chain(P)
-    # A maximal-but-possibly-short chain: greedily extend from some element.
-    for start in P.elements[:2]:
-        c = [start]
-        for x in P.elements:
-            if all(P.comparable(x, y) for y in c) and x not in c:
-                c.append(x)
-        c = P.chain_sorted(c)
-        out = smc_gap_witness(P, c)
-        if out is None:
-            assert len(c) == h
-            continue
-        E, D = out
-        members = P.chain_sorted(c)
-        assert P.is_chain(D) and len(D) > len(E)
-        traded = [x for x in members if x not in E] + D
-        assert P.is_chain(traded)
-        assert len(set(traded)) == len(members) - len(E) + len(D)
 
 
 @given(posets(max_size=12))

@@ -1,7 +1,12 @@
 """The package's public surface: exported names and CLI options change only on purpose."""
 
+import ast
+from pathlib import Path
+
 import fishbone
 from fishbone.cli import main
+
+SRC = Path(fishbone.__file__).resolve().parent
 
 PUBLIC_NAMES = [
     "CycleError", "FAIL", "FAMILIES", "FamilyMismatch", "Fin", "FinitePoset",
@@ -11,14 +16,14 @@ PUBLIC_NAMES = [
     "UP_TO_BOUND", "UnknownClaim", "UnknownElement", "UnknownName",
     "VerificationReport", "WindowSpec", "__version__",
     "check_bounded_bicomparable", "check_bounded_cofinally_above", "check_spine",
-    "claim_names", "desk_preset", "elem_le", "element_id", "extend_spine_partition",
+    "desk_preset", "elem_le", "element_id", "extend_spine_partition",
     "find_spine", "greedy_antichain_from_chains", "has_maximum", "has_minimum",
     "height", "height_and_max_chain", "interpolate_chain",
-    "is_spine", "is_strongly_maximal", "level_window",
-    "load_certificate", "load_poset", "loads_certificate",
-    "loads_poset", "mirsky_partition", "named_subset", "normalize", "parse_term",
-    "poset_from_json_dict", "render", "reverse", "smc_gap_witness",
-    "strong_thick_check", "term_report", "thick_degree", "verify_claim",
+    "is_spine", "level_window",
+    "load_certificate", "load_poset",
+    "loads_poset", "mirsky_partition", "normalize", "parse_term",
+    "poset_from_json_dict", "render", "reverse",
+    "strong_thick_check", "term_report", "verify_claim",
     "verify_constant_on_rows", "verify_final_counting", "verify_level_structure",
     "verify_min_drop", "width", "width_and_dilworth", "window",
 ]
@@ -39,3 +44,30 @@ def test_family_window_has_no_out_option(capsys, tmp_path):
     code = main(["family", "window", "P3", "--spec", "x=1,y=1", "--out", str(out_path)])
     assert code == 2 and capsys.readouterr().out == ""
     assert not out_path.exists()
+
+
+FAMILY_NAMES = {"P1", "P2", "P3", "P4", "P5"}
+
+
+def family_name_comparisons(path: Path) -> list[int]:
+    """Lines where the module compares something with a literal family name,
+    directly or as an element of a literal tuple, list or set."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        items = [e for o in operands for e in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+        if any(isinstance(e, ast.Constant) and e.value in FAMILY_NAMES for e in items):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_branch_on_a_family_name():
+    # A family's facts live in its record in ``families.RECORDS``; a test of
+    # the name would bring back a per-family branch beside the record.
+    for module in ("families.py", "acceptance.py"):
+        assert family_name_comparisons(SRC / module) == [], module

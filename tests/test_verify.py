@@ -1,5 +1,6 @@
 """Desk checks of the finite sub-lemmas about the fifth example order."""
 
+import dataclasses
 import json
 import random
 
@@ -355,9 +356,10 @@ def test_min_drop_count_matches_direct_enumeration():
 def test_min_drop_names_the_first_qualifying_point_that_breaks_the_drop(monkeypatch, capsys):
     # Under an all-true order every grid point lies below (0, 0, 0); the first
     # with x + y > 0 in grid order is (0, 1, 1), and min(0, 1) + 1 > 0.
-    monkeypatch.setitem(
-        families._LE_COLS, "P5", lambda p, q: np.ones(np.broadcast_shapes(p[0].shape, q[0].shape), dtype=bool)
+    everything = dataclasses.replace(
+        families.RECORDS["P5"], le_cols=lambda p, q: np.ones(np.broadcast_shapes(p[0].shape, q[0].shape), dtype=bool)
     )
+    monkeypatch.setitem(families.RECORDS, "P5", everything)
     code = main(["family", "check", "P5", "--claim", "min_drop", "--params", "u=0,v=0,B=2"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
