@@ -507,11 +507,14 @@ def check_bounded_cofinally_above(
     greatest element (P1's top) needs nothing strictly above it, since
     chains through it are cofinal there, so it is not searched for.  A pass
     is reported as verified-up-to-bound: it is evidence about the infinite
-    sets, not a proof.
+    sets, not a proof.  The reported bound is the range each axis of
+    ``bound`` spans in the window, so a natural axis starts at 0 or above.
     """
-    params = {"family": family, "upper": upper, "lower": lower, "bound": bound.to_dict(), "slack": slack}
     lower_cols = _named_columns(family, lower, bound)
     fam = RECORDS[family]
+    spans = fam.spans(bound)
+    checked = {axis: list(spans[axis]) for axis, _, _ in bound.bounds}
+    params = {"family": family, "upper": upper, "lower": lower, "bound": checked, "slack": slack}
     if fam.greatest is not None:
         lower_cols = lower_cols[:, lower_cols[0] != fam.points.index(fam.greatest)]
     upper_cols = _named_columns(family, upper, bound.widened(slack))
@@ -528,9 +531,9 @@ def check_bounded_bicomparable(
     family: str, first: str, second: str, bound: WindowSpec, slack: int = 2
 ) -> VerificationReport:
     """Both directions of :func:`check_bounded_cofinally_above`."""
-    params = {"family": family, "first": first, "second": second, "bound": bound.to_dict(), "slack": slack}
     for upper, lower in ((first, second), (second, first)):
         rep = check_bounded_cofinally_above(family, upper, lower, bound, slack)
+        params = {"family": family, "first": first, "second": second, "bound": rep.params["bound"], "slack": slack}
         if not rep.ok:
             return VerificationReport("bicomparable", params, FAIL, rep.witness, {"direction": f"{upper} over {lower}"})
     return VerificationReport("bicomparable", params, UP_TO_BOUND)

@@ -15,7 +15,9 @@ so ``"w*+w"`` is ζ and ``"w[w*]"`` is the ω-indexed sum of copies of ω*.
 Brackets of either kind nest at most :data:`MAX_NESTING` deep.
 
 Terms are kept in a normal form (flattened sums, merged finite parts, no
-empty parts, repetitions of finite chains collapsed to ω/ω*); full
+empty parts, repetitions of finite chains collapsed to ω/ω*): the parser
+and :func:`reverse` build it, :func:`normalize` computes it for any term,
+and every invariant answers for the normal form of its input.  Full
 isomorphism testing is out of scope.
 
 All invariants come from one bottom-up pass over the term, linear in its
@@ -86,6 +88,36 @@ OMEGA_STAR = OmegaStar()
 
 
 # ------------------------------------------------------------- normalization
+#
+# Every sum and repetition is built by _sum or _rep, so the normal form's
+# rules live in these two functions only.
+
+
+def _sum(parts) -> OrderTerm:
+    """The normal form of the sum of normal ``parts``: nested sums
+    flattened, empty parts dropped, adjacent finite parts merged."""
+    flat: list[OrderTerm] = []
+    for p in parts:
+        for q in p.parts if isinstance(p, Sum) else (p,):
+            if isinstance(q, Fin):
+                if q.k == 0:
+                    continue
+                if flat and isinstance(flat[-1], Fin):
+                    flat[-1] = Fin(flat[-1].k + q.k)
+                    continue
+            flat.append(q)
+    if not flat:
+        return Fin(0)
+    return flat[0] if len(flat) == 1 else Sum(tuple(flat))
+
+
+def _rep(up: bool, body: OrderTerm) -> OrderTerm:
+    """The normal form of the ω-indexed (``up``) or ω*-indexed repetition of
+    the normal ``body``: ω copies of a nonempty finite chain are just ω, and
+    repetitions of the empty order are empty."""
+    if isinstance(body, Fin):
+        return Fin(0) if body.k == 0 else (OMEGA if up else OMEGA_STAR)
+    return OmegaRep(body) if up else OmegaStarRep(body)
 
 
 def normalize(t: OrderTerm) -> OrderTerm:
@@ -98,34 +130,10 @@ def normalize(t: OrderTerm) -> OrderTerm:
         return t
     if isinstance(t, (Omega, OmegaStar)):
         return t
-    if isinstance(t, OmegaRep):
-        body = normalize(t.body)
-        if isinstance(body, Fin):
-            return Fin(0) if body.k == 0 else OMEGA
-        return OmegaRep(body)
-    if isinstance(t, OmegaStarRep):
-        body = normalize(t.body)
-        if isinstance(body, Fin):
-            return Fin(0) if body.k == 0 else OMEGA_STAR
-        return OmegaStarRep(body)
     if isinstance(t, Sum):
-        flat: list[OrderTerm] = []
-        for raw in t.parts:
-            p = normalize(raw)
-            items = p.parts if isinstance(p, Sum) else (p,)
-            for q in items:
-                if isinstance(q, Fin):
-                    if q.k == 0:
-                        continue
-                    if flat and isinstance(flat[-1], Fin):
-                        flat[-1] = Fin(flat[-1].k + q.k)
-                        continue
-                flat.append(q)
-        if not flat:
-            return Fin(0)
-        if len(flat) == 1:
-            return flat[0]
-        return Sum(tuple(flat))
+        return _sum([normalize(p) for p in t.parts])
+    if isinstance(t, (OmegaRep, OmegaStarRep)):
+        return _rep(isinstance(t, OmegaRep), normalize(t.body))
     raise TypeError(f"not an order term: {t!r}")
 
 
@@ -150,11 +158,12 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-# Every recursion over a term (this parser, normalize, reverse, render and
-# the invariants' fold) takes at most three frames per bracket.  At this cap
-# ``ot check`` of the worst shape, sums inside repetitions (``w+w*[...]``),
-# needs about 400 frames, which leaves about 600 of Python's default 1000 to
-# its caller.
+# Every recursion over a term (this parser, normalize, reverse, the
+# invariants' fold and render) takes at most four frames of Python's
+# recursion limit per bracket: three, and a fourth for render's generator.
+# At this cap ``ot check`` of the worst shape, sums inside repetitions
+# (``w+w*[...]``), needs about 405 frames (Python 3.11), which leaves about
+# 595 of Python's default 1000 to its caller.
 MAX_NESTING = 100
 
 
@@ -185,7 +194,7 @@ class _Parser:
         while self.peek() == "+":
             self.take()
             parts.append(self.part())
-        return Sum(tuple(parts)) if len(parts) > 1 else parts[0]
+        return _sum(parts)
 
     def part(self) -> OrderTerm:
         tok = self.peek()
@@ -198,11 +207,9 @@ class _Parser:
             return Fin(int(tok))
         if tok in ("w", "w*"):
             self.take()
-            base = OMEGA if tok == "w" else OMEGA_STAR
             if self.peek() == "[":
-                body = self.bracketed("]")
-                return OmegaRep(body) if tok == "w" else OmegaStarRep(body)
-            return base
+                return _rep(tok == "w", self.bracketed("]"))
+            return OMEGA if tok == "w" else OMEGA_STAR
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
     def bracketed(self, close: str) -> OrderTerm:
@@ -218,12 +225,13 @@ class _Parser:
 
 
 def parse_term(text: str) -> OrderTerm:
-    """Parse and normalize; raises :class:`ParseError` with the offset."""
+    """The normal form of the term ``text`` denotes; raises
+    :class:`ParseError` with the offset."""
     p = _Parser(text)
     t = p.term()
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.pos())
-    return normalize(t)
+    return t
 
 
 def render(t: OrderTerm) -> str:
@@ -247,32 +255,23 @@ def render(t: OrderTerm) -> str:
 def reverse(t: OrderTerm) -> OrderTerm:
     """The reverse order, normalized: (A+B)* = B*+A*, and an ω-indexed
     repetition reverses to an ω*-indexed repetition of the reversed body."""
-    return _reverse_normal(normalize(t))
-
-
-def _reverse_normal(t: OrderTerm) -> OrderTerm:
-    # Reversal keeps every normal-form condition (sums flat with no empty or
-    # adjacent finite parts, infinite repetition bodies), so the reverse of a
-    # normal form is built structurally, in time linear in its size.
-    if isinstance(t, Fin):
-        return t
+    if isinstance(t, Sum):
+        return _sum([reverse(p) for p in reversed(t.parts)])
+    if isinstance(t, (OmegaRep, OmegaStarRep)):
+        return _rep(not isinstance(t, OmegaRep), reverse(t.body))
     if isinstance(t, Omega):
         return OMEGA_STAR
     if isinstance(t, OmegaStar):
         return OMEGA
-    if isinstance(t, Sum):
-        return Sum(tuple(_reverse_normal(p) for p in reversed(t.parts)))
-    if isinstance(t, OmegaRep):
-        return OmegaStarRep(_reverse_normal(t.body))
-    return OmegaRep(_reverse_normal(t.body))
+    return normalize(t)
 
 
 # ----------------------------------------------------------------- invariants
 #
 # Every invariant comes from one bottom-up fold, _facts, which computes a
 # node's record from its children's records only.  The fold assumes
-# normalized input, so every Sum has >= 2 parts, none of them empty or a Sum,
-# and every repetition body is infinite.
+# normalized input, which the public calls give it: every Sum has >= 2
+# parts, none of them empty or a Sum, and every repetition body is infinite.
 
 Count = int | float  # float is only ever math.inf, meaning "countably many"
 
@@ -512,11 +511,11 @@ def _facts(t: OrderTerm) -> _Facts:
 
 
 def has_maximum(t: OrderTerm) -> bool:
-    return _facts(t).has_max
+    return _facts(normalize(t)).has_max
 
 
 def has_minimum(t: OrderTerm) -> bool:
-    return _facts(t).has_min
+    return _facts(normalize(t)).has_min
 
 
 # ------------------------------------------------------------------ reports
@@ -527,7 +526,7 @@ def term_report(t: OrderTerm) -> dict:
     command-line ``ot check`` (the endpoints have their own calls,
     :func:`has_maximum` and :func:`has_minimum`):
 
-    - ``term``: the canonical text;
+    - ``term``: the canonical text of the normal form;
     - ``predicates``: ``wellfounded`` (no ω*-chain), ``cowellfounded`` (no
       ω-chain), ``embeds_omega_plus_one`` (an ω-chain with an element above
       all of it), ``embeds_zeta`` (a suborder of type ζ = ω*+ω: an ω*-chain
@@ -546,6 +545,7 @@ def term_report(t: OrderTerm) -> dict:
     - ``vacillating``: neither ``t`` nor its reverse is an ω-indexed sum of
       infinite co-wellfounded blocks.
     """
+    t = normalize(t)
     f = _facts(t)
     return {
         "term": render(t),

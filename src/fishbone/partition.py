@@ -427,10 +427,13 @@ def extend_spine_partition(
     containing one of its thick partners, so each part absorbs at most one
     new element.  The check and the placement read one partner matrix.
 
-    The part stays an antichain with no further check.  An unused part holds
-    only members of F, one of them y's partner x.  A member w of the part
-    comparable to y would, by the partner condition, be comparable to x;
-    in an antichain that makes w = x, which is incomparable to y.
+    The result is a spine certificate of P with no further check.  The
+    chain and the chain members of each part are those of cert, and every
+    outside element joins exactly one part.  The part stays an antichain:
+    an unused part holds only members of F, one of them y's partner x.  A
+    member w of the part comparable to y would, by the partner condition, be
+    comparable to x; in an antichain that makes w = x, which is
+    incomparable to y.
     """
     members = list(set(F))
     rep = check_spine(P.induced(members), cert)
@@ -450,12 +453,9 @@ def extend_spine_partition(
         k = min(free)
         new_parts[k].append(y)
         used.add(k)
-    out = SpineCertificate(
+    return SpineCertificate(
         chain=cert.chain, antichains=tuple(tuple(p) for p in new_parts)
     )
-    rep = check_spine(P, out)
-    assert rep.ok, rep.detail
-    return out
 
 
 # ------------------------------------------------------------- greedy picking

@@ -221,8 +221,9 @@ def test_ot_check_parse_error(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
-# Sums around repetitions take the most stack per bracket in every later
-# recursion (normalize, reverse, render and the invariants' fold).
+# Sums around repetitions take the most stack per bracket in every recursion
+# of ``ot check``: the parser, then normalize, the invariants' fold and render
+# inside term_report.
 def deepest(depth):
     return "w+w*[" * depth + "w" + "]" * depth
 

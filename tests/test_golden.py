@@ -29,7 +29,7 @@ SWEEP_SHA256 = {
     6: "0b0e9fb536138c29fc1e59386044daec9197c3cc8a8961ad599fdef9786863fb",
     7: "46ff13d475314408b4b49160d32892f35b9e5011bc8a940bd3b36eca6ad5efa7",
 }
-REPORT_GRID_SHA256 = "04adb60261c95c97ecae6a908054a4c0d3c9141d42df0e8f1d009a88db50ccfa"
+REPORT_GRID_SHA256 = "d6e761c89e43ed8fdce24341f3624bcc6be525fce59f4706e7ccf93948e24553"
 CLAIM_GRID_SHA256 = "6c7ea5dc0d1aa5829ac26059309edcb87b143163627a8373f81de5d096d36947"
 
 

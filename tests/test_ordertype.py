@@ -363,6 +363,21 @@ def test_reverse_on_the_golden_corpus():
         assert reverse(raw) == reverse_reference(raw), raw
 
 
+def test_raw_terms_answer_for_their_normal_form():
+    # Terms built with the exported constructors need not be normal.
+    assert has_minimum(Sum((Fin(0), OMEGA)))
+    assert term_report(Sum((OMEGA, Fin(0)))) == term_report(OMEGA)
+    assert term_report(OmegaRep(Fin(1))) == term_report(OMEGA)
+    rng = random.Random(11)
+    for _ in range(500):
+        t = _random_term(rng, 5)
+        n = normalize(t)
+        assert term_report(t) == term_report(n), t
+        assert (has_maximum(t), has_minimum(t)) == (has_maximum(n), has_minimum(n)), t
+        assert reverse(t) == reverse(n), t
+        assert parse_term(render(n)) == n, t
+
+
 def test_reverse_at_the_nesting_cap_fits_in_500_frames():
     text = "w+w*[" * MAX_NESTING + "w" + "]" * MAX_NESTING
     want = "w[" * MAX_NESTING + "w*" + "]+w*" * MAX_NESTING

@@ -71,3 +71,33 @@ def test_no_branch_on_a_family_name():
     # the name would bring back a per-family branch beside the record.
     for module in ("families.py", "acceptance.py"):
         assert family_name_comparisons(SRC / module) == [], module
+
+
+TERM_CONSTRUCTORS = {"Sum", "OmegaRep", "OmegaStarRep"}
+NORMAL_FORM_BUILDERS = {"_sum", "_rep"}
+
+
+def term_constructor_calls(path: Path) -> list[int]:
+    """Lines where the module calls ``Sum``, ``OmegaRep`` or ``OmegaStarRep``
+    outside ordertype's normal-form builders ``_sum`` and ``_rep``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    if path.name == "ordertype.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in NORMAL_FORM_BUILDERS:
+                allowed.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in TERM_CONSTRUCTORS:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_terms_are_built_only_in_normal_form():
+    # A sum or repetition built outside _sum and _rep could leave the normal
+    # form that the invariants' fold assumes.
+    for path in sorted(SRC.rglob("*.py")):
+        assert term_constructor_calls(path) == [], path.name
