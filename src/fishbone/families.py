@@ -25,15 +25,17 @@ reachability over its generator moves, whose docstring argues why the moves
 reach exactly those points.  No comparison depends on a window.
 
 A family is one frozen :class:`Family` record in :data:`RECORDS`, keyed by
-its name: window axes and product factors, the factor-to-column
-permutation, named points (P1's bot, a and top) in kind order, name format,
-payload check, scalar and broadcast forms, named sets, and greatest element.
-The functions read the record and never test the name, so a new family is
-one new record.
+its name, and the record is the only owner of the family's rules: window
+axes, product factors and signed axes, the factor-to-column permutation,
+named points (P1's bot, a and top) in kind order, name format, payload
+check, scalar and broadcast forms, named sets, and greatest element.  The
+functions and claims read the record and never test the name or call a
+form by name, so a new family is one new record.
 
-Windows and named sets are enumerated as integer coordinate columns
-straight from their :class:`WindowSpec`, in the narrowest exact integer
-type (Python ints past int64); payloads and names are made only where a
+A :class:`WindowSpec` is plain per-axis ranges; :meth:`Family.spans` alone
+reads it.  Windows and named sets are enumerated as integer coordinate
+columns by :func:`_window_columns`, in the narrowest exact integer type
+(Python ints past int64); payloads and names are made only where a
 window's names or a witness need them.  Each check evaluates the closed
 form once per direction it needs, broadcast over those columns, and never
 transposes a block.  Payload lists, as in ``verify`` and the acceptance
@@ -53,6 +55,7 @@ from typing import Callable
 
 import numpy as np
 
+from .partition import SpineCertificate, check_spine, width_and_dilworth
 from .poset import FinitePoset, PosetError
 from .report import CLAIMS, FAIL, PASS, UP_TO_BOUND, VerificationReport, claim
 
@@ -78,35 +81,29 @@ class UnknownClaim(PosetError):
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Inclusive per-axis bounds, e.g. ``WindowSpec((("n", 0, 3),))``."""
+    """Inclusive per-axis ranges, e.g. ``WindowSpec((("n", 0, 3),))``.
+
+    A spec is plain data and treats every axis alike; the family that reads
+    it (:meth:`Family.spans`) reads a natural axis from 0."""
 
     bounds: tuple
 
     @classmethod
     def make(cls, **axes) -> "WindowSpec":
-        """``WindowSpec.make(n=3)`` is 0..3; ``make(z=4)`` is -4..4;
-        ``make(x=(1, 5))`` is 1..5."""
+        """A bare v is -v..v on every axis: ``make(z=4)`` is -4..4, and
+        ``make(n=3)`` is -3..3, which a family reads as 0..3 on a natural
+        axis.  ``make(x=(1, 5))`` is 1..5."""
         out = []
         for axis, value in axes.items():
-            lo, hi = value if isinstance(value, tuple) else (-value if axis == "z" else 0, value)
+            lo, hi = value if isinstance(value, tuple) else (-value, value)
             if lo > hi:
                 raise ValueError(f"empty range for axis {axis!r}")
             out.append((axis, int(lo), int(hi)))
         return cls(tuple(out))
 
-    def bound(self, axis: str) -> tuple[int, int]:
-        for name, lo, hi in self.bounds:
-            if name == axis:
-                return lo, hi
-        raise KeyError(f"axis {axis!r} not in window spec")
-
     def widened(self, slack: int) -> "WindowSpec":
-        """Grow every axis upward by ``slack`` (and downward too for the
-        integer axis ``z``)."""
-        return WindowSpec(tuple((name, lo - slack if name == "z" else lo, hi + slack) for name, lo, hi in self.bounds))
-
-    def to_dict(self) -> dict:
-        return {name: [lo, hi] for name, lo, hi in self.bounds}
+        """Grow every axis by ``slack`` in both directions."""
+        return WindowSpec(tuple((name, lo - slack, hi + slack) for name, lo, hi in self.bounds))
 
 
 # ------------------------------------------------------------ comparability
@@ -294,12 +291,12 @@ class Family:
     def spans(self, spec: WindowSpec) -> dict:
         """Each factor's inclusive range in the window ``spec``, which must
         bound exactly the family's axes."""
-        given = [name for name, _, _ in spec.bounds]
+        given = {name: (lo, hi) for name, lo, hi in spec.bounds}
         for axis in [*given, *self.axes]:
             if (axis in self.axes) != (axis in given):
                 problem = "has no axis" if axis in given else "needs a bound for axis"
                 raise ValueError(f"family {self.name} {problem} {axis!r}; its axes are {', '.join(self.axes)}")
-        spans = {a: (lo if a in self.signed else max(lo, 0), hi) for a in self.axes for lo, hi in [spec.bound(a)]}
+        spans = {a: (lo if a in self.signed else max(lo, 0), hi) for a in self.axes for lo, hi in [given[a]]}
         return {**spans, "i": (0, 1)}
 
 
@@ -466,11 +463,10 @@ _NAME = re.compile(r"^([A-Z]+[0-9]*)(?:\(\s*(-?\d+)(?:\s*,\s*(-?\d+))?\s*\))?$")
 
 
 def _named_predicate(family: str, name: str):
-    """The membership mask of a named set on coordinate columns, or
-    UnknownName."""
+    """The membership mask of a named set on coordinate columns; raises
+    UnknownName, or ValueError for an unknown family."""
     m = _NAME.match(name.strip())
-    named = RECORDS[family].named if family in RECORDS else {}
-    arity, mask = named.get(m.group(1) if m else None, (None, None))
+    arity, mask = RECORDS[family].named.get(m.group(1) if m else None, (None, None))
     indices = [int(g) for g in m.groups()[1:] if g is not None] if m else []
     if arity != len(indices):
         raise UnknownName(family, name)
@@ -553,8 +549,6 @@ def _claim_p1_spine_partition(N: int) -> tuple:
     N is capped at 1500: the 3005-element window took 0.40–0.49 s and
     141 MB peak RSS (fresh process, Python 3.11, 2 CPUs).
     """
-    from .partition import SpineCertificate, check_spine
-
     P = window("P1", WindowSpec.make(n=N))
     chain = ["bot"] + [element_id("P1", (n, 1)) for n in range(N + 1)] + ["a", "top"]
     parts = [("bot",), *((element_id("P1", (n, 0)), element_id("P1", (n, 1))) for n in range(N + 1))]
@@ -577,7 +571,7 @@ def _claim_p1_pigeonhole(m: int) -> tuple:
     (fresh process, Python 3.11, 2 CPUs).
     """
     a = _window_columns("P1", WindowSpec.make(n=m))
-    c1, pairs = a[:, _named_predicate("P1", "C1")(a)], a[:, (a[0] == 1) & (a[2] == 1)]
+    c1, pairs = a[:, _named_predicate("P1", "C1")(a)], a[:, a[2] == 1]
     free = _incomparable("P1", pairs[:, :, None], c1[:, None, :]).any(axis=0)
     reserved, demanders = (m, 0), _payloads("P1", pairs)
     hosts = [element_id("P1", h) for h in _payloads("P1", c1[:, free]) if h != reserved]
@@ -630,7 +624,7 @@ def _claim_p2_shift_reduction(B: int) -> tuple:
     # decreases, so below a point of the next column is strictly below it.
     z = np.arange(1 - B, B + 1).reshape(-1, 1, 1)
     n = np.arange(B + 1)
-    reached = _le_p2_cols((z - 1, 0, n[:, None]), (z, 0, n)).any(axis=2)
+    reached = RECORDS["P2"].le_cols((z - 1, 0, n[:, None]), (z, 0, n)).any(axis=2)
     if not reached.all():
         col, k = np.unravel_index(int(reached.argmin()), reached.shape)
         return FAIL, element_id("P2", (int(col) - B, 0, int(k))), {}
@@ -644,8 +638,6 @@ def _claim_p3_row_bound(y: int, B: int) -> tuple:
 
     B is capped at 3000: the check took 0.60–0.62 s and 149 MB peak RSS at
     y = 3 and y = 3000 (Python 3.11, 2 CPUs)."""
-    from .partition import width_and_dilworth
-
     w, _, antichain = width_and_dilworth(window("P3", WindowSpec.make(x=B, y=(y, y))))
     expected = min(y + 1, B + 1)
     ok = w == expected
@@ -685,13 +677,12 @@ def _claim_p4_no_domination(n: int, m: int, B: int, slack: int = 2) -> tuple:
 
     B and slack are each capped at 60: with both at their caps the check
     took 0.73 s and 343 MB peak RSS (Python 3.11, 2 CPUs)."""
-    candidates = [(n, y, z) for y in range(B + 1) for z in range(B + 1)]
-    wide = B + slack
-    targets = [(m, v, w) for v in range(wide + 1) for w in range(wide + 1)]
-    dominating = relation_block("P4", targets, candidates).all(axis=0)
+    candidates = _window_columns("P4", WindowSpec.make(x=(n, n), y=B, z=B))
+    targets = _window_columns("P4", WindowSpec.make(x=(m, m), y=B + slack, z=B + slack))
+    dominating = RECORDS["P4"].le_cols(targets[:, :, None], candidates[:, None, :]).all(axis=0)
     if dominating.any():
-        return FAIL, element_id("P4", candidates[int(dominating.argmax())]), {}
-    return UP_TO_BOUND, None, {"candidates": len(candidates), "targets": len(targets)}
+        return FAIL, element_id("P4", (n, *divmod(int(dominating.argmax()), B + 1))), {}
+    return UP_TO_BOUND, None, {"candidates": candidates.shape[1], "targets": targets.shape[1]}
 
 
 def verify_claim(family: str, claim: str, params: dict) -> VerificationReport:

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import WindowSpec, element_id, relation_block, window_payloads
+from .partition import height
 from .poset import FinitePoset, _block, _true_pairs
 from .report import FAIL, PASS, UP_TO_BOUND, PreconditionViolated, VerificationReport, claim
 
@@ -289,8 +290,6 @@ def verify_final_counting(a: int) -> tuple:
     if failures:
         p, q, reason = failures[0]
         return FAIL, [element_id("P5", p), element_id("P5", q)], {"reason": reason}
-
-    from .partition import height
 
     T = [(u, v, 0) for u in range(2 * a) for v in range(2 * a) if u + v <= 2 * a - 1]
     h = height(FinitePoset(T, relation_block("P5", T, T)))

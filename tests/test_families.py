@@ -4,6 +4,7 @@ the generator edges inside a window, cross-check the closed-form comparisons
 of P2, P3 and P4; the per-pair ``elem_le`` checks every window matrix and
 rectangular ``relation_block``."""
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -264,20 +265,25 @@ def test_far_window_through_the_cli(capsys, family, axes):
 
 
 def test_window_spec_make():
-    assert WindowSpec.make(n=3).bounds == (("n", 0, 3),)
+    # A bare v is -v..v on every axis; the family reads a natural axis from 0.
+    assert WindowSpec.make(n=3).bounds == (("n", -3, 3),)
     assert WindowSpec.make(z=4).bounds == (("z", -4, 4),)
     assert WindowSpec.make(x=(1, 5)).bounds == (("x", 1, 5),)
-    assert WindowSpec.make(n=3).bound("n") == (0, 3)
+    assert WindowSpec.make(z=2, n=(1, 3)).bounds == (("z", -2, 2), ("n", 1, 3))
+    assert families.RECORDS["P1"].spans(WindowSpec.make(n=3)) == {"n": (0, 3), "i": (0, 1)}
+    assert families.RECORDS["P2"].spans(WindowSpec.make(z=2, n=3)) == {"z": (-2, 2), "n": (0, 3), "i": (0, 1)}
     with pytest.raises(ValueError):
         WindowSpec.make(x=(5, 1))
-    with pytest.raises(KeyError):
-        WindowSpec.make(n=3).bound("z")
+    with pytest.raises(ValueError, match="family P2 needs a bound for axis 'n'"):
+        families.RECORDS["P2"].spans(WindowSpec.make(z=3))
 
 
 def test_window_spec_widened():
     spec = WindowSpec.make(z=2, n=3).widened(2)
-    assert spec.bounds == (("z", -4, 4), ("n", 0, 5))
-    assert WindowSpec.make(n=3).widened(1).to_dict() == {"n": [0, 4]}
+    assert spec.bounds == (("z", -4, 4), ("n", -5, 5))
+    assert WindowSpec.make(n=3).widened(1).bounds == (("n", -4, 4),)
+    assert WindowSpec.make(x=(1, 5)).widened(-1).bounds == (("x", 2, 4),)
+    assert families.RECORDS["P2"].spans(spec) == {"z": (-4, 4), "n": (0, 5), "i": (0, 1)}
 
 
 # ------------------------------------------------------------- element ids
@@ -471,6 +477,22 @@ def test_unknown_names():
         named_ids("P3", "C", WindowSpec.make(x=2, y=2))
 
 
+def test_unknown_family_raises_the_records_value_error():
+    spec = WindowSpec.make(n=2)
+    calls = [
+        lambda: window("P9", spec),
+        lambda: elem_le("P9", (0, 0), (0, 0)),
+        lambda: check_bounded_cofinally_above("P9", "C1", "C2", spec),
+        lambda: check_bounded_bicomparable("P9", "C1", "C2", spec),
+        lambda: named_subset_payloads("P9", "C1", spec),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert not isinstance(err.value, UnknownName)
+        assert str(err.value) == "unknown family 'P9'"
+
+
 # ------------------------------------------------------------------- claims
 
 
@@ -572,14 +594,14 @@ def test_p2_partitions_matches_the_filter_reference(monkeypatch, case):
 
 
 def test_shift_reduction_names_the_first_unreached_point_column_by_column(monkeypatch):
-    le = families._le_p2_cols
+    record = families.RECORDS["P2"]
 
     def broken(p, q):
         # (1, i, n >= 3) and (2, i, n >= 1) are below nothing at all.
         z, _, n = p
-        return le(p, q) & ((z != 1) | (n < 3)) & ((z != 2) | (n < 1))
+        return record.le_cols(p, q) & ((z != 1) | (n < 3)) & ((z != 2) | (n < 1))
 
-    monkeypatch.setattr(families, "_le_p2_cols", broken)
+    monkeypatch.setitem(families.RECORDS, "P2", dataclasses.replace(record, le_cols=broken))
     B = 4
 
     def reached(p):  # the per-column scan, on scalars

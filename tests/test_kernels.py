@@ -15,6 +15,7 @@ hypothesis posets and on full-size family windows.
 """
 
 import ast
+import dataclasses
 import itertools
 import random
 import re
@@ -493,8 +494,10 @@ def test_element_id_is_the_coordinate_join(family, axes):
 
 
 def old_window_payloads(family, spec):
+    bounds = {name: (lo, hi) for name, lo, hi in spec.bounds}
+
     def span(axis, natural=True):
-        lo, hi = spec.bound(axis)
+        lo, hi = bounds[axis]
         return range(max(lo, 0) if natural else lo, hi + 1)
 
     if family == "P1":
@@ -716,19 +719,19 @@ def test_claims_on_columns_match_their_payload_formulations():
 def test_shift_reduction_matches_its_two_form_scan_on_a_broken_form(monkeypatch):
     # Holes in the form at drawn points (z, 0, n) make those lower points
     # unreached; the one-form scan names the same first one.
-    le = families._le_p2_cols
+    record = families.RECORDS["P2"]
     rng = random.Random(5)
     for _ in range(20):
         holes = {(rng.randint(-4, 4), rng.randint(0, 4)) for _ in range(rng.randint(1, 6))}
 
         def broken(p, q, holes=holes):
             z, i, n = p
-            out = le(p, q)
+            out = record.le_cols(p, q)
             for hz, hn in holes:
                 out = out & ((z != hz) | (i != 0) | (n != hn))
             return out
 
-        monkeypatch.setattr(families, "_le_p2_cols", broken)
+        monkeypatch.setitem(families.RECORDS, "P2", dataclasses.replace(record, le_cols=broken))
         want = VerificationReport("P2.shift_reduction", {"B": 4}, *old_shift_reduction(4, broken))
         assert families.verify_claim("P2", "shift_reduction", {"B": 4}) == want
 

@@ -1,6 +1,7 @@
 """The package's public surface: exported names and CLI options change only on purpose."""
 
 import ast
+import re
 from pathlib import Path
 
 import fishbone
@@ -47,11 +48,12 @@ def test_family_window_has_no_out_option(capsys, tmp_path):
 
 
 FAMILY_NAMES = {"P1", "P2", "P3", "P4", "P5"}
+AXIS_NAMES = {"n", "z", "x", "y", "c", "i"}
 
 
-def family_name_comparisons(path: Path) -> list[int]:
-    """Lines where the module compares something with a literal family name,
-    directly or as an element of a literal tuple, list or set."""
+def name_comparisons(path: Path, names: set) -> list[int]:
+    """Lines where the module compares something with a literal in
+    ``names``, directly or as an element of a literal tuple, list or set."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Compare):
@@ -61,7 +63,7 @@ def family_name_comparisons(path: Path) -> list[int]:
         else:
             continue
         items = [e for o in operands for e in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
-        if any(isinstance(e, ast.Constant) and e.value in FAMILY_NAMES for e in items):
+        if any(isinstance(e, ast.Constant) and e.value in names for e in items):
             lines.append(node.lineno)
     return lines
 
@@ -70,7 +72,40 @@ def test_no_branch_on_a_family_name():
     # A family's facts live in its record in ``families.RECORDS``; a test of
     # the name would bring back a per-family branch beside the record.
     for module in ("families.py", "acceptance.py"):
-        assert family_name_comparisons(SRC / module) == [], module
+        assert name_comparisons(SRC / module, FAMILY_NAMES) == [], module
+
+
+def test_no_branch_on_an_axis_name():
+    # Which axes are signed is the record's ``signed``; a window spec is
+    # plain ranges, and no code tests an axis by its name.
+    for module in ("families.py", "acceptance.py"):
+        assert name_comparisons(SRC / module, AXIS_NAMES) == [], module
+
+
+FORM = re.compile(r"_le_p[1-5](_cols)?")
+
+
+def form_references(path: Path) -> list[int]:
+    """Lines where the module names a family's comparison form outside the
+    ``RECORDS`` assignment; a definition is not a reference."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "RECORDS" for t in node.targets):
+            allowed.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name and FORM.fullmatch(name) and id(node) not in allowed:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_forms_are_read_only_from_the_records():
+    # A claim that calls a form by name would not see a fault planted in the
+    # record, so every comparison goes through ``RECORDS[family]``.
+    for path in sorted(SRC.rglob("*.py")):
+        assert form_references(path) == [], path.name
 
 
 TERM_CONSTRUCTORS = {"Sum", "OmegaRep", "OmegaStarRep"}
