@@ -290,8 +290,10 @@ class Family:
 
     def spans(self, spec: WindowSpec) -> dict:
         """Each factor's inclusive range in the window ``spec``, which must
-        bound exactly the family's axes."""
+        bound each of the family's axes exactly once."""
         given = {name: (lo, hi) for name, lo, hi in spec.bounds}
+        if len(given) < len(spec.bounds):
+            raise ValueError(f"window bounds an axis twice: {', '.join(a for a, _, _ in spec.bounds)}")
         for axis in [*given, *self.axes]:
             if (axis in self.axes) != (axis in given):
                 problem = "has no axis" if axis in given else "needs a bound for axis"

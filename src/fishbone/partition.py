@@ -420,12 +420,12 @@ def extend_spine_partition(
 ) -> SpineCertificate:
     """Extend a spine certificate of the subposet on F to all of P.
 
-    Requires cert to be a valid spine of the induced subposet on F, and every
-    outside element to have thickness degree >= tau in F (checked first;
-    :class:`ThresholdTooSmall` otherwise).  Outside elements are then placed
-    greedily in declared order: each goes to the lowest-indexed unused part
-    containing one of its thick partners, so each part absorbs at most one
-    new element.  The check and the placement read one partner matrix.
+    Requires cert to be a valid spine of the subposet on F (checked on P's
+    matrices restricted to F, with no product), and every outside element
+    to have thickness degree >= tau in F (:class:`ThresholdTooSmall`).  The
+    thickness check and a greedy placement read one partner matrix: outside
+    elements, in declared order, each go to the lowest-indexed unused part
+    holding one of their thick partners, so a part absorbs at most one.
 
     The result is a spine certificate of P with no further check.  The
     chain and the chain members of each part are those of cert, and every

@@ -7,14 +7,14 @@ be checked with a few boolean matrix operations.  The cover matrix and the
 chain lengths are also computed once.  Every module answers its finite
 comparison questions through these.
 
-A poset built from generator pairs gets its closure, cover matrix and chain
-lengths from one kernel over the generator DAG's successor lists: a Kahn pass
-into generations (the Mirsky levels), then one walk in reverse topological
-order that keeps each element's rows as Python-int bitsets.  A poset built
-from a table squares its strict matrix once: the one product checks
-antisymmetry and transitivity and gives the covers.  Its chain lengths are
-computed on first use, by the generator kernel over its covers.  Every path
-is exact at every size: none counts paths in a type that can wrap.
+There are three ways in, all ending in ``_set``.  A table is validated by
+one square of its strict matrix, which also gives the covers.  Generator
+pairs are closed by ``_close``, one kernel over the DAG's successor lists (a
+Kahn pass into generations, the Mirsky levels, then a reverse topological
+walk over Python-int bitset rows) that also gives covers and chain lengths.
+A subposet restricts its parent's matrices and gets its covers on first use.
+Other chain lengths come on first use from ``_close`` over the covers.  Every
+path is exact at every size: none counts paths in a type that can wrap.
 Intended scale is up to a few thousand elements; storage is quadratic.
 """
 
@@ -239,10 +239,11 @@ class FinitePoset:
             )
         self._set(table, strict, strict & ~two)
 
-    def _set(self, leq: np.ndarray, strict: np.ndarray, cover: np.ndarray) -> None:
-        """Freeze the three matrices and derive comparability; the rest is
-        computed on first use."""
-        self._leq, self._strict, self._cover = map(_frozen, (leq, strict, cover))
+    def _set(self, leq: np.ndarray, strict: np.ndarray, cover: np.ndarray | None) -> None:
+        """Freeze the given matrices and derive comparability; the rest,
+        the covers too when ``cover`` is None, is computed on first use."""
+        self._leq, self._strict = map(_frozen, (leq, strict))
+        self._cover = None if cover is None else _frozen(cover)
         self._comparable = _frozen(leq | leq.T)
         self._order = self._position = self._lengths = None
 
@@ -282,9 +283,14 @@ class FinitePoset:
         return P
 
     def induced(self, members: Iterable[ElementId]) -> "FinitePoset":
-        """Subposet on ``members``, keeping the declared element order."""
+        """Subposet on ``members``, keeping the declared element order: blocks
+        of this poset's matrices, with no axiom check or product."""
         keep = sorted({self.index(x) for x in members})
-        return FinitePoset([self.elements[i] for i in keep], _block(self._leq, keep))
+        Q = FinitePoset.__new__(FinitePoset)
+        Q.elements = tuple(self.elements[i] for i in keep)
+        Q._index = {e: i for i, e in enumerate(Q.elements)}
+        Q._set(_block(self._leq, keep), _block(self._strict, keep), None)
+        return Q
 
     # ----------------------------------------------------------------- access
 
@@ -312,7 +318,9 @@ class FinitePoset:
     @property
     def cover_matrix(self) -> np.ndarray:
         """Read-only: ``[i, j]`` is elements[i] < elements[j] with nothing
-        strictly between (elements[j] covers elements[i])."""
+        strictly between; a subposet computes it on first use."""
+        if self._cover is None:
+            self._cover = _frozen(self._strict & ~_bool_matmul(self._strict))
         return self._cover
 
     @property
@@ -399,7 +407,7 @@ class FinitePoset:
         """``np.argwhere(cover_matrix.T)`` as lists (upper, lower): a
         stable sort of the row-major pairs by upper, which costs less than
         flattening the transposed matrix."""
-        lower, upper = _true_pairs(self._cover)
+        lower, upper = _true_pairs(self.cover_matrix)
         order = np.argsort(upper, kind="stable")
         return upper[order].tolist(), lower[order].tolist()
 

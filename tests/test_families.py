@@ -286,6 +286,19 @@ def test_window_spec_widened():
     assert families.RECORDS["P2"].spans(spec) == {"z": (-4, 4), "n": (0, 5), "i": (0, 1)}
 
 
+def test_a_window_spec_that_bounds_an_axis_twice_is_refused():
+    # The raw constructor takes any tuple; the family reading it refuses a
+    # repeated axis rather than keep its last range.
+    spec = WindowSpec((("x", 0, 1), ("x", 3, 4), ("y", 0, 0)))
+    with pytest.raises(ValueError, match="window bounds an axis twice: x, x, y"):
+        families.RECORDS["P3"].spans(spec)
+    with pytest.raises(ValueError, match="twice"):
+        families.window_payloads("P3", spec)
+    # An empty range is an empty window, as ``widened`` with negative slack
+    # makes them; only ``make`` refuses one.
+    assert families.window_payloads("P3", WindowSpec((("x", 5, 1), ("y", 0, 0)))) == []
+
+
 # ------------------------------------------------------------- element ids
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fishbone import acceptance, families, partition, verify
+from fishbone import acceptance, families, partition, poset, verify
 from fishbone.families import WindowSpec, elem_le, element_id, window, window_payloads
 from fishbone.partition import (
     NoEligiblePoint,
@@ -449,6 +449,32 @@ def test_no_matrix_product_outside_bool_matmul():
             if product and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"use poset._bool_matmul for a boolean matrix product: {found}"
+
+
+def test_a_subposet_makes_no_product_until_its_covers_are_read(monkeypatch):
+    """``induced`` restricts its parent's matrices; the one product of a
+    subposet is its cover matrix, made on first read and kept.  So an
+    extension's input check makes none, and the extension makes one, its
+    partner matrix."""
+    calls = []
+    real = poset._bool_matmul
+
+    def counted(*operands):
+        calls.append(operands[0].shape)
+        return real(*operands)
+
+    P = random_poset(random.Random(3), max_size=9, min_size=6)
+    instance = acceptance._extension_instance(random.Random(0))
+    monkeypatch.setattr(poset, "_bool_matmul", counted)
+    monkeypatch.setattr(partition, "_bool_matmul", counted)
+    Q = P.induced(P.elements[::2])
+    assert calls == []
+    cover = Q.cover_matrix
+    assert len(calls) == 1
+    assert Q.cover_matrix is cover and len(calls) == 1
+    calls.clear()
+    extend_spine_partition(*instance)
+    assert len(calls) == 1
 
 
 def test_every_claim_writes_its_report_through_the_claim_decorator():

@@ -190,20 +190,33 @@ def test_transitivity_witness_is_the_first_pair_of_the_integer_square(table):
     assert str(exc.value) == f"not transitive: {elements[i]!r} .. {elements[j]!r}"
 
 
-@given(posets(max_size=12), st.data())
-def test_induced_covers_match_the_generator_built_subposet(P, data):
+@given(posets(max_size=12), st.booleans(), st.data())
+def test_induced_covers_match_the_generator_built_subposet(P, from_table, data):
+    # The subposet restricts its parent's matrices, from a generator-built
+    # or a table-built parent; the oracle closes the restricted pairs anew.
+    if from_table:
+        P = FinitePoset(P.elements, P.leq_matrix)
     members = data.draw(st.sets(st.sampled_from(P.elements)))
     Q = P.induced(members)
     strict = [(x, y) for x in Q.elements for y in Q.elements if P.lt(x, y)]
     R = FinitePoset.from_generators(Q.elements, strict)
     assert Q == R
-    assert (Q.cover_matrix == R.cover_matrix).all()
+    for name in ("strict_matrix", "comparability_matrix", "cover_matrix", "linear_extension"):
+        assert np.array_equal(getattr(Q, name), getattr(R, name)), name
+    for q, r in zip(Q.chain_lengths, R.chain_lengths):
+        assert np.array_equal(q, r)
 
 
 def test_matrix_is_frozen():
     P = diamond()
     with pytest.raises(ValueError):
         P._leq[0, 0] = False
+    # A subposet's blocks, and the cover it computes on first use, are
+    # frozen too.
+    Q = P.induced(["a", "b", "d"])
+    for m in (Q.leq_matrix, Q.strict_matrix, Q.comparability_matrix, Q.cover_matrix):
+        with pytest.raises(ValueError):
+            m[0, 1] = not m[0, 1]
 
 
 def test_unknown_element_lookup():

@@ -108,6 +108,36 @@ def test_forms_are_read_only_from_the_records():
         assert form_references(path) == [], path.name
 
 
+# Each matrix product has a reason: a table is validated by one square,
+# which also gives its covers; a subposet, which restricts its parent with no
+# product, squares its strict matrix when its covers are first read; and a
+# thickness question reads one partner matrix.
+PRODUCT_SITES = {"poset.FinitePoset.__init__", "poset.FinitePoset.cover_matrix", "partition._thick_partners"}
+
+
+def product_sites(path: Path) -> set[str]:
+    """Qualified names of the functions (or the module) that name
+    ``_bool_matmul``; its definition is not a use."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+            if name == "_bool_matmul":
+                sites.add(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if inner else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_matrix_products_run_only_at_their_named_sites():
+    # A subposet restricts its parent's matrices, so it needs no product to
+    # be built; a new product site must be added above with its reason.
+    assert set().union(*map(product_sites, SRC.rglob("*.py"))) == PRODUCT_SITES
+
+
 TERM_CONSTRUCTORS = {"Sum", "OmegaRep", "OmegaStarRep"}
 NORMAL_FORM_BUILDERS = {"_sum", "_rep"}
 

@@ -224,7 +224,7 @@ def test_convexity_witness_is_the_first_name_in_string_order():
 
 def test_a_level_check_builds_only_its_two_level_window(monkeypatch):
     """verify_level_structure builds one poset, its two-level window, and
-    criterion 3 one per level; both construction routes end in _set."""
+    criterion 3 one per level; all three construction routes end in _set."""
     built = []
     real = FinitePoset._set
 
