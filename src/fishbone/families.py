@@ -450,7 +450,7 @@ def window(family: str, spec: WindowSpec) -> FinitePoset:
 
     A window of more than :data:`WINDOW_CAP` elements raises ValueError
     before anything is enumerated.  Near the cap each family's window and
-    its JSON took 0.56–1.02 s and 220–223 MB peak RSS (fresh processes,
+    its JSON took 0.29–0.48 s and 174–177 MB peak RSS (fresh processes,
     Python 3.11, 2 CPUs).
     """
     a = _window_columns(family, spec, WINDOW_CAP)
@@ -548,8 +548,8 @@ def _claim_p1_spine_partition(N: int) -> tuple:
     bot < (0,1) < ... < (N,1) < a < top.  Fully validated as a spine
     certificate of the window poset.
 
-    N is capped at 1500: the 3005-element window took 0.40–0.49 s and
-    141 MB peak RSS (fresh process, Python 3.11, 2 CPUs).
+    N is capped at 1500: the 3005-element window took 0.16–0.18 s and
+    112 MB peak RSS (fresh process, Python 3.11, 2 CPUs).
     """
     P = window("P1", WindowSpec.make(n=N))
     chain = ["bot"] + [element_id("P1", (n, 1)) for n in range(N + 1)] + ["a", "top"]
@@ -638,8 +638,8 @@ def _claim_p3_row_bound(y: int, B: int) -> tuple:
     """Maximum antichain of the row window {(x, y): x <= B} has size
     exactly min(y+1, B+1).
 
-    B is capped at 3000: the check took 0.60–0.62 s and 149 MB peak RSS at
-    y = 3 and y = 3000 (Python 3.11, 2 CPUs)."""
+    B is capped at 3000: the check took 0.18–0.23 s and 112–113 MB peak RSS
+    at y = 3 and y = 3000 (fresh processes, Python 3.11, 2 CPUs)."""
     w, _, antichain = width_and_dilworth(window("P3", WindowSpec.make(x=B, y=(y, y))))
     expected = min(y + 1, B + 1)
     ok = w == expected

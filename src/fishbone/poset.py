@@ -15,6 +15,9 @@ walk over Python-int bitset rows) that also gives covers and chain lengths.
 A subposet restricts its parent's matrices and gets its covers on first use.
 Other chain lengths come on first use from ``_close`` over the covers.  Every
 path is exact at every size: none counts paths in a type that can wrap.
+The one matrix product, ``_bool_matmul``, starts no thread: small products
+run on float32 BLAS below the size where OpenBLAS would wake its threads,
+larger ones by table lookups on packed bits (four Russians).
 Intended scale is up to a few thousand elements; storage is quadratic.
 """
 
@@ -56,13 +59,56 @@ class NotAChain(PosetError):
         self.pair = (x, y)
 
 
+# OpenBLAS runs a gemm of at most 65536 * 4 = 64**3 multiply-adds on the
+# calling thread (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD).
+_BLAS_MAX = 64**3
+# Words of looked-up rows gathered at once by the four Russians branch.
+_GATHER_WORDS = 1 << 16
+
+
 def _bool_matmul(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Boolean product of the 0/1 matrices ``a`` and ``b``, or the square of
-    ``a`` when ``b`` is None; each operand is converted to float32 once.
-    The float32 product sums nonnegative terms, which never round to 0, so
-    ``> 0`` is exact.  The package's only matrix product."""
-    f = a.astype(np.float32)
-    return (f @ (f if b is None else b.astype(np.float32))) > 0
+    """Boolean product of the bool matrices ``a`` and ``b``, or the square
+    of ``a`` when ``b`` is None.  The package's only matrix product; it
+    sets no thread count and starts no thread.
+
+    A product of at most ``_BLAS_MAX`` multiply-adds is a float32 BLAS
+    product, which OpenBLAS runs on the calling thread whatever its thread
+    setting: it sums nonnegative terms, which never round to 0, so ``> 0``
+    is exact.  A larger product may wake OpenBLAS's worker threads, which
+    have been seen to wait about 16 ms each time, so it calls no BLAS: it
+    runs the method of four Russians (Arlazarov, Dinic, Kronrod
+    and Faradzev, 1970) on uint64 words.  The rows of ``b`` are packed into
+    bits and taken 8 at a time; for each group a 256-entry table holds the
+    OR of every subset of its rows, built by 8 doublings.  Row i of the
+    product is the OR, over the groups, of the entries that the packed
+    bits of ``a[i]`` select: only AND and OR on bits, so exact.  The
+    tables take 4 bytes per entry of ``b`` (its rows rounded up to 64
+    bits), as a float32 copy of ``b`` does, and the looked-up rows are
+    gathered ``_GATHER_WORDS`` words at a time."""
+    if b is None:
+        b = a
+    (n, k), m = a.shape, b.shape[1]
+    if n * k * m <= _BLAS_MAX:
+        f = a.astype(np.float32)
+        return (f @ (f if b is a else b.astype(np.float32))) > 0
+    groups, words = -(-k // 8), -(-m // 64)
+    packed = np.zeros((groups * 8, words * 8), np.uint8)
+    packed[:k, : -(-m // 8)] = np.packbits(b, axis=1, bitorder="little")
+    # rows[t, g] is row 8g + t of b, so each doubling ORs contiguous words.
+    rows = np.ascontiguousarray(packed.view(np.uint64).reshape(groups, 8, words).transpose(1, 0, 2))
+    table = np.empty((256, groups, words), np.uint64)
+    table[0] = 0
+    for t in range(8):
+        np.bitwise_or(table[: 1 << t], rows[t], out=table[1 << t : 2 << t])
+    table = table.reshape(256 * groups, words)
+    # Row key[g, i] of the flat table is the entry a[i]'s bits select in group g.
+    key = np.multiply(np.packbits(a, axis=1, bitorder="little").T, groups, dtype=np.intp)
+    key += np.arange(groups)[:, None]
+    out = np.empty((n, words), np.uint64)
+    step = max(1, _GATHER_WORDS // (groups * words))
+    for r in range(0, n, step):
+        np.bitwise_or.reduce(table.take(key[:, r : r + step], axis=0), axis=0, out=out[r : r + step])
+    return np.unpackbits(out.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
 
 
 # numpy's 2-D index machinery (np.argwhere, np.nonzero on a matrix, np.ix_)

@@ -359,6 +359,47 @@ def test_true_pairs_block_and_bool_matmul_match_numpy(m, data):
     assert np.array_equal(_bool_matmul(m, b), m.astype(np.int64) @ b.astype(np.int64) > 0)
 
 
+# (n, k, m) shapes of a ``_bool_matmul`` product: squares on both sides of
+# its switch from BLAS to four Russians (64**3 multiply-adds) and at it;
+# the partner matrix's rectangles; k not a multiple of 8 and m not a
+# multiple of 64; zero dimensions.
+PRODUCT_SHAPES = [
+    *((s, s, s) for s in (63, 64, 65, 100, 127, 128, 129, 200, 257)),
+    (3, 7, 7), (300, 20, 300), (20, 300, 20), (64, 64, 65), (1, 1, 300000),
+    (70, 13, 300), (129, 255, 63), (0, 300, 300), (300, 0, 300), (300, 300, 0),
+]
+
+
+@pytest.mark.parametrize("density", [0, 0.05, 0.5, 1])
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=str)
+def test_bool_matmul_is_the_integer_product_across_its_switch(shape, density):
+    n, k, m = shape
+    rng = np.random.default_rng(n * k + m)
+    a = rng.random((n, k)) < density
+    b = rng.random((k, m)) < density
+    assert np.array_equal(_bool_matmul(a, b), a.astype(np.int64) @ b.astype(np.int64) > 0)
+    if n == k:
+        assert np.array_equal(_bool_matmul(a), a.astype(np.int64) @ a.astype(np.int64) > 0)
+        # A transposed view is not C-contiguous.
+        assert np.array_equal(_bool_matmul(a.T, b), a.T.astype(np.int64) @ b.astype(np.int64) > 0)
+
+
+class _NoProduct(np.ndarray):
+    def __matmul__(self, other):
+        raise AssertionError("a BLAS product")
+
+
+def test_bool_matmul_calls_blas_only_up_to_its_switch():
+    """At 64**3 multiply-adds the product is a BLAS ``@``; one row more and
+    it is four Russians, which multiplies operands that refuse ``@``."""
+    rng = np.random.default_rng(0)
+    a, b = rng.random((65, 64)) < 0.3, (rng.random((64, 64)) < 0.3).view(_NoProduct)
+    with pytest.raises(AssertionError, match="a BLAS product"):
+        _bool_matmul(a[:64].view(_NoProduct), b)
+    expected = a.astype(np.int64) @ b.view(np.ndarray).astype(np.int64) > 0
+    assert np.array_equal(_bool_matmul(a.view(_NoProduct), b), expected)
+
+
 # --------------------------------------------------------- failure paths
 
 
@@ -433,8 +474,9 @@ def test_no_2d_index_machinery_in_the_package():
 
 def test_no_matrix_product_outside_bool_matmul():
     """``@``, np.matmul and np.dot appear in src/fishbone only inside
-    poset._bool_matmul, whose float32 product is exact; a product on a
-    narrow integer type, such as uint8, wraps."""
+    poset._bool_matmul, whose two branches (float32 BLAS for small
+    products, four Russians on packed bits above) are exact; a product on
+    a narrow integer type, such as uint8, wraps."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
