@@ -345,9 +345,10 @@ def check_spine(P: FinitePoset, cert: SpineCertificate) -> VerificationReport:
     if not rises.all():
         k = int(rises.argmin())
         return fail("chain not strictly increasing", [cert.chain[k], cert.chain[k + 1]])
+    # Two comparable members of one part clash in the strict matrix on the
+    # lower one's row only, but both rows carry that part's label.
     labels = np.array(label, dtype=np.intp)
-    clash = P.comparability_matrix & (labels[:, None] == labels) & (labels >= 0)[:, None]
-    np.fill_diagonal(clash, False)
+    clash = P.strict_matrix & (labels[:, None] == labels) & (labels >= 0)[:, None]
     if clash.any():
         k = int(labels[clash.any(axis=1)].min())
         return fail("part is not an antichain", list(cert.antichains[k]))

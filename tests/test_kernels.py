@@ -1,8 +1,9 @@
 """The flat-index and ``take`` matrix kernels of ``poset`` against numpy's
 2-D index machinery, the thickness drivers and criterion 11's instance
-builder against their per-outsider and per-pair loops, ``element_id``
-against the per-coordinate join, and the family checks on coordinate
-columns against their payload formulations.
+builder against their per-outsider and per-pair loops, the antichain test
+and ``check_spine``, which read strict rows, against their blocks of the
+comparability matrix, ``element_id`` against the per-coordinate join, and
+the family checks on coordinate columns against their payload formulations.
 
 ``poset._true_pairs`` and ``poset._block`` replace ``np.argwhere`` /
 ``np.nonzero`` and ``np.ix_`` in the package.  ``partition`` answers a
@@ -208,6 +209,60 @@ def old_is_antichain(P, members):
     return not block.any()
 
 
+def old_check_spine(P, cert):
+    """``check_spine`` as it read the comparability matrix: the clash test
+    on that matrix with its diagonal cleared, and the repeated part through
+    ``old_is_antichain``."""
+    params = {"chain": len(cert.chain), "antichains": len(cert.antichains)}
+
+    def fail(reason, witness):
+        return VerificationReport(claim="spine", params=params, status=FAIL, witness=witness, detail={"reason": reason})
+
+    try:
+        chain = [P.index(x) for x in cert.chain]
+    except poset.UnknownElement as err:
+        return fail("chain element not in poset", err.element)
+    label, repeat = [-1] * len(P), None
+    try:
+        for k, part in enumerate(cert.antichains):
+            for x in part:
+                i = P.index(x)
+                if repeat is None:
+                    if label[i] < 0:
+                        label[i] = k
+                    else:
+                        repeat = k, x
+    except poset.UnknownElement as err:
+        return fail("antichain element not in poset", err.element)
+    at = np.array(chain, dtype=np.intp)
+    rises = P.strict_matrix[at[:-1], at[1:]]
+    if not rises.all():
+        k = int(rises.argmin())
+        return fail("chain not strictly increasing", [cert.chain[k], cert.chain[k + 1]])
+    labels = np.array(label, dtype=np.intp)
+    clash = P.comparability_matrix & (labels[:, None] == labels) & (labels >= 0)[:, None]
+    np.fill_diagonal(clash, False)
+    if clash.any():
+        k = int(labels[clash.any(axis=1)].min())
+        return fail("part is not an antichain", list(cert.antichains[k]))
+    if repeat is not None:
+        k, x = repeat
+        if not old_is_antichain(P, cert.antichains[k]):
+            return fail("part is not an antichain", list(cert.antichains[k]))
+        return fail("element in two parts", x)
+    if -1 in label:
+        return fail("element in no part", P.elements[label.index(-1)])
+    meets = [0] * len(cert.antichains)
+    for i in chain:
+        meets[label[i]] += 1
+    k = next((k for k, count in enumerate(meets) if count != 1), None)
+    if k is not None:
+        on_chain = set(cert.chain)
+        hits = [x for x in cert.antichains[k] if x in on_chain]
+        return fail("part must meet the chain exactly once", {"part": k, "hits": hits})
+    return VerificationReport(claim="spine", params=params, status=PASS)
+
+
 def assert_matches_the_oracles(P, rng):
     """Every kernel result on P, and on a few drawn subsets, equals the
     2-D-index formulation."""
@@ -249,6 +304,75 @@ def test_kernels_match_the_2d_index_formulations_on_generated_posets(P, seed):
     assert_matches_the_oracles(P, random.Random(seed))
     # The table constructor takes the other path to the covers.
     assert_matches_the_oracles(FinitePoset(P.elements, P.leq_matrix), random.Random(seed))
+
+
+def planted_certificates(P, rng):
+    """P's spine certificate, then copies of it with one planted fault
+    each, drawn at random: a comparable pair in one part, a member
+    repeated in its own part or another, a member dropped from every part,
+    a foreign element in a part or on the chain, two parts merged, and a
+    shuffled chain with random parts."""
+    cert = find_spine(P)
+    chain, parts = list(cert.chain), [list(p) for p in cert.antichains]
+    e, certs = P.elements, [cert]
+
+    def plant(new_chain, new_parts):
+        certs.append(SpineCertificate(chain=tuple(new_chain), antichains=tuple(map(tuple, new_parts))))
+
+    def drawn_part():
+        return rng.randrange(len(parts))
+
+    if not e:
+        plant(chain, [["foreign"]])
+        return certs
+    for _ in range(6):
+        x, y = rng.choice(e), rng.choice(e)
+        where = {z: k for k, part in enumerate(parts) for z in part}
+        moved = [list(p) for p in parts]
+        moved[where[y]].remove(y)
+        moved[where[x]].insert(rng.randint(0, len(moved[where[x]])), y)
+        plant(chain, moved)
+        added = [list(p) for p in parts]
+        added[drawn_part()].append(x)
+        plant(chain, added)
+        dropped = [list(p) for p in parts]
+        dropped[where[x]].remove(x)
+        plant(chain, dropped)
+        foreign = [list(p) for p in parts]
+        foreign[drawn_part()].insert(0, "foreign")
+        plant(chain, foreign)
+        plant(chain[:1] + ["foreign"] + chain[1:], parts)
+        if len(parts) > 1:
+            j, k = sorted(rng.sample(range(len(parts)), 2))
+            merged = [p for i, p in enumerate(parts) if i != k]
+            merged[j] = parts[j] + parts[k]
+            plant(chain, merged)
+        shuffled = [rng.sample(list(e), rng.randint(0, len(e))) for _ in range(rng.randint(1, 3))]
+        plant(rng.sample(chain, len(chain)), shuffled)
+    return certs
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=posets(max_size=24), seed=st.integers(0, 2**16))
+def test_antichain_and_spine_checks_match_their_comparability_block_forms(P, seed):
+    # ``is_antichain`` reads the members' strict rows and ``check_spine``
+    # the strict matrix; the oracles read blocks of ``leq | leq.T``.  Every
+    # construction route: generators, a table, and a subposet of either.
+    rng = random.Random(seed)
+    table = FinitePoset(P.elements, P.leq_matrix)
+    routes = [P, table, P.induced(rng.sample(P.elements, rng.randint(0, len(P))))]
+    routes.append(table.induced(rng.sample(P.elements, rng.randint(0, len(P)))))
+    for Q in routes:
+        e = list(Q.elements)
+        lists = [[], *([x] for x in e)]
+        for _ in range(8):
+            members = rng.sample(e, rng.randint(0, len(e)))
+            lists += [members, members + rng.choices(members, k=2) if members else members]
+            lists.append(rng.sample(lists[-1], len(lists[-1])))
+        for members in lists:
+            assert Q.is_antichain(members) == old_is_antichain(Q, members), members
+        for cert in planted_certificates(Q, rng):
+            assert check_spine(Q, cert).to_dict() == old_check_spine(Q, cert).to_dict(), cert
 
 
 # The five windows of the benchmark's families workload, then P1 at N = 200

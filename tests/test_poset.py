@@ -1,11 +1,14 @@
 """Exact-arithmetic finite poset core: axioms, closure, intervals, JSON."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fishbone import families
+from fishbone.partition import check_spine, find_spine, width_and_dilworth
 from fishbone.poset import (
     CycleError,
     FinitePoset,
@@ -14,6 +17,7 @@ from fishbone.poset import (
     loads_poset,
     poset_from_json_dict,
 )
+from fishbone.random_posets import random_poset
 
 
 def diamond() -> FinitePoset:
@@ -251,6 +255,43 @@ def test_shared_matrices_are_read_only_and_consistent():
     for m in (P.leq_matrix, P.strict_matrix, P.comparability_matrix):
         with pytest.raises(ValueError):
             m[0, 1] = not m[0, 1]
+
+
+WINDOWS = {
+    "P1": {"n": 2},
+    "P2": {"z": 1, "n": 1},
+    "P3": {"x": 3, "y": 2},
+    "P4": {"x": 2, "y": 2, "z": 1},
+    "P5": {"n": (0, 1), "c": 2},
+}
+
+
+def test_comparability_is_built_on_first_read():
+    # No construction route, no certificate pipeline and no family window
+    # reads ``leq | leq.T``, so none builds it; its first read does, once.
+    generated = random_poset(random.Random(5), max_size=30, min_size=20)
+    posets = [
+        generated,
+        FinitePoset(generated.elements, generated.leq_matrix),
+        generated.induced(generated.elements[::2]),
+        FinitePoset(generated.elements, generated.leq_matrix).induced(generated.elements[1::3]),
+    ]
+    for P in posets:
+        assert P._comparable is None
+        P.covers()
+        check_spine(P, find_spine(P))
+        width_and_dilworth(P)
+        assert P._comparable is None
+    for family, axes in WINDOWS.items():
+        W = families.window(family, families.WindowSpec.make(**axes))
+        W.to_json_dict()
+        assert W._comparable is None, family
+        posets.append(W)
+    for P in posets:
+        comp = P.comparability_matrix
+        assert np.array_equal(comp, P.leq_matrix | P.leq_matrix.T)
+        assert not comp.flags.writeable
+        assert P.comparability_matrix is comp
 
 
 def test_chain_sorted_orders_by_the_poset():

@@ -138,6 +138,35 @@ def test_matrix_products_run_only_at_their_named_sites():
     assert set().union(*map(product_sites, SRC.rglob("*.py"))) == PRODUCT_SITES
 
 
+# ``leq | leq.T`` is built on its first read, so the cache behind
+# ``comparability_matrix`` is cleared in ``_set`` and filled and read only in
+# the property: a module that read ``_comparable`` itself could find None.
+COMPARABLE_STORES = {"poset.FinitePoset._set", "poset.FinitePoset.comparability_matrix"}
+COMPARABLE_LOADS = {"poset.FinitePoset.comparability_matrix"}
+
+
+def attribute_sites(path: Path, attr: str) -> tuple[set[str], set[str]]:
+    """Qualified names of the functions (or the module) that assign, and
+    that read, the attribute ``attr`` of anything."""
+    stores, loads = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                (loads if isinstance(child.ctx, ast.Load) else stores).add(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if inner else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return stores, loads
+
+
+def test_comparability_is_read_only_through_its_property():
+    sites = [attribute_sites(path, "_comparable") for path in SRC.rglob("*.py")]
+    assert set().union(*(s for s, _ in sites)) == COMPARABLE_STORES
+    assert set().union(*(l for _, l in sites)) == COMPARABLE_LOADS
+
+
 TERM_CONSTRUCTORS = {"Sum", "OmegaRep", "OmegaStarRep"}
 NORMAL_FORM_BUILDERS = {"_sum", "_rep"}
 
